@@ -32,6 +32,8 @@ from .numerics import ConvergenceError, DomainError
 SCHEMA_VERSION = "1"
 _ELIGIBILITY_FACTOR = 3.0
 _C_STAR_FLOOR = -1e-9
+# hurwitz_zeta holds its stated 1e-12 relative accuracy up to |t| = 1e3
+_T_MAX_LIMIT = 1000.0
 
 
 def _num(x):
@@ -230,8 +232,8 @@ def cmd_zeros(args) -> int:
     if not 0 < args.step <= 0.05:
         print("error: --step must be positive and at most 0.05", file=sys.stderr)
         return 2
-    if args.t_max <= 0:
-        print("error: --t-max must be positive", file=sys.stderr)
+    if not 0 < args.t_max <= _T_MAX_LIMIT:
+        print(f"error: --t-max must be positive and at most {_T_MAX_LIMIT:g}", file=sys.stderr)
         return 2
     if args.alpha_hat is not None and args.alpha_hat <= 0:
         print("error: --alpha-hat must be positive", file=sys.stderr)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 from scipy.special import loggamma as _sc_loggamma
 
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, gauss_sum
 from .numerics import ConvergenceError, DomainError, integrate
 
 _TWO_PI = 2.0 * math.pi
@@ -241,12 +241,6 @@ def vartheta(s: complex) -> complex:
     )
 
 
-def gauss_sum(chi: DirichletCharacter) -> complex:
-    from .characters import gauss_sum as _gs
-
-    return _gs(chi)
-
-
 def _root_number(theta: DirichletCharacter) -> tuple[complex, float]:
     """(epsilon, half_arg) for the completed-equation phase on the line."""
     q = theta.modulus
@@ -370,6 +364,12 @@ def find_zeros(
     endpoint value.  A grid point where the value dips near zero without a
     sign change is flagged as a suspected double zero, never dropped
     silently.
+
+    All sign-change brackets are then bisected together on the raw
+    (unanchored) line values: each step evaluates the midpoints of every
+    bracket still wider than the target radius in one line evaluation.
+    The left endpoint's grid value enters with its panel's sign undone, so
+    the midpoint test always compares raw against raw.
     """
     if not psi.primitive:
         raise DomainError("scan needs a primitive character")
@@ -383,6 +383,8 @@ def find_zeros(
         grid = np.append(grid, t_max)
 
     vals = np.empty(len(grid))
+    # sign that turned each raw line value into vals: anchor times stitch flip
+    signs = np.empty(len(grid))
     n_panels = 0
     start = 0
     prev_edge = None
@@ -395,40 +397,49 @@ def find_zeros(
             # stitch: the shared ordinate was evaluated by both panels
             if prev_edge * seg_vals[0] < 0:
                 seg_vals = -seg_vals
+                sign = -sign
             if abs(prev_edge - seg_vals[0]) > 1e-9 * (1.0 + abs(prev_edge)):
                 raise BranchError("panel stitch mismatch")
-            # drop the duplicated point
-            vals[start:stop] = seg_vals
-        else:
-            vals[start:stop] = seg_vals
+        # the overlapping point takes the later panel's value
+        vals[start:stop] = seg_vals
+        signs[start:stop] = sign
         prev_edge = float(seg_vals[-1])
         n_panels += 1
         if stop == len(grid):
             break
         start = stop - 1  # overlap one point
 
-    zeros = []
+    starts = []
+    flos = []
     flagged = []
     scale = float(np.median(np.abs(vals))) or 1.0
     for i in range(len(grid) - 1):
-        a, b = float(grid[i]), float(grid[i + 1])
         fa, fb = float(vals[i]), float(vals[i + 1])
         if fa == 0.0:
             prev = float(vals[i - 1]) if i > 0 else -fb
             fa = math.copysign(1e-300, prev)
         if fa * fb < 0:
-            lo, hi, flo = a, b, fa
-            while (hi - lo) / 2.0 >= 1e-9:
-                mid = 0.5 * (lo + hi)
-                fm = m_function(mid, psi)
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            zeros.append(CriticalZero(0.5 * (lo + hi), (hi - lo) / 2.0))
+            starts.append(i)
+            flos.append(signs[i] * fa)
         elif 0 < i and abs(vals[i]) < 1e-7 * scale and fa * float(vals[i - 1]) > 0:
-            flagged.append((float(grid[i - 1]), b))
-    return ScanResult(tuple(zeros), tuple(flagged), n_panels)
+            flagged.append((float(grid[i - 1]), float(grid[i + 1])))
+
+    ix = np.array(starts, dtype=np.intp)
+    lo, hi, flo = grid[ix], grid[ix + 1], np.array(flos, dtype=np.float64)
+    active = (hi - lo) / 2.0 >= 1e-9
+    while active.any():
+        idx = np.flatnonzero(active)
+        mid = 0.5 * (lo[idx] + hi[idx])
+        fm = _m_raw_line(psi, mid)
+        left = flo[idx] * fm <= 0
+        hi[idx[left]] = mid[left]
+        lo[idx[~left]] = mid[~left]
+        flo[idx[~left]] = fm[~left]
+        active[idx] = (hi[idx] - lo[idx]) / 2.0 >= 1e-9
+    zeros = tuple(
+        CriticalZero(float(0.5 * (a + b)), float((b - a) / 2.0)) for a, b in zip(lo, hi)
+    )
+    return ScanResult(zeros, tuple(flagged), n_panels)
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,30 @@ def test_find_zeros_mod4_segment():
     assert scan.flagged == ()
 
 
+@pytest.mark.parametrize("q", (5, 7))
+def test_find_zeros_brackets_a_sign_change_wherever_the_scan_starts(q):
+    # starts of both anchor signs, plus a window longer than one panel so a
+    # stitch is crossed; each zero must straddle a sign change of m_function
+    for chi in primitive_characters(q):
+        for t_min, t_max in ((7.0, 22.0), (13.0, 28.0), (31.0, 46.0), (7.0, 100.0)):
+            scan = find_zeros(chi, t_min, t_max)
+            assert scan.panels == (2 if t_max - t_min > 80 else 1)
+            for z in scan:
+                lo = m_function(z.gamma - z.radius, chi)
+                hi = m_function(z.gamma + z.radius, chi)
+                assert lo * hi <= 0, (q, t_min, z.gamma)
+
+
+@pytest.mark.parametrize("q", (5, 7))
+def test_find_zeros_window_agrees_with_scan_from_origin(q):
+    for chi in primitive_characters(q):
+        window = [z.gamma for z in find_zeros(chi, 7.0, 22.0)]
+        whole = [z.gamma for z in find_zeros(chi, 0.02, 22.0) if z.gamma >= 7.0]
+        assert len(window) == len(whole) > 0
+        for g, h in zip(window, whole):
+            assert abs(g - h) < 2e-9
+
+
 def test_find_zeros_validation():
     chi = real_primitive_character(4)
     with pytest.raises(DomainError):
