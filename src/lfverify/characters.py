@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iproduct
-from typing import Iterable, Optional
 
 from .numerics import DomainError
 
@@ -396,44 +395,6 @@ def rho_star_j(n: int, beta: complex, chi: DirichletCharacter) -> complex:
         if c != 0:
             total += c * complex(d) ** beta
     return total
-
-
-@dataclass(frozen=True)
-class ArithFn:
-    """Named multiplicative-coefficient evaluator with its parameters."""
-
-    name: str
-    character: Optional[DirichletCharacter] = None
-    beta: complex = 0j
-    k: int = 2
-
-    _NAMES = ("nu", "upsilon", "varsigma", "rho_j", "rho_star_j", "mu", "phi", "tau_k")
-
-    def __post_init__(self):
-        if self.name not in self._NAMES:
-            raise DomainError(f"unknown arithmetic function {self.name!r}")
-        if self.name in ("nu", "upsilon", "varsigma", "rho_star_j") and self.character is None:
-            raise DomainError(f"{self.name} needs a character")
-
-
-def eval_arith(fn: ArithFn, n: int) -> complex:
-    if n < 1:
-        raise DomainError("argument must be a positive integer")
-    if fn.name == "nu":
-        return nu(n, fn.character)
-    if fn.name == "upsilon":
-        return upsilon(n, fn.character)
-    if fn.name == "varsigma":
-        return varsigma(n, fn.character)
-    if fn.name == "rho_j":
-        return rho_j(n, fn.beta)
-    if fn.name == "rho_star_j":
-        return rho_star_j(n, fn.beta, fn.character)
-    if fn.name == "mu":
-        return complex(mobius(n))
-    if fn.name == "phi":
-        return complex(euler_phi(n))
-    return complex(tau_k(n, fn.k))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ _ELIGIBILITY_FACTOR = 3.0
 _C_STAR_FLOOR = -1e-9
 # hurwitz_zeta holds its stated 1e-12 relative accuracy up to |t| = 1e3
 _T_MAX_LIMIT = 1000.0
+# primitive_characters builds all phi(q) value tables, O(q^2) time and memory
+_MODULUS_LIMIT = 1000
 
 
 def _num(x):
@@ -226,8 +228,8 @@ def cmd_identities(args) -> int:
 
 
 def cmd_zeros(args) -> int:
-    if not 0 < args.modulus <= 10**5:
-        print("error: --modulus must be between 1 and 10^5", file=sys.stderr)
+    if not 0 < args.modulus <= _MODULUS_LIMIT:
+        print(f"error: --modulus must be between 1 and {_MODULUS_LIMIT}", file=sys.stderr)
         return 2
     if not 0 < args.step <= 0.05:
         print("error: --step must be positive and at most 0.05", file=sys.stderr)

@@ -3,8 +3,9 @@
 Every entry of the coupling matrices, the drift (d-type) and residue (e-type)
 constants, and the final inequality chain is recomputed by adaptive quadrature
 over the closed-form kernels in :mod:`lfverify.kernels`.  The claimed values
-live here too, in :func:`run_verification`, which emits a structured report
-instead of asserting, so a shortfall is recorded rather than hidden.
+live here too, in one table of stages and their claims that
+:func:`run_verification` reads; it emits a structured report instead of
+asserting, so a shortfall is recorded rather than hidden.
 
 Conventions that are easy to trip over (all pinned by the short-window checks
 and by the frozen Simpson oracle used in the tests):
@@ -23,9 +24,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping
 
-from .kernels import KernelId, LimitModel, default_model, eval_f, eval_g, eval_w, eval_y
+from .kernels import LimitModel, default_model, eval_f, eval_g, eval_w, eval_y
 from .numerics import ConvergenceError, DomainError, integrate
 
 _PI = math.pi
@@ -502,26 +503,110 @@ def _record(
     return VerificationRecord(name, computed, kind, complex(claimed), tolerance, ok)
 
 
-def _failure_record(name: str, kind: str, claimed: complex, tol: float) -> VerificationRecord:
-    return VerificationRecord(name, complex("nan"), kind, complex(claimed), tol, False)
-
-
 # guard band for strict inequality claims; tiny bounds get half themselves
 def _guard(bound: float) -> float:
     return min(1e-7, abs(bound) / 2.0) if bound else 1e-7
+
+
+def _bound(name: str, kind: str, claimed: float) -> tuple[str, str, complex, float]:
+    return (name, kind, claimed, _guard(claimed))
+
+
+# Each stage returns its computed values by claim name; it is handed the
+# values of the earlier stages.  The compute_* functions are looked up when
+# a stage runs, so a wrapper installed on the module is seen.
+
+
+def _coupling_stage(model: LimitModel, tol: float, earlier: Mapping) -> dict:
+    b = compute_b_matrix(model, tol)
+    c = compute_c_matrix(b)
+    quad1, quad2 = compute_c1_c2(model, c)
+    out = {name: c.value(name) for name in ("c11", "c22", "c12", "c33", "c34")}
+    out["b44_matches_b22"] = b.value("b44") - b.value("b22")
+    for key, quad in (("quad1", quad1), ("quad2", quad2)):
+        out.update({f"{key}_upper": quad, f"{key}_value": quad.real, f"{key}_imag": quad.imag})
+    return out
+
+
+def _drift_stage(model: LimitModel, tol: float, earlier: Mapping) -> dict:
+    d = compute_d_constants(model, tol)
+    dp, dd = d.value("frak_d_prime"), d.value("frak_d")
+    return {
+        "drift_prime_real": dp.real,
+        "drift_real_small": dd.real,
+        "drift_real_positive": dd.real,
+        "drift_sum_real": (dp + dd).real,
+    }
+
+
+def _residue_stage(model: LimitModel, tol: float, earlier: Mapping) -> dict:
+    e = compute_e_constants(model, tol)
+    c3 = compute_c3(e)
+    return {
+        "c3_real": c3.real,
+        "cancellation": compute_cancellation(e),
+        "chain_total": earlier["quad1_value"] + earlier["quad2_value"] + 2.0 * c3.real,
+    }
+
+
+def _window_stage(model: LimitModel, tol: float, earlier: Mapping) -> dict:
+    windows = short_window_checks(model, tol)
+    return {name: windows.value(name) for name in windows.names()}
+
+
+def _j1_stage(model: LimitModel, tol: float, earlier: Mapping) -> dict:
+    jb = compute_j1_bound(model, tol)
+    return {"j1_upper": jb, "j1_positive": jb}
+
+
+# (stage, its (name, kind, claimed, tolerance) rows), in report order
+_CLAIMS = (
+    (_coupling_stage, (
+        ("c11", "equals", 3.61226, 1e-5),
+        ("c22", "equals", 1.32215, 1e-5),
+        ("c12", "equals", -0.45757 - 0.18179j, 1e-5),
+        ("c33", "equals", 3.69507, 1e-5),
+        ("c34", "equals", -0.4526 + 0.19474j, 5e-5),
+        ("b44_matches_b22", "equals", 0.0, 1e-15),
+        _bound("quad1_upper", "less_than", 6.9955),
+        ("quad1_value", "equals", 6.99544, 2e-5),
+        _bound("quad1_imag", "abs_less_than", 1e-10),
+        _bound("quad2_upper", "less_than", 6.9955),
+        ("quad2_value", "equals", 6.98704, 2e-4),
+        _bound("quad2_imag", "abs_less_than", 1e-10),
+    )),
+    (_drift_stage, (
+        _bound("drift_prime_real", "greater_than", 5.1),
+        _bound("drift_real_small", "abs_less_than", 0.1),
+        _bound("drift_real_positive", "greater_than", 0.0),
+        _bound("drift_sum_real", "greater_than", 5.0),
+    )),
+    (_residue_stage, (
+        _bound("c3_real", "less_than", -6.9951),
+        _bound("cancellation", "abs_less_than", 1e-4),
+        _bound("chain_total", "less_than", 0.001),
+    )),
+    (_window_stage, tuple(
+        (f"window{k}_{j}", "equals", target, 1e-4)
+        for j in (1, 2, 3) for k, target in ((6, -0.002), (7, -0.004 - 1j * _PI / 250**2))
+    )),
+    (_j1_stage, (
+        _bound("j1_upper", "less_than", 4400.0 / _PI),
+        _bound("j1_positive", "greater_than", 0.0),
+    )),
+)
 
 
 def run_verification(model: LimitModel = None, tol: float = 1e-10) -> VerificationReport:
     """Recompute everything and compare against the claimed values.
 
     Never raises on a failed comparison; each claim becomes a record with its
-    pass flag, and sub-computation errors yield NaN-valued failing records so
-    the rest of the report still assembles.
+    pass flag, and a stage whose computation fails yields NaN-valued failing
+    records for all its claims so the rest of the report still assembles.
     """
     model = model or default_model()
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    records: list[VerificationRecord] = []
     notes = (
         "the j->0 limit constant takes the fourth product-factor family equal "
         "to the second, the only reading consistent with the mixing weights; "
@@ -533,100 +618,13 @@ def run_verification(model: LimitModel = None, tol: float = 1e-10) -> Verificati
         "claimed bound -6.9951 by 4.2e-3; the shortfall is recorded as a "
         "failing record on purpose",
     )
-
-    try:
-        b = compute_b_matrix(model, tol)
-        c = compute_c_matrix(b)
-        quad1, quad2 = compute_c1_c2(model, c)
-        records.append(_record("c11", c.value("c11"), "equals", 3.61226, 1e-5))
-        records.append(_record("c22", c.value("c22"), "equals", 1.32215, 1e-5))
-        records.append(_record("c12", c.value("c12"), "equals", -0.45757 - 0.18179j, 1e-5))
-        records.append(_record("c33", c.value("c33"), "equals", 3.69507, 1e-5))
-        records.append(_record("c34", c.value("c34"), "equals", -0.4526 + 0.19474j, 5e-5))
-        records.append(
-            _record("b44_matches_b22", b.value("b44") - b.value("b22"), "equals", 0.0, 1e-15)
-        )
-        records.append(_record("quad1_upper", quad1, "less_than", 6.9955, _guard(6.9955)))
-        records.append(_record("quad1_value", quad1.real, "equals", 6.99544, 2e-5))
-        records.append(_record("quad1_imag", quad1.imag, "abs_less_than", 1e-10, _guard(1e-10)))
-        records.append(_record("quad2_upper", quad2, "less_than", 6.9955, _guard(6.9955)))
-        records.append(_record("quad2_value", quad2.real, "equals", 6.98704, 2e-4))
-        records.append(_record("quad2_imag", quad2.imag, "abs_less_than", 1e-10, _guard(1e-10)))
-    except (ConvergenceError, DomainError, MissingConstantError):
-        quad1 = quad2 = complex("nan")
-        for name, kind, claim, tolr in (
-            ("c11", "equals", 3.61226, 1e-5),
-            ("c22", "equals", 1.32215, 1e-5),
-            ("c12", "equals", -0.45757 - 0.18179j, 1e-5),
-            ("c33", "equals", 3.69507, 1e-5),
-            ("c34", "equals", -0.4526 + 0.19474j, 5e-5),
-            ("b44_matches_b22", "equals", 0.0, 1e-15),
-            ("quad1_upper", "less_than", 6.9955, _guard(6.9955)),
-            ("quad1_value", "equals", 6.99544, 2e-5),
-            ("quad1_imag", "abs_less_than", 1e-10, _guard(1e-10)),
-            ("quad2_upper", "less_than", 6.9955, _guard(6.9955)),
-            ("quad2_value", "equals", 6.98704, 2e-4),
-            ("quad2_imag", "abs_less_than", 1e-10, _guard(1e-10)),
-        ):
-            records.append(_failure_record(name, kind, claim, tolr))
-
-    try:
-        d = compute_d_constants(model, tol)
-        dp, dd = d.value("frak_d_prime"), d.value("frak_d")
-        records.append(_record("drift_prime_real", dp.real, "greater_than", 5.1, _guard(5.1)))
-        records.append(_record("drift_real_small", dd.real, "abs_less_than", 0.1, _guard(0.1)))
-        records.append(_record("drift_real_positive", dd.real, "greater_than", 0.0, _guard(0.0)))
-        records.append(
-            _record("drift_sum_real", (dp + dd).real, "greater_than", 5.0, _guard(5.0))
-        )
-    except (ConvergenceError, DomainError, MissingConstantError):
-        for name, kind, claim in (
-            ("drift_prime_real", "greater_than", 5.1),
-            ("drift_real_small", "abs_less_than", 0.1),
-            ("drift_real_positive", "greater_than", 0.0),
-            ("drift_sum_real", "greater_than", 5.0),
-        ):
-            records.append(_failure_record(name, kind, claim, _guard(claim)))
-
-    try:
-        e = compute_e_constants(model, tol)
-        c3 = compute_c3(e)
-        cancel = compute_cancellation(e)
-        records.append(_record("c3_real", c3.real, "less_than", -6.9951, _guard(6.9951)))
-        records.append(
-            _record("cancellation", cancel, "abs_less_than", 1e-4, _guard(1e-4))
-        )
-        chain = quad1.real + quad2.real + 2.0 * c3.real
-        records.append(_record("chain_total", chain, "less_than", 0.001, _guard(0.001)))
-    except (ConvergenceError, DomainError, MissingConstantError):
-        records.append(_failure_record("c3_real", "less_than", -6.9951, _guard(6.9951)))
-        records.append(_failure_record("cancellation", "abs_less_than", 1e-4, _guard(1e-4)))
-        records.append(_failure_record("chain_total", "less_than", 0.001, _guard(0.001)))
-
-    try:
-        windows = short_window_checks(model, tol)
-        target7 = -0.004 - 1j * _PI / 250**2
-        for j in (1, 2, 3):
-            records.append(
-                _record(f"window6_{j}", windows.value(f"window6_{j}"), "equals", -0.002, 1e-4)
-            )
-            records.append(
-                _record(f"window7_{j}", windows.value(f"window7_{j}"), "equals", target7, 1e-4)
-            )
-    except (ConvergenceError, DomainError, MissingConstantError):
-        for j in (1, 2, 3):
-            records.append(_failure_record(f"window6_{j}", "equals", -0.002, 1e-4))
-            records.append(
-                _failure_record(f"window7_{j}", "equals", -0.004 - 1j * _PI / 250**2, 1e-4)
-            )
-
-    try:
-        jb = compute_j1_bound(model, tol)
-        records.append(_record("j1_upper", jb, "less_than", 4400.0 / _PI, _guard(4400.0 / _PI)))
-        records.append(_record("j1_positive", jb, "greater_than", 0.0, _guard(0.0)))
-    except (ConvergenceError, DomainError):
-        records.append(_failure_record("j1_upper", "less_than", 4400.0 / _PI, 1e-7))
-        records.append(_failure_record("j1_positive", "greater_than", 0.0, 1e-7))
-
+    computed: dict[str, complex] = {}
+    records: list[VerificationRecord] = []
+    for stage, rows in _CLAIMS:
+        try:
+            computed.update(stage(model, tol, computed))
+        except (ConvergenceError, DomainError, MissingConstantError):
+            computed.update((row[0], complex("nan")) for row in rows)
+        records.extend(_record(name, computed[name], *claim) for name, *claim in rows)
     metadata = {"quadrature_tol": tol, "build": "lfverify-0.1.0"}
     return VerificationReport(tuple(records), notes, metadata)

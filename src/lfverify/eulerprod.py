@@ -2,23 +2,21 @@
 
 Three families of multiplicative coefficients (three-, two-, and one-factor
 quotients of shifted zeta local factors), their tilted partial sums over the
-set of integers supported on a fixed prime, the lambda correction factors,
-the xi assembly sums, and the rational product Pi(d, r).  The identity
-checker evaluates both sides of each named local identity: with all shifts
-zero the two sides agree to rounding; with small nonzero shifts the gap obeys
-an explicit decay envelope in the prime.
+set of integers supported on a fixed prime, and the rational product
+Pi(d, r).  The identity checker evaluates both sides of each named local
+identity: with all shifts zero the two sides agree to rounding; with small
+nonzero shifts the gap obeys an explicit decay envelope in the prime.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .characters import DirichletCharacter, factorize
 from .numerics import DomainError
 
-_VARIANTS = ("kappa", "kappa1", "kappa2")
 _CASES = ("A1", "A2", "A3", "A6", "A7", "L152", "L161", "L162")
 # public alias: the named identity cases accepted by check_local_identity
 IDENTITY_CASES = _CASES
@@ -75,46 +73,6 @@ def _coeffs(variant: str, betas: Sequence[complex], q: float, length: int) -> li
     return _series_div(num, denom, length)
 
 
-def kappa_coeffs(
-    variant: str, betas: Sequence[complex], q: int, rmax: int
-) -> list[complex]:
-    """Coefficients at prime powers q^0..q^rmax by local series division."""
-    if not 1 <= rmax <= 30:
-        raise DomainError("rmax must be in 1..30")
-    if q < 2:
-        raise DomainError("q must be a prime")
-    return _coeffs(variant, tuple(betas), float(q), rmax + 1)
-
-
-def lambda_factor(
-    variant: str,
-    n: int,
-    s: complex,
-    chi: Optional[DirichletCharacter],
-    betas: Sequence[complex] = (0j, 0j, 0j),
-) -> complex:
-    """Product over primes q | n of the local correction ratio.
-
-    lam0 uses all three shifts and no character; lam1 the first two shifts
-    with the character; lam2 the first shift with the character.
-    """
-    if variant not in ("lam0", "lam1", "lam2"):
-        raise DomainError(f"unknown lambda variant {variant!r}")
-    if complex(s).real <= 0.9:
-        raise DomainError("need Re s > 0.9")
-    k = {"lam0": 3, "lam1": 2, "lam2": 1}[variant]
-    out: complex = 1.0
-    for q in factorize(n):
-        c = 1.0 if variant == "lam0" else chi(q)
-        if variant != "lam0" and c == 0:
-            continue
-        top: complex = 1.0
-        for b in betas[:k]:
-            top *= 1.0 - c * q ** (-s - b)
-        out *= top / (1.0 - c * q ** (-s))
-    return out
-
-
 def _kappa_tilde_prime(
     coeffs: Sequence[complex], r: int, weight: complex, blocked: bool
 ) -> complex:
@@ -132,91 +90,6 @@ def _kappa_tilde_prime(
         if eta > 4 and small_run >= 2:
             break
         w *= weight
-    return total
-
-
-def _kappa_tilde(
-    variant: str,
-    m: int,
-    blocker: int,
-    chi: DirichletCharacter,
-    betas: Sequence[complex],
-    s: complex,
-    chi_weighted: bool,
-) -> complex:
-    """Tilted tail sum for composite m: product of per-prime tail sums.
-
-    ``blocker``: integers sharing a prime with it are excluded from the tail
-    set.  For the chi-weighted variants the tail carries chi(q)^eta / q^{eta s};
-    the unweighted variant carries q^{-eta s} only.
-    """
-    out: complex = 1.0
-    for q, r in factorize(m).items():
-        coeffs = _coeffs(variant, betas, float(q), r + _SERIES_LEN)
-        w = q ** (-s) * (chi(q) if chi_weighted else 1.0)
-        out *= _kappa_tilde_prime(coeffs, r, w, blocked=(blocker % q == 0))
-    return out
-
-
-def xi_coeff(
-    variant: str,
-    n: int,
-    d: int,
-    rl: int,
-    chi: DirichletCharacter,
-    betas: Sequence[complex],
-    j: int = 1,
-) -> complex:
-    """Assembly coefficient xi(n; d, rl) for the three sieve families.
-
-    xi0j: unweighted tails at the shifted point 1 - beta_j, Mobius factor
-    k^{1-beta_j}/phi(k), and the lambda prefactor over primes of n away
-    from d*rl.  xi1/xi2: chi-weighted tails at s=1, Mobius factor
-    mu(k)chi(k)k/phi(k), no prefactor.
-    """
-    if variant not in ("xi0j", "xi1", "xi2"):
-        raise DomainError(f"unknown xi variant {variant!r}")
-    if n < 1 or d < 1 or rl < 1:
-        raise DomainError("n, d, rl must be positive")
-    from .characters import divisors, euler_phi, mobius
-
-    if variant == "xi0j":
-        if j not in (1, 2, 3):
-            raise DomainError("j must be 1, 2 or 3")
-        s_eval = 1.0 - betas[j - 1]
-        total: complex = 0.0
-        for k in divisors(n):
-            if math.gcd(k, rl) > 1:
-                continue
-            mu_k = mobius(k)
-            if mu_k == 0:
-                continue
-            m = n // k
-            tail = _kappa_tilde("kappa", m, d * rl * k, chi, betas, s_eval, False)
-            total += tail * mu_k * complex(k) ** (1.0 - betas[j - 1]) / euler_phi(k)
-        pref: complex = 1.0
-        for q in factorize(n):
-            if math.gcd(q, d * rl) == 1:
-                top: complex = 1.0
-                for b in betas:
-                    top *= 1.0 - q ** (-s_eval - b)
-                pref *= top / (1.0 - q ** (-s_eval))
-        return pref * total
-
-    kvariant = "kappa1" if variant == "xi1" else "kappa2"
-    total = 0.0
-    for k in divisors(n):
-        if math.gcd(k, rl) > 1:
-            continue
-        mu_k = mobius(k)
-        if mu_k == 0:
-            continue
-        ck = chi(k)
-        if ck == 0:
-            continue
-        m = n // k
-        tail = _kappa_tilde(kvariant, m, d * k, chi, betas, 1.0, True)
-        total += tail * mu_k * ck * k / euler_phi(k)
     return total
 
 

@@ -1,11 +1,14 @@
 """Small-modulus L-function engine.
 
-Hurwitz zeta by Euler-Maclaurin, Dirichlet L-values built on it, the
-reflection and functional-equation factors, a real-valued rotation of the
-L-function on the critical line, sign-change zero scanning with gap
-statistics, the signed triple-product ratio at a zero, and the desk-scale
-smoothing weights (error-function step, Gaussian window, its oscillatory
-transform and Mellin integral).
+One vectorized Euler-Maclaurin kernel evaluates Hurwitz zeta over an array
+of s, with its s-derivative on request and a pole-free mode that keeps a
+nonprincipal character sum finite at s = 1; Hurwitz values, Dirichlet
+L-values and their derivatives, and critical-line values all call it.
+Around it sit the reflection and functional-equation factors, a
+real-valued rotation of the L-function on the critical line, sign-change
+zero scanning with gap statistics, the signed triple-product ratio at a
+zero, and the desk-scale smoothing weights (error-function step, Gaussian
+window, its oscillatory transform and Mellin integral).
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
+from numpy.polynomial import polynomial as _poly
 from scipy.special import loggamma as _sc_loggamma
 
 from .characters import DirichletCharacter, gauss_sum
@@ -54,24 +58,54 @@ def _effective_shift(shift: int, t_abs: float) -> int:
     return max(shift, int(0.9 * t_abs) + 20)
 
 
-def _hurwitz_grid(s: np.ndarray, a: float, shift: int, order: int) -> np.ndarray:
-    """Euler-Maclaurin evaluation for an array of s, common shift."""
+def _euler_maclaurin(
+    s: np.ndarray, a: float, shift: int, order: int, ds: bool = False, pole_free: bool = False
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """zeta(s, a) over an array of s with a common shift, and d/ds if ``ds``.
+
+    zeta(s, a) = sum_{n<N} (n+a)^-s + w^(1-s)/(s-1) + w^-s/2 + Bernoulli tail,
+    w = N + a.  With ``pole_free`` the 1/(s-1) part of w^(1-s)/(s-1) is
+    dropped and the rest summed as a series in s - 1; the dropped parts
+    cancel across a nonprincipal character sum, which keeps s = 1 finite.
+    """
+    if not 0.0 < a <= 1.0:
+        raise DomainError("a must lie in (0, 1]")
+    if not 1 <= order <= len(_BERNOULLI):
+        raise DomainError(f"order must be in 1..{len(_BERNOULLI)}")
+    if not pole_free and (s == 1.0).any():
+        raise DomainError("pole at s = 1")
     n_shift = _effective_shift(shift, float(np.max(np.abs(s.imag))))
-    n = np.arange(n_shift, dtype=np.float64) + a
-    direct = np.exp(-np.outer(np.log(n), s)).sum(axis=0)
+    ln = np.log(np.arange(n_shift, dtype=np.float64) + a)
+    e = np.exp(-np.outer(ln, s))
     w = n_shift + a
     lw = math.log(w)
     w_pow = np.exp(-s * lw)
-    out = direct + w * w_pow / (s - 1.0) + 0.5 * w_pow
+    x = s - 1.0
+    if pole_free:
+        # e^(-x lw)/x - 1/x = sum over m >= 1 of (-lw)^m x^(m-1)/m!
+        series = [(-lw) ** m / math.factorial(m) for m in range(1, 16)]
+        pole = _poly.polyval(x, series)
+    else:
+        pole = w * w_pow / x
+    out = e.sum(axis=0) + pole + 0.5 * w_pow
+    out_ds = None
+    if ds:
+        pole_ds = _poly.polyval(x, _poly.polyder(series)) if pole_free else -pole * (lw + 1.0 / x)
+        out_ds = -(ln @ e) + pole_ds - 0.5 * lw * w_pow
+        psi_sum = 1.0 / s
     poch = s.copy()
     w_fall = w_pow / w
     fact = 2.0
     for k in range(1, order + 1):
-        out = out + (_BERNOULLI[k - 1] / fact) * poch * w_fall
+        term = (_BERNOULLI[k - 1] / fact) * poch * w_fall
+        out = out + term
+        if ds:
+            out_ds = out_ds + term * (psi_sum - lw)
+            psi_sum += 1.0 / (s + (2 * k - 1)) + 1.0 / (s + 2 * k)
         poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
         w_fall = w_fall / (w * w)
         fact *= (2 * k + 1) * (2 * k + 2)
-    return out
+    return out, out_ds
 
 
 def hurwitz_zeta(s: complex, a: float, shift: int = 30, order: int = 12) -> complex:
@@ -80,149 +114,54 @@ def hurwitz_zeta(s: complex, a: float, shift: int = 30, order: int = 12) -> comp
     The shift grows automatically with |im s| so the stated error
     (relative 1e-12 for |im s| up to 1e3) holds; ``shift`` is a floor.
     """
-    if not 0.0 < a <= 1.0:
-        raise DomainError("a must lie in (0, 1]")
-    if not 1 <= order <= len(_BERNOULLI):
-        raise DomainError(f"order must be in 1..{len(_BERNOULLI)}")
-    s = complex(s)
-    if s == 1.0:
-        raise DomainError("pole at s = 1")
-    return complex(_hurwitz_grid(np.array([s]), a, shift, order)[0])
+    return complex(_euler_maclaurin(np.array([complex(s)]), a, shift, order)[0][0])
 
 
 def hurwitz_zeta_ds(s: complex, a: float, shift: int = 30, order: int = 12) -> complex:
     """d/ds of hurwitz_zeta, term-by-term on the same expansion."""
-    if not 0.0 < a <= 1.0:
-        raise DomainError("a must lie in (0, 1]")
-    s = complex(s)
-    if s == 1.0:
-        raise DomainError("pole at s = 1")
-    n_shift = _effective_shift(shift, abs(s.imag))
-    total = 0j
-    for n in range(n_shift):
-        ln = math.log(n + a)
-        total += -ln * cmath.exp(-s * ln)
-    w = n_shift + a
-    lw = math.log(w)
-    w_pow = cmath.exp(-s * lw)
-    total += w * w_pow * (-lw / (s - 1.0) - 1.0 / (s - 1.0) ** 2)
-    total += -lw * w_pow / 2.0
-    poch = s
-    psi_sum = 1.0 / s
-    w_fall = w_pow / w
-    fact = 2.0
-    for k in range(1, order + 1):
-        term = (_BERNOULLI[k - 1] / fact) * poch * w_fall
-        total += term * (psi_sum - lw)
-        psi_sum += 1.0 / (s + (2 * k - 1)) + 1.0 / (s + 2 * k)
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-        w_fall = w_fall / (w * w)
-        fact *= (2 * k + 1) * (2 * k + 2)
-    return total
+    return complex(_euler_maclaurin(np.array([complex(s)]), a, shift, order, ds=True)[1][0])
 
 
 # ---------------------------------------------------------------------------
 # Dirichlet L
 
 
-def _l_series_parts(
-    chi: DirichletCharacter, s: complex, shift: int, order: int, want_ds: bool
-) -> complex:
-    """q^s * L(s, chi) near s = 1 with the shifted-pole terms cancelled.
+def _l_sums(
+    s: complex, chi: DirichletCharacter, shift: int, order: int, ds: bool
+) -> tuple[complex, complex, complex]:
+    """(q^-s, sum_a chi(a) zeta(s, a/q), its d/ds if ``ds``) in one pass.
 
-    Only valid for nonprincipal chi; the 1/(s-1) coefficients sum to zero
-    across the character, so the pole is removed term by term and the
-    remainder expanded in powers of (s - 1).
+    A nonprincipal chi within 1e-3 of s = 1 takes the pole-free expansion;
+    a principal one keeps its genuine pole.
     """
+    s = complex(s)
     q = chi.modulus
-    x = s - 1.0
-    n_shift = _effective_shift(shift, abs(s.imag))
-    total = 0j
-    pole_val = 0j
-    pole_ds = 0j
+    pole_free = not chi.is_principal and abs(s - 1.0) < 1e-3
+    total = total_ds = 0j
     for a in range(1, q + 1):
         c = chi(a)
-        if c == 0:
-            continue
-        aq = a / q
-        # regular Euler-Maclaurin pieces (direct, midpoint, Bernoulli tail)
-        part = 0j
-        part_ds = 0j
-        for n in range(n_shift):
-            ln = math.log(n + aq)
-            e = cmath.exp(-s * ln)
-            part += e
-            part_ds += -ln * e
-        w = n_shift + aq
-        lw = math.log(w)
-        w_pow = cmath.exp(-s * lw)
-        part += 0.5 * w_pow
-        part_ds += -0.5 * lw * w_pow
-        poch = s
-        psi_sum = 1.0 / s
-        w_fall = w_pow / w
-        fact = 2.0
-        for k in range(1, order + 1):
-            term = (_BERNOULLI[k - 1] / fact) * poch * w_fall
-            part += term
-            part_ds += term * (psi_sum - lw)
-            psi_sum += 1.0 / (s + (2 * k - 1)) + 1.0 / (s + 2 * k)
-            poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-            w_fall = w_fall / (w * w)
-            fact *= (2 * k + 1) * (2 * k + 2)
-        total += c * (part_ds if want_ds else part)
-        # pole factor w^{1-s}/(s-1) = e^{-x lw}/x: expand past the cancelled 1/x
-        pv = 0j
-        pd = 0j
-        lw_pow = 1.0
-        factm = 1.0
-        for m in range(1, 16):
-            lw_pow *= -lw
-            factm *= m
-            pv += lw_pow * x ** (m - 1) / factm
-            if m >= 2:
-                pd += (m - 1) * lw_pow * x ** (m - 2) / factm
-        pole_val += c * pv
-        pole_ds += c * pd
-    return total + (pole_ds if want_ds else pole_val)
+        if c != 0:
+            val, val_ds = _euler_maclaurin(np.array([s]), a / q, shift, order, ds, pole_free)
+            total += c * complex(val[0])
+            if ds:
+                total_ds += c * complex(val_ds[0])
+    return cmath.exp(-s * math.log(q)), total, total_ds
 
 
 def l_function(s: complex, chi: DirichletCharacter, shift: int = 30, order: int = 12) -> complex:
     """L(s, chi) = q^(-s) sum_a chi(a) zeta(s, a/q).
 
-    At s = 1 a nonprincipal character is evaluated by the pole-cancelled
+    At s = 1 a nonprincipal character is evaluated by the pole-free
     expansion; a principal one is a genuine pole.
     """
-    s = complex(s)
-    q = chi.modulus
-    if chi.is_principal and s == 1.0:
-        raise DomainError("pole at s = 1 for the principal character")
-    if not chi.is_principal and abs(s - 1.0) < 1e-3:
-        return cmath.exp(-s * math.log(q)) * _l_series_parts(chi, s, shift, order, False)
-    total = 0j
-    for a in range(1, q + 1):
-        c = chi(a)
-        if c != 0:
-            total += c * hurwitz_zeta(s, a / q, shift, order)
-    return cmath.exp(-s * math.log(q)) * total
+    q_pow, total, _ = _l_sums(s, chi, shift, order, False)
+    return q_pow * total
 
 
 def l_function_ds(s: complex, chi: DirichletCharacter, shift: int = 30, order: int = 12) -> complex:
-    """d/ds L(s, chi), with the same pole-cancelled route near s = 1."""
-    s = complex(s)
-    q = chi.modulus
-    lq = math.log(q)
-    if chi.is_principal and s == 1.0:
-        raise DomainError("pole at s = 1 for the principal character")
-    if not chi.is_principal and abs(s - 1.0) < 1e-3:
-        reg = _l_series_parts(chi, s, shift, order, True)
-        return cmath.exp(-s * lq) * reg - lq * l_function(s, chi, shift=shift, order=order)
-    total = 0j
-    for a in range(1, q + 1):
-        c = chi(a)
-        if c != 0:
-            total += c * hurwitz_zeta_ds(s, a / q, shift, order)
-    return cmath.exp(-s * lq) * total - lq * l_function(s, chi, shift=shift, order=order)
+    """d/ds L(s, chi), with the same pole-free route near s = 1."""
+    q_pow, total, total_ds = _l_sums(s, chi, shift, order, True)
+    return q_pow * total_ds - math.log(chi.modulus) * (q_pow * total)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +225,7 @@ def _l_line(theta: DirichletCharacter, t: np.ndarray, shift: int = 30) -> np.nda
     for a in range(1, q + 1):
         c = theta(a)
         if c != 0:
-            total += c * _hurwitz_grid(s, a / q, shift, 12)
+            total += c * _euler_maclaurin(s, a / q, shift, 12)[0]
     return np.exp(-s * math.log(q)) * total
 
 

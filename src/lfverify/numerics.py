@@ -1,4 +1,4 @@
-"""Deterministic adaptive quadrature and a few special-function wrappers.
+"""Deterministic adaptive quadrature and the package's shared error types.
 
 The integrator runs fixed-order Gauss-Legendre panels (15-point value rule,
 7-point companion rule for the disagreement estimate) with bisection on the
@@ -9,12 +9,10 @@ randomness, no parallelism: identical inputs give identical outputs.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.special as _sp
 
 
 class DomainError(ValueError):
@@ -121,19 +119,3 @@ def integrate(
             result,
         )
     return result
-
-
-def erf(x: float) -> float:
-    """Gauss error function on the real line."""
-    return math.erf(x)
-
-
-def log_gamma(s: complex) -> complex:
-    """Principal branch of log Gamma, continuous off the cut (-inf, 0].
-
-    Raises DomainError at the poles (s = 0, -1, -2, ...).
-    """
-    s = complex(s)
-    if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
-        raise DomainError(f"log_gamma pole at s={s.real:g}")
-    return complex(_sp.loggamma(s))

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from lfverify.characters import (
-    ArithFn,
     DirichletCharacter,
     character_group,
     check_coefficient_bounds,
@@ -14,7 +13,6 @@ from lfverify.characters import (
     coefficient_bound_margin,
     divisors,
     euler_phi,
-    eval_arith,
     factorize,
     frak_a,
     gauss_sum,
@@ -176,20 +174,6 @@ def test_rho_transforms():
     # rho_star sums chi(d) d^beta over all divisors
     expect = sum(chi(d) * complex(d) ** 0.25j for d in divisors(10))
     assert abs(rho_star_j(10, 0.25j, chi) - expect) < 1e-14
-
-
-def test_arith_fn_dispatch():
-    chi = real_primitive_character(4)
-    assert eval_arith(ArithFn("nu", chi), 25) == nu(25, chi)
-    assert eval_arith(ArithFn("mu"), 30) == -1
-    assert eval_arith(ArithFn("phi"), 12) == 4
-    assert eval_arith(ArithFn("tau_k", k=3), 8) == 10
-    with pytest.raises(DomainError):
-        ArithFn("sigma")
-    with pytest.raises(DomainError):
-        ArithFn("nu")
-    with pytest.raises(DomainError):
-        eval_arith(ArithFn("mu"), 0)
 
 
 def test_identity_810_spot_values():

@@ -149,6 +149,7 @@ def test_zeros_empty_segment(tmp_path, capsys):
 def test_zeros_input_validation(tmp_path):
     assert main(["zeros", "--modulus", "0", "--t-max", "10"]) == 2
     assert main(["zeros", "--modulus", "6", "--t-max", "10"]) == 2
+    assert main(["zeros", "--modulus", "1009", "--t-max", "10"]) == 2
     assert main(["zeros", "--modulus", "4", "--t-max", "-1"]) == 2
     assert main(["zeros", "--modulus", "4", "--t-max", "1000.5"]) == 2
     assert main(["zeros", "--modulus", "4", "--t-max", "10", "--step", "0.5"]) == 2

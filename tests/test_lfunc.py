@@ -6,8 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import scan_alpha_hat
-from lfverify.characters import primitive_characters, real_primitive_character
+from conftest import ORACLE_DIR, scan_alpha_hat
+from lfverify.characters import (
+    frak_a,
+    primitive_characters,
+    principal_character,
+    real_primitive_character,
+)
 from lfverify.lfunc import (
     BranchError,
     CriticalZero,
@@ -22,6 +27,7 @@ from lfverify.lfunc import (
     gap_stats,
     gauss_sum,
     hurwitz_zeta,
+    hurwitz_zeta_ds,
     l_function,
     l_function_ds,
     m_function,
@@ -57,6 +63,100 @@ def test_l_function_derivative_matches_difference_quotient():
     h = 1e-6
     numeric = (l_function(s + h, chi) - l_function(s - h, chi)) / (2.0 * h)
     assert abs(l_function_ds(s, chi) - numeric) < 1e-8
+
+
+@pytest.mark.parametrize("s", (1.0, 2.0))
+@pytest.mark.parametrize("fn", (hurwitz_zeta, hurwitz_zeta_ds, l_function, l_function_ds))
+def test_every_entry_point_checks_order(fn, s):
+    arg = 1.0 if fn in (hurwitz_zeta, hurwitz_zeta_ds) else real_primitive_character(4)
+    for order in (0, 13):
+        with pytest.raises(DomainError, match="order"):
+            fn(s, arg, order=order)
+
+
+def test_hurwitz_domain_and_poles():
+    for fn in (hurwitz_zeta, hurwitz_zeta_ds):
+        for a in (0.0, 1.5):
+            with pytest.raises(DomainError, match="a must"):
+                fn(2.0, a)
+        with pytest.raises(DomainError, match="pole"):
+            fn(1.0, 0.5)
+    for fn in (l_function, l_function_ds):
+        with pytest.raises(DomainError, match="pole"):
+            fn(1.0, principal_character(4))
+
+
+# value tables of the characters in tests/oracles/special_values.py, index n mod q
+_ORACLE_TABLES = {
+    "chi3": (0, 1, -1),
+    "chi4": (0, 1, 0, -1),
+    "chi5": (0, 1, -1, -1, 1),
+    "chi8": (0, 1, 0, -1, 0, -1, 0, 1),
+    "chi5c": (0, 1, 1j, -1j, -1),
+}
+
+
+def _oracle_chi(name):
+    table = _ORACLE_TABLES[name]
+    (chi,) = [
+        c
+        for c in primitive_characters(len(table))
+        if all(abs(c(n) - v) < 1e-12 for n, v in enumerate(table))
+    ]
+    return chi
+
+
+_SPECIAL_VALUES = {
+    "zeta(2,1)": lambda: hurwitz_zeta(2.0, 1.0),
+    "zeta(2,0.5)": lambda: hurwitz_zeta(2.0, 0.5),
+    "zeta((0.5 + 3.0j),0.33333333)": lambda: hurwitz_zeta(0.5 + 3j, 1.0 / 3.0),
+    "zeta((-1.0 + 7.0j),0.25)": lambda: hurwitz_zeta(-1.0 + 7j, 0.25),
+    "zeta(3.7,0.9)": lambda: hurwitz_zeta(3.7, 0.9),
+    "zeta((0.5 + 100.0j),0.3)": lambda: hurwitz_zeta(0.5 + 100j, 0.3),
+    "zeta((0.5 + 1000.0j),1.0)": lambda: hurwitz_zeta(0.5 + 1000j, 1.0),
+    "zeta((-0.8 + 41.5j),0.6)": lambda: hurwitz_zeta(-0.8 + 41.5j, 0.6),
+    "zeta'(2.0,0.3)": lambda: hurwitz_zeta_ds(2.0, 0.3),
+    "zeta'((1.5 + 2.0j),0.7)": lambda: hurwitz_zeta_ds(1.5 + 2j, 0.7),
+    "L(2,chi4)": lambda: l_function(2.0, _oracle_chi("chi4")),
+    "L(1,chi3)": lambda: l_function(1.0, _oracle_chi("chi3")),
+    "L(1,chi4)": lambda: l_function(1.0, _oracle_chi("chi4")),
+    "L(3,chi4)": lambda: l_function(3.0, _oracle_chi("chi4")),
+    "L(1,chi5)": lambda: l_function(1.0, _oracle_chi("chi5")),
+    "L(1,chi8)": lambda: l_function(1.0, _oracle_chi("chi8")),
+    "L(0.5,chi5)": lambda: l_function(0.5, _oracle_chi("chi5")),
+    "L(0.3+2i,chi5c)": lambda: l_function(0.3 + 2j, _oracle_chi("chi5c")),
+    "L(0.5+10i,chi3)": lambda: l_function(0.5 + 10j, _oracle_chi("chi3")),
+    "L(0.5+50i,chi4)": lambda: l_function(0.5 + 50j, _oracle_chi("chi4")),
+    "L(0.5+99.5i,chi5)": lambda: l_function(0.5 + 99.5j, _oracle_chi("chi5")),
+    "L(-1+20i,chi3)": lambda: l_function(-1.0 + 20j, _oracle_chi("chi3")),
+    "L(2,chi5c)": lambda: l_function(2.0, _oracle_chi("chi5c")),
+    "L'(1,chi3)": lambda: l_function_ds(1.0, _oracle_chi("chi3")),
+    "L'(1,chi4)": lambda: l_function_ds(1.0, _oracle_chi("chi4")),
+    "L'(1,chi5)": lambda: l_function_ds(1.0, _oracle_chi("chi5")),
+    "L'(1,chi8)": lambda: l_function_ds(1.0, _oracle_chi("chi8")),
+    "L'(0.5,chi3)": lambda: l_function_ds(0.5, _oracle_chi("chi3")),
+    "weight_const(chi3)": lambda: frak_a(_oracle_chi("chi3")),
+    "weight_const(chi4)": lambda: frak_a(_oracle_chi("chi4")),
+    "weight_const(chi5)": lambda: frak_a(_oracle_chi("chi5")),
+    "weight_const(chi8)": lambda: frak_a(_oracle_chi("chi8")),
+}
+
+
+@pytest.fixture(scope="module")
+def special_values():
+    """The frozen mpmath values of tests/oracles/special_values.out by label."""
+    out = {}
+    for line in (ORACLE_DIR / "special_values.out").read_text().splitlines():
+        if " = " in line:
+            label, value = line.split(" = ")
+            out[label] = complex(value.replace(" ", ""))
+    return out
+
+
+@pytest.mark.parametrize("label", tuple(_SPECIAL_VALUES))
+def test_special_values_oracle(label, special_values):
+    ref = special_values[label]
+    assert abs(_SPECIAL_VALUES[label]() - ref) <= 1e-12 * abs(ref)
 
 
 def test_vartheta_reflects_zeta():

@@ -10,9 +10,7 @@ from lfverify.numerics import (
     ConvergenceError,
     DomainError,
     QuadratureResult,
-    erf,
     integrate,
-    log_gamma,
 )
 
 
@@ -77,9 +75,3 @@ def test_deterministic_repeatability():
     assert a.value == b.value
     assert a.evaluations == b.evaluations
 
-
-def test_erf_and_log_gamma_wrappers():
-    assert abs(erf(1.0) - 0.8427007929497149) < 1e-15
-    assert abs(log_gamma(5.0) - math.log(24.0)) < 1e-12
-    lg = log_gamma(0.25 + 10j)
-    assert abs(cmath.exp(lg) * (0.25 + 10j) - cmath.exp(log_gamma(1.25 + 10j))) < 1e-10
