@@ -14,8 +14,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as _iproduct
+
+import numpy as np
 
 from .numerics import DomainError
 
@@ -339,73 +340,74 @@ def gauss_sum(theta: DirichletCharacter) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# coefficient layer
+# coefficient layer: arrays over 0..N whose index 0 is unused
 
-@lru_cache(maxsize=None)
+def _dirichlet(a: np.ndarray, b: np.ndarray, cap: int | None = None) -> np.ndarray:
+    """(a * b)(n) for 1 <= n < len(a); with ``cap``, only factors <= cap count.
+
+    Hyperbola split: the pairs d m = n with d <= sqrt(N) take one slice-add
+    per d, and the rest, which all have m <= sqrt(N), one slice-add per m.
+    """
+    if cap is not None:
+        a, b = a.copy(), b.copy()
+        a[cap + 1 :] = b[cap + 1 :] = 0
+    n_max = len(a) - 1
+    root = math.isqrt(n_max)
+    out = np.zeros(n_max + 1, dtype=np.result_type(a, b))
+    for d in range(1, root + 1):
+        out[d::d] += a[d] * b[1 : n_max // d + 1]
+    for m in range(1, root + 1):
+        out[(root + 1) * m :: m] += b[m] * a[root + 1 : n_max // m + 1]
+    return out
+
+
+def _chi_array(n_max: int, chi: DirichletCharacter) -> np.ndarray:
+    values = [v.real for v in chi.values] if chi.real else list(chi.values)
+    return np.resize(np.array(values), n_max + 1)
+
+
+def _coefficient_table(n_max: int, chi: DirichletCharacter) -> tuple[np.ndarray, ...]:
+    """nu, upsilon, varsigma and tau_2 over 0..n_max.
+
+    nu = 1 * chi, upsilon = mu * (mu chi), varsigma = nu * upsilon with both
+    factors <= D^4, tau_2 = 1 * 1.  For a real chi every entry is an integer
+    far below 2^53, so the float sums are exact.
+    """
+    if n_max < 1:
+        raise DomainError(f"coefficients start at n = 1, not {n_max}")
+    one = np.ones(n_max + 1)
+    chi_arr = _chi_array(n_max, chi)
+    mu = np.ones(n_max + 1)
+    for p in primes_up_to(n_max):
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    nu_arr = _dirichlet(one, chi_arr)
+    ups = _dirichlet(mu, mu * chi_arr)
+    return nu_arr, ups, _dirichlet(nu_arr, ups, cap=chi.modulus**4), _dirichlet(one, one)
+
+
 def nu(n: int, chi: DirichletCharacter) -> complex:
     """Divisor transform (1 * chi)(n)."""
-    total: complex = 0
-    for d in divisors(n):
-        total += chi(d)
-    if chi.real:
-        return complex(round(total.real))
-    return total
+    return complex(_coefficient_table(n, chi)[0][n])
 
 
-@lru_cache(maxsize=None)
 def upsilon(n: int, chi: DirichletCharacter) -> complex:
     """Dirichlet inverse of nu: upsilon(1)=1, sum_{d|n} nu(d) upsilon(n/d) = 0."""
-    if n == 1:
-        return 1 + 0j
-    total: complex = 0
-    for d in divisors(n):
-        if d > 1:
-            total += nu(d, chi) * upsilon(n // d, chi)
-    if chi.real:
-        return complex(round((-total).real))
-    return -total
+    return complex(_coefficient_table(n, chi)[1][n])
 
 
 def varsigma(n: int, chi: DirichletCharacter) -> complex:
     """Truncated convolution of nu and upsilon with both factors <= D^4."""
-    cap = chi.modulus**4
-    total: complex = 0
-    for l in divisors(n):
-        m = n // l
-        if l <= cap and m <= cap:
-            total += nu(l, chi) * upsilon(m, chi)
-    return total
-
-
-def rho_j(n: int, beta: complex) -> complex:
-    """sum_{d|n} mu(d) d^beta; depends only on the radical of n."""
-    total: complex = 0
-    for d in divisors(n):
-        m = mobius(d)
-        if m:
-            total += m * complex(d) ** beta
-    return total
-
-
-def rho_star_j(n: int, beta: complex, chi: DirichletCharacter) -> complex:
-    """sum_{d|n} chi(d) d^beta."""
-    total: complex = 0
-    for d in divisors(n):
-        c = chi(d)
-        if c != 0:
-            total += c * complex(d) ** beta
-    return total
+    return complex(_coefficient_table(n, chi)[2][n])
 
 
 # ---------------------------------------------------------------------------
 # derived constant and identity checks
 
-def frak_a(chi: DirichletCharacter, prime_cutoff: int = 1000) -> float:
+def frak_a(chi: DirichletCharacter) -> float:
     """Quadratic-weight normalizer: (6/pi^2) L'(1,chi)^2 prod_{q|D} q/(q+1)."""
     if not (chi.real and chi.primitive):
         raise DomainError("frak_a needs a real primitive character")
-    if prime_cutoff < 1000:
-        raise DomainError("prime cutoff too small")
     from . import lfunc
 
     lp = lfunc.l_function_ds(1.0, chi).real
@@ -442,17 +444,10 @@ def check_lemma_171(
     """Truncated Dirichlet series of nu^2 against its Euler-product value."""
     if s < 1.5:
         raise DomainError("need s >= 1.5 for a convergent truncation")
-    import numpy as np
-
     from . import lfunc
 
     q = chi.modulus
-    table = np.array([chi.values[r].real for r in range(q)])
-    nu_arr = np.zeros(series_cutoff + 1)
-    for d in range(1, series_cutoff + 1):
-        c = table[d % q]
-        if c:
-            nu_arr[d::d] += c
+    nu_arr = _dirichlet(np.ones(series_cutoff + 1), _chi_array(series_cutoff, chi)).real
     n_vals = np.arange(1, series_cutoff + 1, dtype=float)
     lhs = float(np.sum(nu_arr[1:] ** 2 / n_vals**s))
 
@@ -470,13 +465,9 @@ def check_lemma_171(
 def coefficient_bound_margin(n_max: int, chi: DirichletCharacter) -> float:
     """Worst violation of |upsilon| <= nu <= tau_2 and |varsigma| <= nu tau_2
     up to n_max; nonpositive means every bound holds with slack."""
-    worst = -math.inf
-    for n in range(1, n_max + 1):
-        nv = nu(n, chi).real
-        uv = abs(upsilon(n, chi))
-        t2 = tau_k(n, 2)
-        worst = max(worst, uv - nv, nv - t2, abs(varsigma(n, chi)) - nv * t2)
-    return worst
+    nu_arr, ups, vs, tau2 = (t[1:] for t in _coefficient_table(n_max, chi))
+    nv = nu_arr.real
+    return float(max(np.max(np.abs(ups) - nv), np.max(nv - tau2), np.max(np.abs(vs) - nv * tau2)))
 
 
 def check_coefficient_bounds(n_max: int, chi: DirichletCharacter) -> bool:

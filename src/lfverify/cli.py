@@ -166,7 +166,7 @@ def _identity_rows(max_n: int, moduli: list[int]) -> list[tuple[str, float, bool
         rows.append((f"divisor_sum_mod{q}", worst, worst <= 1e-12))
         _, _, gap = characters.check_lemma_171(chi)
         rows.append((f"euler_product_mod{q}", gap, gap < 1e-4))
-        margin = characters.coefficient_bound_margin(min(max_n, 10_000), chi)
+        margin = characters.coefficient_bound_margin(max_n, chi)
         rows.append((f"coefficient_bounds_mod{q}", max(margin, 0.0), margin <= 1e-9))
 
     zero_shifts = (0j, 0j, 0j)

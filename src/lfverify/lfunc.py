@@ -112,7 +112,10 @@ def hurwitz_zeta(s: complex, a: float, shift: int = 30, order: int = 12) -> comp
     """zeta(s, a) = sum over n >= 0 of (n+a)^(-s), continued in s.
 
     The shift grows automatically with |im s| so the stated error
-    (relative 1e-12 for |im s| up to 1e3) holds; ``shift`` is a floor.
+    (relative 1e-12 for re s >= 1/2 and |im s| up to 1e3) holds; ``shift``
+    is a floor.  Left of re s = 1/2 the direct sum cancels: against mpmath
+    the error is about 1e-11 at re s = 0, |im s| near 1e3, and up to 1e-7
+    near the zeros of zeta(s, a) on the negative real axis.
     """
     return complex(_euler_maclaurin(np.array([complex(s)]), a, shift, order)[0][0])
 

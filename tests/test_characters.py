@@ -6,6 +6,7 @@ import pytest
 
 from lfverify.characters import (
     DirichletCharacter,
+    _coefficient_table,
     character_group,
     check_coefficient_bounds,
     check_identity_810,
@@ -24,8 +25,6 @@ from lfverify.characters import (
     primitive_characters,
     principal_character,
     real_primitive_character,
-    rho_j,
-    rho_star_j,
     tau_k,
     upsilon,
     varsigma,
@@ -158,22 +157,52 @@ def test_nu_upsilon_varsigma_small_values():
         assert abs(varsigma(n, chi) - (1 if n == 1 else 0)) < 1e-12
 
 
+def _trial_divisors(n):
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def _trial_mobius(n):
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+@pytest.mark.parametrize("modulus", [3, 4, 5, 8, "5 complex"])
+def test_coefficient_table_matches_trial_division(modulus):
+    if modulus == "5 complex":
+        chi = next(c for c in primitive_characters(5) if not c.real)
+    else:
+        chi = real_primitive_character(modulus)
+    n_max, cap = 3000, chi.modulus**4
+    ref_nu = [0] + [sum(chi(d) for d in _trial_divisors(n)) for n in range(1, n_max + 1)]
+    ref_ups = [0] + [
+        sum(_trial_mobius(d) * _trial_mobius(n // d) * chi(n // d) for d in _trial_divisors(n))
+        for n in range(1, n_max + 1)
+    ]
+    nu_arr, ups, vs, tau2 = _coefficient_table(n_max, chi)
+    # these characters take Gaussian-integer values, so every sum is exact
+    for n in range(1, n_max + 1):
+        ref_vs = sum(
+            ref_nu[l] * ref_ups[n // l] for l in _trial_divisors(n) if l <= cap and n // l <= cap
+        )
+        assert (nu_arr[n], ups[n], vs[n], tau2[n]) == (ref_nu[n], ref_ups[n], ref_vs, tau_k(n, 2))
+    for n in (1, 81, 82, 256, 257, n_max):
+        assert (nu(n, chi), upsilon(n, chi), varsigma(n, chi)) == (nu_arr[n], ups[n], vs[n])
+
+
 def test_coefficient_bounds_hold_with_exact_margin():
     for d in (3, 4, 5, 8):
         chi = real_primitive_character(d)
         margin = coefficient_bound_margin(2000, chi)
         assert margin <= 1e-9
         assert check_coefficient_bounds(2000, chi)
-
-
-def test_rho_transforms():
-    assert rho_j(1, 0.5j) == 1
-    # squarefree radical dependence: rho_j(12, b) == rho_j(6, b)
-    assert abs(rho_j(12, 0.3j) - rho_j(6, 0.3j)) < 1e-14
-    chi = real_primitive_character(3)
-    # rho_star sums chi(d) d^beta over all divisors
-    expect = sum(chi(d) * complex(d) ** 0.25j for d in divisors(10))
-    assert abs(rho_star_j(10, 0.25j, chi) - expect) < 1e-14
 
 
 def test_identity_810_spot_values():
@@ -204,5 +233,3 @@ def test_frak_a_positive_and_guarded():
         assert frak_a(real_primitive_character(d)) > 0
     with pytest.raises(DomainError):
         frak_a(next(c for c in primitive_characters(5) if not c.real))
-    with pytest.raises(DomainError):
-        frak_a(real_primitive_character(3), prime_cutoff=10)

@@ -106,6 +106,23 @@ def test_identities_input_validation(tmp_path):
     assert main(["identities", "--max-n", "10", "--moduli", "6"]) == 2
 
 
+def test_identities_checks_coefficient_bounds_up_to_max_n(monkeypatch):
+    from lfverify import characters, cli
+
+    checked = []
+    margin = characters.coefficient_bound_margin
+
+    def spy(n_max, chi):
+        checked.append(n_max)
+        return margin(n_max, chi)
+
+    monkeypatch.setattr(characters, "coefficient_bound_margin", spy)
+    monkeypatch.setattr(characters, "identity_810_gap", lambda n, chi: 0.0)
+    rows = {name: ok for name, _, ok in cli._identity_rows(20_000, [3])}
+    assert checked == [20_000]
+    assert rows["coefficient_bounds_mod3"]
+
+
 def test_zeros_happy_path(tmp_path, capsys):
     csv_path = tmp_path / "z3.csv"
     code = main(["zeros", "--modulus", "3", "--t-max", "12", "--csv", str(csv_path)])
