@@ -23,7 +23,7 @@ from .numerics import DomainError
 # ---------------------------------------------------------------------------
 # elementary arithmetic helpers
 
-_SPF: list[int] = [0, 1]
+_SPF = np.arange(2, dtype=np.int32)  # smallest prime factor of each index
 
 
 def _ensure_sieve(n: int) -> None:
@@ -31,12 +31,12 @@ def _ensure_sieve(n: int) -> None:
     if n < len(_SPF):
         return
     limit = max(n + 1, 2 * len(_SPF), 1 << 10)
-    spf = list(range(limit))
-    for p in range(2, int(limit**0.5) + 1):
+    spf = np.arange(limit, dtype=np.int32)
+    for p in range(2, math.isqrt(limit - 1) + 1):
         if spf[p] == p:
-            for m in range(p * p, limit, p):
-                if spf[m] == m:
-                    spf[m] = p
+            # unmarked multiples still hold their own index, which exceeds p
+            tail = spf[p * p :: p]
+            np.minimum(tail, p, out=tail)
     _SPF = spf
 
 
@@ -48,7 +48,7 @@ def factorize(n: int) -> dict[int, int]:
     if n < 10**7:
         _ensure_sieve(n)
         while n > 1:
-            p = _SPF[n]
+            p = _SPF.item(n)
             e = 0
             while n % p == 0:
                 n //= p
@@ -100,7 +100,7 @@ def tau_k(n: int, k: int = 2) -> int:
 
 def primes_up_to(n: int) -> list[int]:
     _ensure_sieve(n)
-    return [p for p in range(2, n + 1) if _SPF[p] == p]
+    return np.flatnonzero(_SPF[: n + 1] == np.arange(n + 1, dtype=np.int32))[2:].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +419,36 @@ def frak_a(chi: DirichletCharacter) -> float:
 
 def identity_810_gap(n: int, chi: DirichletCharacter) -> float:
     """Relative gap in the divisor-pair identity
-    sum over n=dr of |mu(r)|/phi(r) * Pi(d,r) = n/phi(n)."""
-    from .eulerprod import cap_pi
+    sum over n=dr of |mu(r)|/phi(r) * Pi(d,r) = n/phi(n).
 
+    n is factored once.  Its exponents give phi(n) and every squarefree
+    divisor r with phi(r) and the prime sets of r and d = n/r; Pi(d, r)
+    comes from the helper behind ``eulerprod.cap_pi``.  The terms are summed
+    over ascending r, and each prime set is built from a dict in ascending
+    prime order as ``set(factorize(.))`` is, so the result matches the
+    term-by-term composition of ``divisors``, ``mobius``, ``cap_pi`` and
+    ``euler_phi`` to the last bit.
+    """
+    from .eulerprod import _pi_over_primes
+
+    phi_n = n
+    # (r, phi(r), primes of r, primes of n/r), each prime list ascending
+    squarefree = [(1, 1, [], [])]
+    for p, e in factorize(n).items():
+        phi_n = phi_n // p * (p - 1)
+        squarefree = [
+            row
+            for r, phi, rp, dp in squarefree
+            for row in (
+                (r, phi, rp, dp + [p]),
+                (r * p, phi * (p - 1), rp + [p], dp + [p] if e > 1 else dp),
+            )
+        ]
     lhs = 0.0
-    for r in divisors(n):
-        if mobius(r) == 0:
-            continue
-        lhs += cap_pi(n // r, r, chi, strict=False) / euler_phi(r)
-    rhs = n / euler_phi(n)
+    for r, phi_r, r_primes, d_primes in sorted(squarefree):
+        d_set, r_set = set(dict.fromkeys(d_primes)), set(dict.fromkeys(r_primes))
+        lhs += _pi_over_primes(d_set, r_set, chi) / phi_r
+    rhs = n / phi_n
     return abs(lhs - rhs) / abs(rhs)
 
 

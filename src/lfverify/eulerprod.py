@@ -99,9 +99,16 @@ def cap_pi(d: int, r: int, chi: DirichletCharacter, strict: bool = True) -> floa
         raise DomainError("d and r must be positive")
     if strict and math.gcd(d * r, chi.modulus) > 1:
         raise DomainError("arguments must be coprime to the character modulus")
+    return _pi_over_primes(set(factorize(d)), set(factorize(r)), chi)
+
+
+def _pi_over_primes(d_primes: set[int], r_primes: set[int], chi: DirichletCharacter) -> float:
+    """Pi(d, r) from the prime sets of d and r, multiplied in the union's order.
+
+    Callers build each set from a factorization dict, as ``set(factorize(.))``
+    does, so that the product's rounding does not depend on the caller.
+    """
     out = 1.0
-    d_primes = set(factorize(d))
-    r_primes = set(factorize(r))
     for q in d_primes | r_primes:
         c = chi(q).real
         out /= 1.0 - c / q

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from lfverify import characters, eulerprod
 from lfverify.characters import (
     DirichletCharacter,
     _coefficient_table,
@@ -29,6 +30,7 @@ from lfverify.characters import (
     upsilon,
     varsigma,
 )
+from lfverify.eulerprod import cap_pi
 from lfverify.numerics import DomainError
 
 
@@ -217,6 +219,60 @@ def test_identity_810_complex_character():
     chi = next(c for c in primitive_characters(5) if not c.real)
     for n in (6, 30, 128, 243):
         assert identity_810_gap(n, chi) <= 1e-12
+
+
+@pytest.mark.parametrize("modulus", [3, 4, 5, 8, "5 complex"])
+def test_identity_810_bit_identical_to_composition(modulus):
+    if modulus == "5 complex":
+        chi = next(c for c in primitive_characters(5) if not c.real)
+    else:
+        chi = real_primitive_character(modulus)
+    # past 3000: n whose prime sets, built from lists instead of dicts,
+    # iterate in another order and round the product differently
+    for n in [*range(1, 3001), 7770, 14910, 21210, 34170]:
+        lhs = 0.0
+        for r in divisors(n):
+            if mobius(r) != 0:
+                lhs += cap_pi(n // r, r, chi, strict=False) / euler_phi(r)
+        rhs = n / euler_phi(n)
+        assert identity_810_gap(n, chi).hex() == (abs(lhs - rhs) / abs(rhs)).hex(), n
+
+
+def test_identity_810_factors_each_n_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(characters, "factorize", counting)
+    monkeypatch.setattr(eulerprod, "factorize", counting)
+    chi = real_primitive_character(5)
+    for n in range(1, 2001):
+        calls.clear()
+        identity_810_gap(n, chi)
+        assert len(calls) <= 1, (n, calls)
+
+
+def test_factorize_returns_plain_ints():
+    for n in (1, 2, 360, 9973, 2**20, 999_983 * 2):
+        fact = factorize(n)
+        assert all(type(p) is int and type(e) is int for p, e in fact.items())
+        assert math.prod(p**e for p, e in fact.items()) == n
+
+
+def test_smallest_prime_factor_table_matches_trial_division():
+    n_max = 10_000
+    primes_up_to(n_max)
+    spf = characters._SPF
+    for n in range(2, n_max + 1):
+        assert spf[n] == next(p for p in range(2, n + 1) if n % p == 0), n
+
+
+def test_primes_up_to_a_million():
+    ps = primes_up_to(10**6)
+    assert len(ps) == 78498
+    assert ps[-1] == 999_983 and all(type(p) is int for p in ps[:10] + ps[-10:])
 
 
 def test_lemma_171_truncation_gap():
