@@ -21,10 +21,9 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as _poly
-from scipy.special import loggamma as _sc_loggamma
 
 from .characters import DirichletCharacter, gauss_sum
-from .numerics import ConvergenceError, DomainError, integrate
+from .numerics import _NODES15, _WEIGHTS15, ConvergenceError, DomainError, integrate
 
 _TWO_PI = 2.0 * math.pi
 
@@ -43,6 +42,9 @@ _BERNOULLI = (
     854513.0 / 138,
     -236364091.0 / 2730,
 )
+
+# B_2k / (2k (2k - 1)) for k = 1..8: the Stirling series of log Gamma
+_STIRLING = tuple(b / ((2 * k + 2) * (2 * k + 1)) for k, b in enumerate(_BERNOULLI[:8]))
 
 
 class BranchError(RuntimeError):
@@ -134,12 +136,13 @@ def _l_sums(
 ) -> tuple[complex, complex, complex]:
     """(q^-s, sum_a chi(a) zeta(s, a/q), its d/ds if ``ds``) in one pass.
 
-    A nonprincipal chi within 1e-3 of s = 1 takes the pole-free expansion;
-    a principal one keeps its genuine pole.
+    A nonprincipal chi within 1e-2 of s = 1 takes the pole-free expansion,
+    whose 15-term series in s - 1 ends below 1e-30 there; a principal one
+    keeps its genuine pole.
     """
     s = complex(s)
     q = chi.modulus
-    pole_free = not chi.is_principal and abs(s - 1.0) < 1e-3
+    pole_free = not chi.is_principal and abs(s - 1.0) < 1e-2
     total = total_ds = 0j
     for a in range(1, q + 1):
         c = chi(a)
@@ -171,13 +174,39 @@ def l_function_ds(s: complex, chi: DirichletCharacter, shift: int = 30, order: i
 # reflection and functional-equation factors
 
 
+def _log_gamma(z) -> np.ndarray:
+    """Principal log Gamma(z) over an array, cut on the negative real axis.
+
+    If any |z| < 10 or re z < 0, the whole array is shifted to w = z + N with
+    N = ceil(10 - min re z), and sum_{k<N} log(z + k) in principal logs is
+    subtracted: each z + k stays in the half-plane of z, so the sum follows
+    the principal branch.  With re w >= 10, or |w| >= 10 and re w >= 0, the
+    8-term Stirling series is accurate to about 1e-16.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    n = 0
+    if z.size and (np.abs(z).min() < 10.0 or z.real.min() < 0.0):
+        n = math.ceil(10.0 - float(z.real.min()))
+    w = z + n
+    r = 1.0 / w
+    r2 = r * r
+    # Horner by hand: polyval's overhead is most of a short array's cost
+    series = _STIRLING[-1]
+    for c in _STIRLING[-2::-1]:
+        series = c + series * r2
+    out = (w - 0.5) * np.log(w) - w + 0.5 * math.log(_TWO_PI) + r * series
+    if n:
+        out = out - np.log(z[..., None] + np.arange(n)).sum(axis=-1)
+    return out
+
+
 def vartheta(s: complex) -> complex:
     """zeta(s) = vartheta(s) zeta(1-s): 2 (2 pi)^(s-1) Gamma(1-s) sin(pi s / 2)."""
     s = complex(s)
     if s.imag == 0 and s.real >= 1 and s.real == int(s.real):
         raise DomainError("Gamma pole")
     # log-space to survive |im s| up to a few hundred
-    lg = complex(_sc_loggamma(1.0 - s))
+    lg = complex(_log_gamma(1.0 - s))
     return 2.0 * cmath.exp((s - 1.0) * math.log(_TWO_PI) + lg) * cmath.sin(
         math.pi * s / 2.0
     )
@@ -209,14 +238,14 @@ def z_factor(s: complex, theta: DirichletCharacter) -> complex:
     for pole_arg in (num, den):
         if pole_arg.imag == 0 and pole_arg.real <= 0 and pole_arg.real == int(pole_arg.real):
             raise DomainError("Gamma pole in the equation factor")
-    return front * base * cmath.exp(complex(_sc_loggamma(num)) - complex(_sc_loggamma(den)))
+    return front * base * cmath.exp(complex(_log_gamma(num)) - complex(_log_gamma(den)))
 
 
 def _arg_z_line(t: np.ndarray, theta: DirichletCharacter) -> np.ndarray:
     """Continuous arg Z(1/2 + it) along the line (vectorized in t)."""
     q = theta.modulus
     eps, half_arg = _root_number(theta)
-    lg = _sc_loggamma(half_arg + 0.5j * t)
+    lg = _log_gamma(half_arg + 0.5j * t)
     return cmath.phase(eps) + t * math.log(math.pi / q) - 2.0 * np.imag(lg)
 
 
@@ -500,9 +529,6 @@ def delta_fn(x: float, p: WeightParams, tol: float = 1e-12) -> complex:
     return res.value + res2.value
 
 
-_GL15 = np.polynomial.legendre.leggauss(15)
-
-
 def _delta_batch(xs: np.ndarray, p: WeightParams, x_top: float = 0.0) -> np.ndarray:
     """delta_fn over an array of x on one fixed phase-budgeted panel grid."""
     umax = _u_cut(p)
@@ -512,8 +538,8 @@ def _delta_batch(xs: np.ndarray, p: WeightParams, x_top: float = 0.0) -> np.ndar
     edges = np.linspace(-umax, umax, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mids[:, None] + half * _GL15[0][None, :]).ravel()
-    weights = (half * np.broadcast_to(_GL15[1], (n_panels, 15))).ravel()
+    nodes = (mids[:, None] + half * _NODES15[None, :]).ravel()
+    weights = (half * np.broadcast_to(_WEIGHTS15, (n_panels, 15))).ravel()
     base = np.exp(p.s0 * nodes - (p.L2 * nodes) ** 2) * weights
     osc = np.exp(-_TWO_PI * 1j * np.outer(np.exp(nodes) - 1.0, xs))
     return base @ osc

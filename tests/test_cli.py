@@ -2,9 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import lfverify
 from lfverify.cli import main
 
 
@@ -187,3 +193,47 @@ def test_argparse_guards():
         main([])
     with pytest.raises(SystemExit):
         main(["constants", "--format", "yaml"])
+
+
+_COLD_START = textwrap.dedent(
+    """
+    import json, sys
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    from lfverify.cli import main
+
+    seen = {"import": (None, scipy_modules())}
+    for argv in json.loads(sys.argv[1]):
+        code = main(argv)
+        seen[argv[0]] = (code, scipy_modules())
+    print(json.dumps(seen))
+    """
+)
+
+
+def test_no_command_loads_scipy(tmp_path):
+    """A fresh interpreter runs every command without importing scipy."""
+    commands = [
+        ["constants", "--out", str(tmp_path / "c.json")],
+        ["identities", "--max-n", "100", "--out", str(tmp_path / "i.json")],
+        ["zeros", "--modulus", "5", "--t-max", "20", "--csv", str(tmp_path / "z.csv")],
+    ]
+    src = str(Path(lfverify.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, json.dumps(commands)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {
+        "import": [None, []],
+        "constants": [1, []],
+        "identities": [0, []],
+        "zeros": [0, []],
+    }

@@ -3,6 +3,7 @@
 import csv
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from lfverify.lfunc import (
     CriticalZero,
     ScanResult,
     WeightParams,
+    _log_gamma,
     c_star,
     delta_fn,
     delta_mellin,
@@ -139,6 +141,15 @@ _SPECIAL_VALUES = {
     "weight_const(chi4)": lambda: frak_a(_oracle_chi("chi4")),
     "weight_const(chi5)": lambda: frak_a(_oracle_chi("chi5")),
     "weight_const(chi8)": lambda: frak_a(_oracle_chi("chi8")),
+    "loggamma((0.5 + 3.0j))": lambda: complex(_log_gamma(0.5 + 3j)),
+    "loggamma((10.0 - 5.0j))": lambda: complex(_log_gamma(10.0 - 5j)),
+    "loggamma(0.1)": lambda: complex(_log_gamma(0.1)),
+    "loggamma((-5.5 + 0.0j))": lambda: complex(_log_gamma(-5.5 + 0j)),
+    "loggamma((40.0 + 1000.0j))": lambda: complex(_log_gamma(40.0 + 1000j)),
+    "loggamma((2.5 - 700.0j))": lambda: complex(_log_gamma(2.5 - 700j)),
+    "vartheta((0.3 + 2.0j))": lambda: vartheta(0.3 + 2j),
+    "vartheta((0.5 + 3.0j))": lambda: vartheta(0.5 + 3j),
+    "vartheta((-0.7 + 11.0j))": lambda: vartheta(-0.7 + 11j),
 }
 
 
@@ -157,6 +168,47 @@ def special_values():
 def test_special_values_oracle(label, special_values):
     ref = special_values[label]
     assert abs(_SPECIAL_VALUES[label]() - ref) <= 1e-12 * abs(ref)
+
+
+_LINE_TS = (0.02, 1.0, 19.9, 20.1, 100.0, 999.9)
+
+
+@pytest.mark.parametrize("h", (0.25, 0.75))
+def test_log_gamma_phase_on_the_line(h):
+    # |h + it/2| crosses 10 between t = 19.9 and 20.1, where a lone value
+    # stops being shifted; the whole array is always shifted
+    with mpmath.workdps(30):
+        ref = [float(mpmath.loggamma(mpmath.mpc(h, t / 2)).imag) for t in _LINE_TS]
+    alone = [float(_log_gamma(h + 0.5j * t).imag) for t in _LINE_TS]
+    together = _log_gamma(h + 0.5j * np.array(_LINE_TS)).imag
+    assert np.max(np.abs(np.array(alone) - ref)) <= 1e-12
+    assert np.max(np.abs(together - ref)) <= 1e-12
+
+
+# small |z| (shifted), the Stirling region just past |z| = 10 unshifted, and
+# re z < 0 with |z| >= 10, which must be shifted off the cut
+_LOG_GAMMA_POINTS = (0.3 + 0.2j, 10.5, 0.25 + 10.1j, -10.5 + 3j, -0.3 - 12j, -30.2 - 0.5j)
+
+
+def test_log_gamma_matches_mpmath():
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.loggamma(z)) for z in _LOG_GAMMA_POINTS])
+    got = np.array([complex(_log_gamma(z)) for z in _LOG_GAMMA_POINTS])
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+
+_NEAR_ONE = (0.999, 1.0011, 1.005, 0.9905, 0.995 + 0.003j, 1.0 + 0.0099j)
+
+
+@pytest.mark.parametrize("name", ("chi3", "chi4", "chi5", "chi8"))
+def test_l_function_near_s_one(name):
+    # the mpmath side sums the exact integer table, so its poles cancel
+    chi, table = _oracle_chi(name), _ORACLE_TABLES[name]
+    with mpmath.workdps(30):
+        for s in _NEAR_ONE:
+            for fn, order in ((l_function, 0), (l_function_ds, 1)):
+                ref = complex(mpmath.dirichlet(mpmath.mpmathify(s), table, order))
+                assert abs(fn(s, chi) - ref) <= 1e-12 * abs(ref), (s, order)
 
 
 def test_vartheta_reflects_zeta():
