@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as _iproduct
 
 import numpy as np
@@ -301,21 +300,23 @@ def character_group(q: int) -> list[DirichletCharacter]:
 
     chars = []
     all_orders = [order for _, gens, _ in locals_ for _, order in gens]
+    # phases in units of 1/lcm of the orders: exact integers, and the true
+    # division rot / lcm rounds the rational phase correctly
+    lcm = math.lcm(*all_orders)
     for choice in _iproduct(*[range(o) for o in all_orders]):
         values: list[complex] = []
         for n in range(q):
             if math.gcd(n, q) > 1:
                 values.append(0j)
                 continue
-            rot = Fraction(0)
+            rot = 0
             idx = 0
             for pe, gens, dlog in locals_:
                 exps = dlog[n % pe]
                 for (_, order), k in zip(gens, exps):
-                    rot += Fraction(choice[idx] * k, order)
+                    rot += choice[idx] * k * (lcm // order)
                     idx += 1
-            rot %= 1
-            values.append(cmath.exp(2j * cmath.pi * float(rot)))
+            values.append(cmath.exp(2j * cmath.pi * (rot % lcm / lcm)))
         chars.append(_finish(q, values))
     return chars
 

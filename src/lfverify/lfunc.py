@@ -261,20 +261,22 @@ def _l_line(theta: DirichletCharacter, t: np.ndarray, shift: int = 30) -> np.nda
     return np.exp(-s * math.log(q)) * total
 
 
+def _m_line(theta: DirichletCharacter, t: np.ndarray) -> np.ndarray:
+    """Rotated line values exp(-i arg Z / 2) L(1/2+it), complex, over a t-grid."""
+    return np.exp(-0.5j * _arg_z_line(t, theta)) * _l_line(theta, t)
+
+
 def _m_raw_line(theta: DirichletCharacter, t: np.ndarray) -> np.ndarray:
-    """Rotated line values exp(-i arg Z / 2) L(1/2+it) before sign anchoring."""
-    vals = np.exp(-0.5j * _arg_z_line(t, theta)) * _l_line(theta, t)
+    """Real part of the rotated line values, after checking the rotation.
+
+    arg Z is continuous along the whole line, so this is one continuous
+    real function of t: its sign changes are the zeros on the line.
+    """
+    vals = _m_line(theta, t)
     worst = float(np.max(np.abs(vals.imag))) if len(vals) else 0.0
     if worst > 1e-8:
         raise BranchError(f"rotation left imaginary residue {worst:.3e}")
     return vals.real
-
-
-def _anchor_sign(theta: DirichletCharacter, t0: float) -> int:
-    """Sign normalizing the rotation angle into (-pi/2, pi/2] at t0."""
-    arg_y = -0.5 * float(_arg_z_line(np.array([t0]), theta)[0])
-    k = -round(arg_y / math.pi)
-    return -1 if k % 2 else 1
 
 
 def m_function(t: float, psi: DirichletCharacter) -> float:
@@ -328,19 +330,18 @@ _PANEL_POINTS = 4000
 def find_zeros(
     psi: DirichletCharacter, t_min: float, t_max: float, step: float = 0.02
 ) -> ScanResult:
-    """Sign-change scan refined by bisection to bracket radius 1e-9.
+    """Sign-change scan of the rotated line value, refined by bisection to 1e-9.
 
-    The grid is split into panels; each panel re-anchors the rotation sign
-    at its own origin and panels are stitched by comparing the shared
-    endpoint value.  A grid point where the value dips near zero without a
-    sign change is flagged as a suspected double zero, never dropped
-    silently.
+    The grid is split into panels of ``_PANEL_POINTS`` points, each
+    evaluated at its own Euler-Maclaurin shift.  Consecutive panels share
+    one ordinate, which takes the later panel's value; the two evaluations
+    must agree or the scan raises BranchError.  A grid point where the value
+    dips near zero without a sign change is flagged as a suspected double
+    zero, never dropped silently.
 
-    All sign-change brackets are then bisected together on the raw
-    (unanchored) line values: each step evaluates the midpoints of every
-    bracket still wider than the target radius in one line evaluation.
-    The left endpoint's grid value enters with its panel's sign undone, so
-    the midpoint test always compares raw against raw.
+    All sign-change brackets are then bisected together: each step
+    evaluates the midpoints of every bracket still wider than the target
+    radius in one line evaluation.
     """
     if not psi.primitive:
         raise DomainError("scan needs a primitive character")
@@ -354,31 +355,14 @@ def find_zeros(
         grid = np.append(grid, t_max)
 
     vals = np.empty(len(grid))
-    # sign that turned each raw line value into vals: anchor times stitch flip
-    signs = np.empty(len(grid))
-    n_panels = 0
-    start = 0
-    prev_edge = None
-    while start < len(grid):
-        stop = min(start + _PANEL_POINTS, len(grid))
-        seg = grid[start:stop]
-        sign = _anchor_sign(psi, float(seg[0]))
-        seg_vals = sign * _m_raw_line(psi, seg)
-        if prev_edge is not None:
-            # stitch: the shared ordinate was evaluated by both panels
-            if prev_edge * seg_vals[0] < 0:
-                seg_vals = -seg_vals
-                sign = -sign
-            if abs(prev_edge - seg_vals[0]) > 1e-9 * (1.0 + abs(prev_edge)):
-                raise BranchError("panel stitch mismatch")
-        # the overlapping point takes the later panel's value
-        vals[start:stop] = seg_vals
-        signs[start:stop] = sign
-        prev_edge = float(seg_vals[-1])
-        n_panels += 1
-        if stop == len(grid):
-            break
-        start = stop - 1  # overlap one point
+    # consecutive panels overlap in one point
+    panel_starts = range(0, max(len(grid) - 1, 1), _PANEL_POINTS - 1)
+    for start in panel_starts:
+        seg_vals = _m_raw_line(psi, grid[start : start + _PANEL_POINTS])
+        # the shared point takes the later panel's value once the two agree
+        if start and abs(vals[start] - seg_vals[0]) > 1e-9 * (1.0 + abs(vals[start])):
+            raise BranchError("panel stitch mismatch")
+        vals[start : start + _PANEL_POINTS] = seg_vals
 
     starts = []
     flos = []
@@ -391,7 +375,7 @@ def find_zeros(
             fa = math.copysign(1e-300, prev)
         if fa * fb < 0:
             starts.append(i)
-            flos.append(signs[i] * fa)
+            flos.append(fa)
         elif 0 < i and abs(vals[i]) < 1e-7 * scale and fa * float(vals[i - 1]) > 0:
             flagged.append((float(grid[i - 1]), float(grid[i + 1])))
 
@@ -410,7 +394,7 @@ def find_zeros(
     zeros = tuple(
         CriticalZero(float(0.5 * (a + b)), float((b - a) / 2.0)) for a, b in zip(lo, hi)
     )
-    return ScanResult(zeros, tuple(flagged), n_panels)
+    return ScanResult(zeros, tuple(flagged), len(panel_starts))
 
 
 @dataclass(frozen=True)
@@ -453,15 +437,11 @@ def c_star(rho: CriticalZero, psi: DirichletCharacter, alpha_hat: float) -> floa
     g = rho.gamma
     h = 1e-6
     pts = np.array([g + alpha_hat, g + 2 * alpha_hat, g + 3 * alpha_hat, g + h, g - h])
-    vals = np.exp(-0.5j * _arg_z_line(pts, psi)) * _l_line(psi, pts)
-    m1, m2, m3, m_up, m_dn = (complex(v) for v in vals)
+    m1, m2, m3, m_up, m_dn = (complex(v) for v in _m_line(psi, pts))
     m_prime = -1j * (m_up - m_dn) / (2.0 * h)
     if abs(m_prime) < 1e-10:
         raise DomainError("degenerate zero: derivative vanishes")
     val = -1j * m1 * m2 * m3 / m_prime
-    flipped = -1j * (-m1) * (-m2) * (-m3) / (-m_prime)
-    if abs(val - flipped) > 1e-12 * (1.0 + abs(val)):
-        raise BranchError("branch dependence detected in triple product")
     if abs(val.imag) > 1e-6:
         raise BranchError(f"triple product not real: residue {val.imag:.3e}")
     return val.real
@@ -513,45 +493,44 @@ def _u_cut(p: WeightParams) -> float:
     return math.sqrt(16.0 * math.log(10.0)) / p.L2
 
 
-def delta_fn(x: float, p: WeightParams, tol: float = 1e-12) -> complex:
-    """Oscillatory transform of the window at frequency x, by quadrature."""
-    if x <= 0:
+def delta_fn(x: Union[float, np.ndarray], p: WeightParams) -> Union[complex, np.ndarray]:
+    """Oscillatory transform of the window at frequency x, for a number or an array.
+
+    The integral of exp(s0 u - L2^2 u^2 - 2 pi i x (e^u - 1)) over
+    [-U, U], U = ``_u_cut(p)``, by one fixed 15-point Gauss-Legendre rule.
+    Its equal panels are sized by the phase 2 pi (t0 u - x (e^u - 1)),
+    whose total variation over [-U, U] is 2 pi V(x) with
+    V(x) = 2 t0 u* + x (2 cosh U - 2 e^u*), u* = clip(log(t0 / x), -U, U):
+    one panel per 12 radians of the largest variation in the batch, and at
+    least 8.
+    """
+    xs = np.asarray(x, dtype=np.float64)
+    if (xs <= 0).any():
         raise DomainError("x must be positive")
     umax = _u_cut(p)
-    s0 = p.s0
-    l2sq = p.L2 * p.L2
-
-    def f(u):
-        return np.exp(s0 * u - l2sq * u * u - _TWO_PI * 1j * x * (np.exp(u) - 1.0))
-
-    res = integrate(f, -umax, 0.0, tol=tol / 2, max_panels=8192)
-    res2 = integrate(f, 0.0, umax, tol=tol / 2, max_panels=8192)
-    return res.value + res2.value
-
-
-def _delta_batch(xs: np.ndarray, p: WeightParams, x_top: float = 0.0) -> np.ndarray:
-    """delta_fn over an array of x on one fixed phase-budgeted panel grid."""
-    umax = _u_cut(p)
-    x_top = max(x_top, float(np.max(xs)))
-    total_phase = _TWO_PI * x_top * (math.exp(umax) - math.exp(-umax))
-    n_panels = max(8, int(total_phase / 12.0) + 1)
+    u_star = np.clip(np.log(p.t0 / xs), -umax, umax)
+    variation = 2.0 * p.t0 * u_star + xs * (2.0 * math.cosh(umax) - 2.0 * np.exp(u_star))
+    n_panels = max(8, int(_TWO_PI * float(variation.max()) / 12.0) + 1)
     edges = np.linspace(-umax, umax, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mids[:, None] + half * _NODES15[None, :]).ravel()
     weights = (half * np.broadcast_to(_WEIGHTS15, (n_panels, 15))).ravel()
     base = np.exp(p.s0 * nodes - (p.L2 * nodes) ** 2) * weights
-    osc = np.exp(-_TWO_PI * 1j * np.outer(np.exp(nodes) - 1.0, xs))
-    return base @ osc
+    osc = np.exp(-_TWO_PI * 1j * np.outer(np.exp(nodes) - 1.0, xs.ravel()))
+    out = base @ osc
+    return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def delta_mellin(s: complex, p: WeightParams, tol: float = 1e-9) -> complex:
-    """Mellin integral of the transform over its effective support.
+    """Mellin integral of delta_fn(x) x^(s-1) over the transform's effective support.
 
     The transform lives where log(x / t0) is within a few 1/L2 (narrow
     window, large t0) or where x - t0 is within a few L2 (wide window,
     decoherence of the slowly-turning phase); the x-range is the union of
-    both, cut where the induced Gaussian drops below 1e-16.
+    both, cut where the induced Gaussian drops below 1e-16.  The adaptive
+    quadrature over x passes each panel's abscissae to delta_fn as one
+    array.
     """
     s = complex(s)
     c = math.sqrt(40.0) / p.L2
@@ -560,11 +539,9 @@ def delta_mellin(s: complex, p: WeightParams, tol: float = 1e-9) -> complex:
     x_hi = max(p.t0 * math.exp(c), p.t0 + w_add)
 
     def f(x):
-        x = np.asarray(x, dtype=np.float64)
-        return _delta_batch(x, p, x_top=x_hi) * np.exp((s - 1.0) * np.log(x))
+        return delta_fn(x, p) * np.exp((s - 1.0) * np.log(x))
 
-    res = integrate(f, x_lo, x_hi, tol=tol, max_panels=8192)
-    return res.value
+    return integrate(f, x_lo, x_hi, tol=tol, max_panels=8192).value
 
 
 # ---------------------------------------------------------------------------

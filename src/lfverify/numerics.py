@@ -1,9 +1,10 @@
 """Deterministic adaptive quadrature and the package's shared error types.
 
 The integrator runs fixed-order Gauss-Legendre panels (15-point value rule,
-7-point companion rule for the disagreement estimate) with bisection on the
-worst panel until the certified error estimate meets the tolerance.  No
-randomness, no parallelism: identical inputs give identical outputs.
+7-point companion rule) with bisection on the worst panel until the summed
+|G15 - G7| disagreement meets the tolerance.  That disagreement is an error
+estimate, not a bound.  No randomness, no parallelism: identical inputs give
+identical outputs.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import ORACLE_DIR, scan_alpha_hat
+from lfverify import lfunc
 from lfverify.characters import (
     frak_a,
     primitive_characters,
@@ -321,6 +322,22 @@ def test_find_zeros_window_agrees_with_scan_from_origin(q):
             assert abs(g - h) < 2e-9
 
 
+def test_find_zeros_unchanged_by_many_panel_seams(monkeypatch):
+    # 37-point panels put 83 seams on [0.02, 60]; the zeros, their count and
+    # the flags must not depend on where the seams fall
+    for q in (5, 7, 11):
+        for chi in primitive_characters(q)[:2]:
+            coarse = find_zeros(chi, 0.02, 60.0)
+            with monkeypatch.context() as m:
+                m.setattr(lfunc, "_PANEL_POINTS", 37)
+                fine = find_zeros(chi, 0.02, 60.0)
+            assert (coarse.panels, fine.panels) == (1, 84)
+            assert len(fine) == len(coarse) > 0
+            assert fine.flagged == coarse.flagged
+            for z, w in zip(fine, coarse):
+                assert abs(z.gamma - w.gamma) < 2e-9
+
+
 def test_find_zeros_validation():
     chi = real_primitive_character(4)
     with pytest.raises(DomainError):
@@ -408,6 +425,15 @@ def test_delta_fn_guards():
         delta_fn(0.0, p)
     with pytest.raises(DomainError):
         delta_fn(-2.0, p)
+
+
+def test_delta_fn_matches_frozen_oracle(special_values):
+    # one array call at the desk parameters; at x = 1, far from the window,
+    # the panels must be sized by the phase of t0, not of x
+    vals = delta_fn(np.array([2000.0, 2020.0, 2130.0, 1.0]), WeightParams())
+    for x, v in zip((2000.0, 2020.0, 2130.0), vals):
+        assert abs(v - special_values[f"delta_fn({x})"]) < 1e-13
+    assert abs(vals[3]) < 1e-12
 
 
 def test_delta_transform_concentrates_near_t0():
