@@ -61,7 +61,13 @@ def _effective_shift(shift: int, t_abs: float) -> int:
 
 
 def _euler_maclaurin(
-    s: np.ndarray, a: float, shift: int, order: int, ds: bool = False, pole_free: bool = False
+    s: np.ndarray,
+    a: float,
+    shift: int,
+    order: int,
+    ds: bool = False,
+    pole_free: bool = False,
+    step: Optional[float] = None,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """zeta(s, a) over an array of s with a common shift, and d/ds if ``ds``.
 
@@ -69,6 +75,15 @@ def _euler_maclaurin(
     w = N + a.  With ``pole_free`` the 1/(s-1) part of w^(1-s)/(s-1) is
     dropped and the rest summed as a series in s - 1; the dropped parts
     cancel across a nonprincipal character sum, which keeps s = 1 finite.
+
+    Given ``step`` (values only, not ``ds``), s is a scan's uniform grid
+    s_k = s_0 + i k step, k < K, and the direct sum is one complex product
+    A @ C: with k = B j + r and B = ceil(sqrt(K)),
+    A[r, n] = (n+a)^-(s_0 + i r step) is B x N,
+    C[n, j] = (n+a)^-(i B j step) is N x ceil(K/B), and entry (r, j) is the
+    sum at s_k.  That takes N (B + K/B) exps in place of N K.  A last point
+    more than 1e-9 step off the progression, the t_max a scan appends off
+    the step, is summed directly.  The tail is elementwise in s either way.
     """
     if not 0.0 < a <= 1.0:
         raise DomainError("a must lie in (0, 1]")
@@ -78,7 +93,21 @@ def _euler_maclaurin(
         raise DomainError("pole at s = 1")
     n_shift = _effective_shift(shift, float(np.max(np.abs(s.imag))))
     ln = np.log(np.arange(n_shift, dtype=np.float64) + a)
-    e = np.exp(-np.outer(ln, s))
+    if step is None:
+        # exponentiated in place: each fresh N x K temporary page-faults
+        e = np.outer(ln, -s)
+        np.exp(e, out=e)
+        head = e.sum(axis=0)
+    else:
+        k_len = len(s)
+        if k_len > 1 and abs(s[-1].imag - s[0].imag - (k_len - 1) * step) > 1e-9 * step:
+            k_len -= 1
+        b = math.isqrt(k_len - 1) + 1
+        a_mat = np.exp(-np.outer(s[0] + 1j * step * np.arange(b), ln))
+        c_mat = np.exp(np.outer(ln, -1j * b * step * np.arange(-(-k_len // b))))
+        head = (a_mat @ c_mat).ravel(order="F")[:k_len]
+        if k_len < len(s):
+            head = np.append(head, np.exp(-ln * s[-1]).sum())
     w = n_shift + a
     lw = math.log(w)
     w_pow = np.exp(-s * lw)
@@ -89,7 +118,7 @@ def _euler_maclaurin(
         pole = _poly.polyval(x, series)
     else:
         pole = w * w_pow / x
-    out = e.sum(axis=0) + pole + 0.5 * w_pow
+    out = head + pole + 0.5 * w_pow
     out_ds = None
     if ds:
         pole_ds = _poly.polyval(x, _poly.polyder(series)) if pole_free else -pole * (lw + 1.0 / x)
@@ -177,17 +206,22 @@ def l_function_ds(s: complex, chi: DirichletCharacter, shift: int = 30, order: i
 def _log_gamma(z) -> np.ndarray:
     """Principal log Gamma(z) over an array, cut on the negative real axis.
 
-    If any |z| < 10 or re z < 0, the whole array is shifted to w = z + N with
-    N = ceil(10 - min re z), and sum_{k<N} log(z + k) in principal logs is
-    subtracted: each z + k stays in the half-plane of z, so the sum follows
-    the principal branch.  With re w >= 10, or |w| >= 10 and re w >= 0, the
-    8-term Stirling series is accurate to about 1e-16.
+    The elements with |z| < 10 or re z < 0 are shifted to w = z + N with
+    N = ceil(10 - min re z) over those elements alone, and sum_{k<N}
+    log(z + k) in principal logs is subtracted from them: each z + k stays
+    in the half-plane of z, so the sum follows the principal branch.  With
+    re w >= 10, or |w| >= 10 and re w >= 0, the 8-term Stirling series is
+    accurate to about 1e-16.  A 0-d input gives a 0-d array.
     """
     z = np.asarray(z, dtype=np.complex128)
+    # 1-d, so the shifted elements can be assigned into
+    flat = z.ravel()
+    small = (np.abs(flat) < 10.0) | (flat.real < 0.0)
+    w = flat.copy()
     n = 0
-    if z.size and (np.abs(z).min() < 10.0 or z.real.min() < 0.0):
-        n = math.ceil(10.0 - float(z.real.min()))
-    w = z + n
+    if small.any():
+        n = math.ceil(10.0 - float(flat.real[small].min()))
+        w[small] += n
     r = 1.0 / w
     r2 = r * r
     # Horner by hand: polyval's overhead is most of a short array's cost
@@ -196,8 +230,8 @@ def _log_gamma(z) -> np.ndarray:
         series = c + series * r2
     out = (w - 0.5) * np.log(w) - w + 0.5 * math.log(_TWO_PI) + r * series
     if n:
-        out = out - np.log(z[..., None] + np.arange(n)).sum(axis=-1)
-    return out
+        out[small] -= np.log(flat[small][:, None] + np.arange(n)).sum(axis=-1)
+    return out.reshape(z.shape)
 
 
 def vartheta(s: complex) -> complex:
@@ -249,30 +283,39 @@ def _arg_z_line(t: np.ndarray, theta: DirichletCharacter) -> np.ndarray:
     return cmath.phase(eps) + t * math.log(math.pi / q) - 2.0 * np.imag(lg)
 
 
-def _l_line(theta: DirichletCharacter, t: np.ndarray, shift: int = 30) -> np.ndarray:
-    """L(1/2 + it, theta) over a t-grid, shared Euler-Maclaurin shift."""
+def _l_line(
+    theta: DirichletCharacter, t: np.ndarray, shift: int = 30, step: Optional[float] = None
+) -> np.ndarray:
+    """L(1/2 + it, theta) over a t-grid, shared Euler-Maclaurin shift.
+
+    ``step`` marks t as a uniform grid for the kernel's product path.
+    """
     q = theta.modulus
     s = 0.5 + 1j * t
     total = np.zeros(len(t), dtype=np.complex128)
     for a in range(1, q + 1):
         c = theta(a)
         if c != 0:
-            total += c * _euler_maclaurin(s, a / q, shift, 12)[0]
+            total += c * _euler_maclaurin(s, a / q, shift, 12, step=step)[0]
     return np.exp(-s * math.log(q)) * total
 
 
-def _m_line(theta: DirichletCharacter, t: np.ndarray) -> np.ndarray:
+def _m_line(
+    theta: DirichletCharacter, t: np.ndarray, step: Optional[float] = None
+) -> np.ndarray:
     """Rotated line values exp(-i arg Z / 2) L(1/2+it), complex, over a t-grid."""
-    return np.exp(-0.5j * _arg_z_line(t, theta)) * _l_line(theta, t)
+    return np.exp(-0.5j * _arg_z_line(t, theta)) * _l_line(theta, t, step=step)
 
 
-def _m_raw_line(theta: DirichletCharacter, t: np.ndarray) -> np.ndarray:
+def _m_raw_line(
+    theta: DirichletCharacter, t: np.ndarray, step: Optional[float] = None
+) -> np.ndarray:
     """Real part of the rotated line values, after checking the rotation.
 
     arg Z is continuous along the whole line, so this is one continuous
     real function of t: its sign changes are the zeros on the line.
     """
-    vals = _m_line(theta, t)
+    vals = _m_line(theta, t, step)
     worst = float(np.max(np.abs(vals.imag))) if len(vals) else 0.0
     if worst > 1e-8:
         raise BranchError(f"rotation left imaginary residue {worst:.3e}")
@@ -333,7 +376,11 @@ def find_zeros(
     """Sign-change scan of the rotated line value, refined by bisection to 1e-9.
 
     The grid is split into panels of ``_PANEL_POINTS`` points, each
-    evaluated at its own Euler-Maclaurin shift.  Consecutive panels share
+    evaluated at its own Euler-Maclaurin shift.  A panel of K points takes
+    each residue's direct sum as one product of a B x N by an
+    N x ceil(K/B) matrix, B = ceil(sqrt(K)) (see ``_euler_maclaurin``);
+    when t_max is not on the step the grid appends it, and the kernel sums
+    that off-step endpoint directly.  Consecutive panels share
     one ordinate, which takes the later panel's value; the two evaluations
     must agree or the scan raises BranchError.  A grid point where the value
     dips near zero without a sign change is flagged as a suspected double
@@ -358,7 +405,7 @@ def find_zeros(
     # consecutive panels overlap in one point
     panel_starts = range(0, max(len(grid) - 1, 1), _PANEL_POINTS - 1)
     for start in panel_starts:
-        seg_vals = _m_raw_line(psi, grid[start : start + _PANEL_POINTS])
+        seg_vals = _m_raw_line(psi, grid[start : start + _PANEL_POINTS], step)
         # the shared point takes the later panel's value once the two agree
         if start and abs(vals[start] - seg_vals[0]) > 1e-9 * (1.0 + abs(vals[start])):
             raise BranchError("panel stitch mismatch")
@@ -367,7 +414,9 @@ def find_zeros(
     starts = []
     flos = []
     flagged = []
-    scale = float(np.median(np.abs(vals))) or 1.0
+    # the median by partition: np.median would import numpy.ma
+    middle = [(len(vals) - 1) // 2, len(vals) // 2]
+    scale = float(np.partition(np.abs(vals), middle)[middle].mean()) or 1.0
     for i in range(len(grid) - 1):
         fa, fb = float(vals[i]), float(vals[i + 1])
         if fa == 0.0:

@@ -176,14 +176,27 @@ _LINE_TS = (0.02, 1.0, 19.9, 20.1, 100.0, 999.9)
 
 @pytest.mark.parametrize("h", (0.25, 0.75))
 def test_log_gamma_phase_on_the_line(h):
-    # |h + it/2| crosses 10 between t = 19.9 and 20.1, where a lone value
-    # stops being shifted; the whole array is always shifted
+    # |h + it/2| crosses 10 between t = 19.9 and 20.1, where a value stops
+    # being shifted, alone or in an array
     with mpmath.workdps(30):
         ref = [float(mpmath.loggamma(mpmath.mpc(h, t / 2)).imag) for t in _LINE_TS]
     alone = [float(_log_gamma(h + 0.5j * t).imag) for t in _LINE_TS]
     together = _log_gamma(h + 0.5j * np.array(_LINE_TS)).imag
     assert np.max(np.abs(np.array(alone) - ref)) <= 1e-12
     assert np.max(np.abs(together - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("h", (0.25, 0.75))
+def test_log_gamma_shifts_only_the_small_elements(h):
+    # the line from t = 0 to 100 mixes shifted (|z| < 10) and unshifted
+    # elements; each part must come out as if evaluated apart, bit for bit
+    z = h + 0.5j * np.linspace(0.0, 100.0, 4001)
+    small = np.abs(z) < 10.0
+    assert 0 < small.sum() < len(z)
+    got = _log_gamma(z)
+    assert np.array_equal(got[small], _log_gamma(z[small]))
+    assert np.array_equal(got[~small], _log_gamma(z[~small]))
+    assert _log_gamma(h + 3j).shape == ()
 
 
 # small |z| (shifted), the Stirling region just past |z| = 10 unshifted, and
@@ -336,6 +349,26 @@ def test_find_zeros_unchanged_by_many_panel_seams(monkeypatch):
             assert fine.flagged == coarse.flagged
             for z, w in zip(fine, coarse):
                 assert abs(z.gamma - w.gamma) < 2e-9
+
+
+# (start, points) on the scan step 0.02, plus grids that append an off-step
+# t_max as find_zeros does: the kernel must sum that endpoint directly
+_GRID_PANELS = tuple(
+    0.02 * np.arange(n) + t0 for t0 in (0.02, 7.0, 480.0) for n in (1, 2, 4000, 4001)
+) + (
+    np.append(0.37 + 0.02 * np.arange(2482), 50.005),
+    np.array([7.0, 7.013]),
+)
+
+
+@pytest.mark.parametrize("q", (5, 11))
+def test_grid_line_values_match_pointwise(q):
+    chi = primitive_characters(q)[-1]
+    for t in _GRID_PANELS:
+        grid = lfunc._m_line(chi, t, step=0.02)
+        pointwise = lfunc._m_line(chi, t)
+        err = np.abs(grid - pointwise) / np.abs(pointwise).max()
+        assert err.max() <= 1e-11, (t[0], len(t), float(err.max()))
 
 
 def test_find_zeros_validation():
