@@ -8,8 +8,8 @@ Three subcommands, one stable exit-code contract (0 = all checks pass,
 * ``identities``  brute-forces the exact arithmetic identities, the
   coefficient bounds, and the per-prime local-factor identities;
 * ``zeros``       scans a critical-line segment, writes a CSV of zeros with
-  their triple-product ratios, and fails only if an eligible zero has a
-  ratio below the floor.
+  their triple-product ratios, and fails if an eligible zero has a
+  ratio below the floor or no computable ratio.
 
 Reports follow the schema in report_schema.json (shipped in the package);
 complex numbers are serialized as {"re": ..., "im": ...} and two runs with
@@ -298,8 +298,9 @@ def cmd_zeros(args) -> int:
             file=sys.stderr,
         )
     if blank:
+        # an eligible zero without a ratio is an unverified claim
         print(
-            f"warning: {blank} eligible zero(s) without a computable ratio",
+            f"error: {blank} eligible zero(s) without a computable ratio",
             file=sys.stderr,
         )
     print(
@@ -319,7 +320,7 @@ def cmd_zeros(args) -> int:
         )
         if not _emit(doc, "json", args.out):
             return 2
-    return 1 if violations else 0
+    return 1 if violations or blank else 0
 
 
 def main(argv=None) -> int:

@@ -46,6 +46,9 @@ _BERNOULLI = (
 # B_2k / (2k (2k - 1)) for k = 1..8: the Stirling series of log Gamma
 _STIRLING = tuple(b / ((2 * k + 2) * (2 * k + 1)) for k, b in enumerate(_BERNOULLI[:8]))
 
+# B_2k / 2k for k = 1..8: the asymptotic series of the digamma function
+_DIGAMMA = tuple(b / (2 * k + 2) for k, b in enumerate(_BERNOULLI[:8]))
+
 
 class BranchError(RuntimeError):
     """Continuity or realness of the rotated line values broke down."""
@@ -203,25 +206,34 @@ def l_function_ds(s: complex, chi: DirichletCharacter, shift: int = 30, order: i
 # reflection and functional-equation factors
 
 
-def _log_gamma(z) -> np.ndarray:
-    """Principal log Gamma(z) over an array, cut on the negative real axis.
+def _shift_small(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(flat z, mask of the shifted elements, w, N) for the Stirling series.
 
     The elements with |z| < 10 or re z < 0 are shifted to w = z + N with
-    N = ceil(10 - min re z) over those elements alone, and sum_{k<N}
-    log(z + k) in principal logs is subtracted from them: each z + k stays
-    in the half-plane of z, so the sum follows the principal branch.  With
-    re w >= 10, or |w| >= 10 and re w >= 0, the 8-term Stirling series is
-    accurate to about 1e-16.  A 0-d input gives a 0-d array.
+    N = ceil(10 - min re z) over those elements alone; the others keep
+    w = z.  Then re w >= 10, or |w| >= 10 and re w >= 0.
     """
-    z = np.asarray(z, dtype=np.complex128)
     # 1-d, so the shifted elements can be assigned into
-    flat = z.ravel()
+    flat = np.asarray(z, dtype=np.complex128).ravel()
     small = (np.abs(flat) < 10.0) | (flat.real < 0.0)
     w = flat.copy()
     n = 0
     if small.any():
         n = math.ceil(10.0 - float(flat.real[small].min()))
         w[small] += n
+    return flat, small, w, n
+
+
+def _log_gamma(z) -> np.ndarray:
+    """Principal log Gamma(z) over an array, cut on the negative real axis.
+
+    The small elements are shifted by ``_shift_small`` and
+    sum_{k<N} log(z + k) in principal logs is subtracted from them: each
+    z + k stays in the half-plane of z, so the sum follows the principal
+    branch.  The 8-term Stirling series is accurate to about 1e-16 at the
+    shifted w.  A 0-d input gives a 0-d array.
+    """
+    flat, small, w, n = _shift_small(z)
     r = 1.0 / w
     r2 = r * r
     # Horner by hand: polyval's overhead is most of a short array's cost
@@ -231,7 +243,26 @@ def _log_gamma(z) -> np.ndarray:
     out = (w - 0.5) * np.log(w) - w + 0.5 * math.log(_TWO_PI) + r * series
     if n:
         out[small] -= np.log(flat[small][:, None] + np.arange(n)).sum(axis=-1)
-    return out.reshape(z.shape)
+    return out.reshape(np.shape(z))
+
+
+def _digamma(z) -> np.ndarray:
+    """psi(z) = d/dz log Gamma(z) over an array, the twin of ``_log_gamma``.
+
+    The small elements are shifted by ``_shift_small`` and
+    sum_{k<N} 1/(z + k) is subtracted from them; at the shifted w the
+    series log w - 1/(2w) - sum_k B_2k / (2k w^2k), k = 1..8, is accurate
+    to about 1e-17.  A 0-d input gives a 0-d array.
+    """
+    flat, small, w, n = _shift_small(z)
+    r2 = 1.0 / (w * w)
+    series = _DIGAMMA[-1]
+    for c in _DIGAMMA[-2::-1]:
+        series = c + series * r2
+    out = np.log(w) - 0.5 / w - r2 * series
+    if n:
+        out[small] -= (1.0 / (flat[small][:, None] + np.arange(n))).sum(axis=-1)
+    return out.reshape(np.shape(z))
 
 
 def vartheta(s: complex) -> complex:
@@ -284,20 +315,32 @@ def _arg_z_line(t: np.ndarray, theta: DirichletCharacter) -> np.ndarray:
 
 
 def _l_line(
-    theta: DirichletCharacter, t: np.ndarray, shift: int = 30, step: Optional[float] = None
+    theta: DirichletCharacter,
+    t: np.ndarray,
+    shift: int = 30,
+    step: Optional[float] = None,
+    ds: bool = False,
 ) -> np.ndarray:
     """L(1/2 + it, theta) over a t-grid, shared Euler-Maclaurin shift.
 
-    ``step`` marks t as a uniform grid for the kernel's product path.
+    ``step`` marks t as a uniform grid for the kernel's product path.  With
+    ``ds`` the result is the 2 x len(t) array of L and dL/ds.
     """
     q = theta.modulus
     s = 0.5 + 1j * t
-    total = np.zeros(len(t), dtype=np.complex128)
+    total = np.zeros((2 if ds else 1, len(t)), dtype=np.complex128)
     for a in range(1, q + 1):
         c = theta(a)
         if c != 0:
-            total += c * _euler_maclaurin(s, a / q, shift, 12, step=step)[0]
-    return np.exp(-s * math.log(q)) * total
+            val, val_ds = _euler_maclaurin(s, a / q, shift, 12, ds, step=step)
+            total[0] += c * val
+            if ds:
+                total[1] += c * val_ds
+    total = np.exp(-s * math.log(q)) * total
+    if not ds:
+        return total[0]
+    total[1] -= math.log(q) * total[0]
+    return total
 
 
 def _m_line(
@@ -305,6 +348,21 @@ def _m_line(
 ) -> np.ndarray:
     """Rotated line values exp(-i arg Z / 2) L(1/2+it), complex, over a t-grid."""
     return np.exp(-0.5j * _arg_z_line(t, theta)) * _l_line(theta, t, step=step)
+
+
+def _m_line_ds(theta: DirichletCharacter, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, M') over a t-grid: the rotated line values and M' = -i dM/dt, analytically.
+
+    With M = exp(-i arg Z / 2) L(1/2 + it),
+    dM/dt = exp(-i arg Z / 2) (-i (arg Z)' L / 2 + i dL/ds), where
+    (arg Z)'(t) = log(pi / q) - re psi(h + it/2), h the half-argument of
+    the root number; so M' = exp(-i arg Z / 2) (dL/ds - (arg Z)' L / 2).
+    """
+    _, half_arg = _root_number(theta)
+    l_val, l_ds = _l_line(theta, t, ds=True)
+    arg_ds = math.log(math.pi / theta.modulus) - _digamma(half_arg + 0.5j * t).real
+    rot = np.exp(-0.5j * _arg_z_line(t, theta))
+    return rot * l_val, rot * (l_ds - 0.5 * arg_ds * l_val)
 
 
 def _m_raw_line(
@@ -368,12 +426,103 @@ class ScanResult(Sequence):
 
 
 _PANEL_POINTS = 4000
+# a refined zero is returned as [x - r, x + r] with this r
+_ZERO_RADIUS = 0.5e-9
+# batched Illinois steps a panel's brackets may take before the scan gives up
+_REFINE_STEPS = 40
+
+
+def _sign_changes(vals: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, f_i) of each sign change from grid point i to i + 1, and the dips.
+
+    An exact 0.0 at i takes the sign of the value at i - 1, and of
+    -(value at i + 1) at i = 0; f_i is the value so signed.  A dip is an
+    interior i without a sign change to i + 1 whose |value| is below
+    1e-7 scale and whose (signed) value has the sign of the one at i - 1.
+    """
+    fa = vals[:-1].copy()
+    zero = np.flatnonzero(fa == 0.0)
+    if len(zero):
+        prev = np.concatenate((-vals[1:2], vals[:-2]))
+        fa[zero] = np.copysign(1e-300, prev[zero])
+    change = fa * vals[1:] < 0
+    before = np.concatenate(([0.0], vals[:-2]))
+    dip = ~change & (np.abs(vals[:-1]) < 1e-7 * scale) & (fa * before > 0)
+    return np.flatnonzero(change), fa[change], np.flatnonzero(dip)
+
+
+def _refine(
+    psi: DirichletCharacter,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    flo: np.ndarray,
+    fhi: np.ndarray,
+    floor: float,
+) -> np.ndarray:
+    """Centres of certified zero brackets, by batched Illinois regula falsi.
+
+    Each bracket [lo, hi] has end values of opposite sign (fhi may be 0).
+    Every step evaluates, in one line evaluation, the regula falsi point
+    x = (lo fhi - hi flo) / (fhi - flo) of each open bracket; the end of
+    the same sign as the new value moves to x, and an end kept twice in a
+    row has its value halved (Illinois).  Once x moves by less than 1e-11,
+    or the bracket is narrower than 2e-9, the step evaluates x -+ r
+    (r = ``_ZERO_RADIUS``, not clipped to the bracket) instead, and the
+    bracket closes as [x - r, x + r] if their signs are those of lo and hi
+    and both |values| are at least ``floor``.  Otherwise the points that
+    fall inside the bracket narrow it, and stepping resumes.  A bracket
+    still open after ``_REFINE_STEPS`` steps raises ConvergenceError.
+    """
+    lo, hi, flo, fhi = lo.copy(), hi.copy(), flo.copy(), fhi.copy()
+    x_hat = np.full(len(lo), np.nan)
+    side = np.zeros(len(lo), dtype=np.int8)
+    done = np.zeros(len(lo), dtype=bool)
+    for _ in range(_REFINE_STEPS):
+        idx = np.flatnonzero(~done)
+        if not len(idx):
+            return x_hat
+        x = (lo[idx] * fhi[idx] - hi[idx] * flo[idx]) / (fhi[idx] - flo[idx])
+        close = (np.abs(x - x_hat[idx]) < 1e-11) | (hi[idx] - lo[idx] < 2e-9)
+        x_hat[idx] = x
+        step, xm = idx[~close], x[~close]
+        shut, xs = idx[close], x[close]
+        vals = _m_raw_line(psi, np.concatenate((xm, xs - _ZERO_RADIUS, xs + _ZERO_RADIUS)))
+        fx, fa, fb = np.split(vals, [len(xm), len(xm) + len(xs)])
+
+        ok = (np.sign(fa) == np.sign(flo[shut])) & (np.sign(fb) == -np.sign(flo[shut]))
+        ok &= (np.abs(fa) >= floor) & (np.abs(fb) >= floor)
+        done[shut[ok]] = True
+        # the rest keep what the two points showed and step again
+        shut, xs, fa, fb = shut[~ok], xs[~ok], fa[~ok], fb[~ok]
+        x_hat[shut] = np.nan
+        side[shut] = 0
+        for pt, fp in ((xs - _ZERO_RADIUS, fa), (xs + _ZERO_RADIUS, fb)):
+            inside = (lo[shut] < pt) & (pt < hi[shut])
+            to_lo = inside & (np.sign(fp) == np.sign(flo[shut]))
+            to_hi = inside & ~to_lo
+            lo[shut[to_lo]], flo[shut[to_lo]] = pt[to_lo], fp[to_lo]
+            hi[shut[to_hi]], fhi[shut[to_hi]] = pt[to_hi], fp[to_hi]
+
+        to_lo = np.sign(fx) == np.sign(flo[step])
+        j = step[to_lo]
+        lo[j], flo[j] = xm[to_lo], fx[to_lo]
+        fhi[j[side[j] == -1]] *= 0.5
+        side[j] = -1
+        j = step[~to_lo]
+        hi[j], fhi[j] = xm[~to_lo], fx[~to_lo]
+        flo[j[side[j] == 1]] *= 0.5
+        side[j] = 1
+    if not done.all():
+        raise ConvergenceError(
+            f"{int((~done).sum())} zero bracket(s) open after {_REFINE_STEPS} steps", x_hat
+        )
+    return x_hat
 
 
 def find_zeros(
     psi: DirichletCharacter, t_min: float, t_max: float, step: float = 0.02
 ) -> ScanResult:
-    """Sign-change scan of the rotated line value, refined by bisection to 1e-9.
+    """Sign-change scan of the rotated line value, refined to certified brackets.
 
     The grid is split into panels of ``_PANEL_POINTS`` points, each
     evaluated at its own Euler-Maclaurin shift.  A panel of K points takes
@@ -384,11 +533,15 @@ def find_zeros(
     one ordinate, which takes the later panel's value; the two evaluations
     must agree or the scan raises BranchError.  A grid point where the value
     dips near zero without a sign change is flagged as a suspected double
-    zero, never dropped silently.
+    zero, never dropped silently (see ``_sign_changes``).
 
-    All sign-change brackets are then bisected together: each step
-    evaluates the midpoints of every bracket still wider than the target
-    radius in one line evaluation.
+    The sign-change brackets of each panel are then refined together by
+    Illinois regula falsi from the grid values at their ends, so every
+    step runs at that panel's shift (see ``_refine``).  A bracket closes
+    once the estimate x moves by less than 1e-11 (or the bracket is
+    narrower than 2e-9) and the values at x -+ 0.5e-9 have opposite signs
+    and magnitudes of at least 1e-12 times the median |value| on the grid.
+    Each zero is returned as gamma = x with radius 0.5e-9.
     """
     if not psi.primitive:
         raise DomainError("scan needs a primitive character")
@@ -411,39 +564,20 @@ def find_zeros(
             raise BranchError("panel stitch mismatch")
         vals[start : start + _PANEL_POINTS] = seg_vals
 
-    starts = []
-    flos = []
-    flagged = []
     # the median by partition: np.median would import numpy.ma
     middle = [(len(vals) - 1) // 2, len(vals) // 2]
     scale = float(np.partition(np.abs(vals), middle)[middle].mean()) or 1.0
-    for i in range(len(grid) - 1):
-        fa, fb = float(vals[i]), float(vals[i + 1])
-        if fa == 0.0:
-            prev = float(vals[i - 1]) if i > 0 else -fb
-            fa = math.copysign(1e-300, prev)
-        if fa * fb < 0:
-            starts.append(i)
-            flos.append(fa)
-        elif 0 < i and abs(vals[i]) < 1e-7 * scale and fa * float(vals[i - 1]) > 0:
-            flagged.append((float(grid[i - 1]), float(grid[i + 1])))
+    starts, flo, dips = _sign_changes(vals, scale)
+    flagged = tuple((float(grid[i - 1]), float(grid[i + 1])) for i in dips)
 
-    ix = np.array(starts, dtype=np.intp)
-    lo, hi, flo = grid[ix], grid[ix + 1], np.array(flos, dtype=np.float64)
-    active = (hi - lo) / 2.0 >= 1e-9
-    while active.any():
-        idx = np.flatnonzero(active)
-        mid = 0.5 * (lo[idx] + hi[idx])
-        fm = _m_raw_line(psi, mid)
-        left = flo[idx] * fm <= 0
-        hi[idx[left]] = mid[left]
-        lo[idx[~left]] = mid[~left]
-        flo[idx[~left]] = fm[~left]
-        active[idx] = (hi[idx] - lo[idx]) / 2.0 >= 1e-9
-    zeros = tuple(
-        CriticalZero(float(0.5 * (a + b)), float((b - a) / 2.0)) for a, b in zip(lo, hi)
-    )
-    return ScanResult(zeros, tuple(flagged), len(panel_starts))
+    panel = starts // (_PANEL_POINTS - 1)
+    gammas = []
+    for p in np.unique(panel):
+        i = panel == p
+        ix = starts[i]
+        gammas.extend(_refine(psi, grid[ix], grid[ix + 1], flo[i], vals[ix + 1], 1e-12 * scale))
+    zeros = tuple(CriticalZero(float(g), _ZERO_RADIUS) for g in gammas)
+    return ScanResult(zeros, flagged, len(panel_starts))
 
 
 @dataclass(frozen=True)
@@ -473,27 +607,58 @@ def gap_stats(zeros: Union[ScanResult, Iterable[CriticalZero]], bins: int = 10) 
     return GapStats(len(gaps), float(gaps.mean()), float(gaps.min()), float(gaps.max()), hist, note)
 
 
+# a chunk of the c* audit spans at most one scan panel at the default step,
+# so each chunk's kernel passes run at a shift fit for its own ordinates
+_AUDIT_CHUNK_T = (_PANEL_POINTS - 1) * 0.02
+
+
+def _c_star_batch(
+    psi: DirichletCharacter, gammas: np.ndarray, alpha_hat: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c*, |M'|, |imaginary residue|) at every ordinate of ``gammas``.
+
+    The ordinates are taken in chunks no wider in t than ``_AUDIT_CHUNK_T``.
+    Per chunk, one ``_m_line_ds`` call (one kernel pass per residue, with
+    d/ds) gives M' at the zeros and M at the 3 shifted points of each.
+    c* is NaN where |M'| < 1e-10 (a degenerate zero) or where
+    -i M1 M2 M3 / M' has an imaginary residue above 1e-6.
+    """
+    if alpha_hat <= 0:
+        raise DomainError("alpha_hat must be positive")
+    g = np.asarray(gammas, dtype=np.float64)
+    m_prime = np.empty(len(g), dtype=np.complex128)
+    triple = np.empty(len(g), dtype=np.complex128)
+    chunk = np.floor(g / _AUDIT_CHUNK_T)
+    for key in np.unique(chunk):
+        idx = np.flatnonzero(chunk == key)
+        # row j of pts is the chunk's zeros shifted by j alpha_hat
+        pts = g[idx] + alpha_hat * np.arange(4)[:, None]
+        m, m_ds = _m_line_ds(psi, pts.ravel())
+        m_prime[idx] = m_ds[: len(idx)]
+        triple[idx] = m[len(idx) :].reshape(3, -1).prod(axis=0)
+    m_abs = np.abs(m_prime)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = -1j * triple / m_prime
+    residue = np.abs(val.imag)
+    ratio = np.where((m_abs >= 1e-10) & (residue <= 1e-6), val.real, np.nan)
+    return ratio, m_abs, residue
+
+
 def c_star(rho: CriticalZero, psi: DirichletCharacter, alpha_hat: float) -> float:
     """Signed triple-product ratio at a zero with shifts i j alpha_hat.
 
     -i M(rho+b1) M(rho+b2) M(rho+b3) / M'(rho), where b_j = i j alpha_hat and
-    the derivative is a central difference along the line (h = 1e-6).  The
-    value is branch-independent: flipping the rotation sign flips all four
-    factors.
+    M' = -i dM/dt is analytic (see ``_m_line_ds``).  The value is
+    branch-independent: flipping the rotation sign flips all four factors.
+    This is ``_c_star_batch`` at one zero; it raises DomainError where
+    |M'| < 1e-10 and BranchError where the imaginary residue exceeds 1e-6.
     """
-    if alpha_hat <= 0:
-        raise DomainError("alpha_hat must be positive")
-    g = rho.gamma
-    h = 1e-6
-    pts = np.array([g + alpha_hat, g + 2 * alpha_hat, g + 3 * alpha_hat, g + h, g - h])
-    m1, m2, m3, m_up, m_dn = (complex(v) for v in _m_line(psi, pts))
-    m_prime = -1j * (m_up - m_dn) / (2.0 * h)
-    if abs(m_prime) < 1e-10:
+    ratio, m_abs, residue = _c_star_batch(psi, np.array([rho.gamma]), alpha_hat)
+    if m_abs[0] < 1e-10:
         raise DomainError("degenerate zero: derivative vanishes")
-    val = -1j * m1 * m2 * m3 / m_prime
-    if abs(val.imag) > 1e-6:
-        raise BranchError(f"triple product not real: residue {val.imag:.3e}")
-    return val.real
+    if not residue[0] <= 1e-6:
+        raise BranchError(f"triple product not real: residue {residue[0]:.3e}")
+    return float(ratio[0])
 
 
 # ---------------------------------------------------------------------------
@@ -603,18 +768,17 @@ def export_zeros_csv(
     psi: DirichletCharacter,
     alpha_hat: float,
 ) -> int:
-    """Write gamma, radius, c_star, forward_gap rows; returns the row count."""
-    rows = []
+    """Write gamma, radius, c_star, forward_gap rows; returns the row count.
+
+    c_star comes from ``_c_star_batch`` and is blank where that gives NaN.
+    """
     zs = list(scan)
-    for i, z in enumerate(zs):
+    ratios = _c_star_batch(psi, np.array([z.gamma for z in zs]), alpha_hat)[0]
+    rows = []
+    for i, (z, ratio) in enumerate(zip(zs, ratios)):
         gap = zs[i + 1].gamma - z.gamma if i + 1 < len(zs) else None
-        try:
-            cs = f"{c_star(z, psi, alpha_hat):.12g}"
-        except (DomainError, BranchError, ConvergenceError):
-            cs = ""
-        rows.append(
-            (f"{z.gamma:.12f}", f"{z.radius:.3e}", cs, f"{gap:.12f}" if gap else "")
-        )
+        cs = "" if math.isnan(ratio) else f"{ratio:.12g}"
+        rows.append((f"{z.gamma:.12f}", f"{z.radius:.3e}", cs, f"{gap:.12f}" if gap else ""))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("gamma", "radius", "c_star", "forward_gap"))

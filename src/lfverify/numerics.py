@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
@@ -21,12 +21,13 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature failed to meet tolerance within the panel budget.
+    """An iteration failed to converge within its budget.
 
-    The best available result is attached as ``partial``.
+    The best available result is attached as ``partial``: the quadrature's
+    ``QuadratureResult``, or the zero scan's current estimates.
     """
 
-    def __init__(self, message: str, partial: "QuadratureResult"):
+    def __init__(self, message: str, partial: Union["QuadratureResult", np.ndarray]):
         super().__init__(message)
         self.partial = partial
 

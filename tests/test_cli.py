@@ -8,6 +8,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lfverify
@@ -237,3 +238,26 @@ def test_no_command_loads_scipy(tmp_path):
         "identities": [0, []],
         "zeros": [0, []],
     }
+
+
+def test_zeros_unaudited_eligible_zero_fails(tmp_path, monkeypatch, capsys):
+    """An eligible zero without a triple-product ratio is a failed audit."""
+    from lfverify import cli, lfunc
+
+    batch = lfunc._c_star_batch
+
+    def one_blank(psi, gammas, alpha_hat):
+        ratio, m_abs, residue = batch(psi, gammas, alpha_hat)
+        eligible = np.flatnonzero(np.diff(gammas) > cli._ELIGIBILITY_FACTOR * alpha_hat)
+        ratio = ratio.copy()
+        ratio[eligible[0]] = np.nan
+        return ratio, m_abs, residue
+
+    argv = ["zeros", "--modulus", "5", "--t-max", "60", "--csv", str(tmp_path / "z.csv")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(lfunc, "_c_star_batch", one_blank)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "error: 1 eligible zero(s) without a computable ratio" in captured.err
+    assert captured.out.startswith("27 zeros")

@@ -1,5 +1,6 @@
 """Line values, the completed-equation rotation, zero scanning, and weights."""
 
+import cmath
 import csv
 import math
 
@@ -20,6 +21,7 @@ from lfverify.lfunc import (
     CriticalZero,
     ScanResult,
     WeightParams,
+    _digamma,
     _log_gamma,
     c_star,
     delta_fn,
@@ -38,7 +40,7 @@ from lfverify.lfunc import (
     vartheta,
     z_factor,
 )
-from lfverify.numerics import DomainError
+from lfverify.numerics import ConvergenceError, DomainError
 
 CATALAN = 0.915965594177219015054603514932384110774
 
@@ -211,6 +213,64 @@ def test_log_gamma_matches_mpmath():
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
 
 
+def test_digamma_matches_mpmath():
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.digamma(z)) for z in _LOG_GAMMA_POINTS])
+    alone = np.array([complex(_digamma(z)) for z in _LOG_GAMMA_POINTS])
+    together = _digamma(np.array(_LOG_GAMMA_POINTS))
+    assert np.max(np.abs(alone - ref) / np.abs(ref)) <= 1e-14
+    assert np.max(np.abs(together - ref) / np.abs(ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("h", (0.25, 0.75))
+def test_digamma_shifts_only_the_small_elements(h):
+    # as for log Gamma: each part of a mixed array comes out as if alone
+    z = h + 0.5j * np.linspace(0.0, 100.0, 4001)
+    small = np.abs(z) < 10.0
+    got = _digamma(z)
+    assert np.array_equal(got[small], _digamma(z[small]))
+    assert np.array_equal(got[~small], _digamma(z[~small]))
+    assert _digamma(h + 3j).shape == ()
+
+
+def _mp_m_prime(chi, t):
+    """-i dM/dt of the rotated line value by mpmath's numerical derivative."""
+    q = chi.modulus
+    table = [chi(n) for n in range(q)]
+    eps, h = lfunc._root_number(chi)
+    with mpmath.workdps(30):
+
+        def m(x):
+            theta = (
+                cmath.phase(eps)
+                + x * mpmath.log(mpmath.pi / q)
+                - 2 * mpmath.loggamma(mpmath.mpc(h, x / 2)).imag
+            )
+            return mpmath.exp(-0.5j * theta) * mpmath.dirichlet(mpmath.mpc(0.5, x), table)
+
+        return complex(-1j * mpmath.diff(m, mpmath.mpf(t)))
+
+
+# (q, index in primitive_characters(q), a zero); the last is where a central
+# difference quotient of M left a triple-product residue above 1e-6
+_M_PRIME_ZEROS = ((4, 0, 6.020948904157), (5, 1, 14.0), (5, 0, 454.66907476856))
+
+
+@pytest.mark.parametrize("q, index, gamma", _M_PRIME_ZEROS)
+def test_m_prime_matches_mpmath_derivative(q, index, gamma):
+    chi = primitive_characters(q)[index]
+    ref = _mp_m_prime(chi, gamma)
+    got = complex(lfunc._m_line_ds(chi, np.array([gamma]))[1][0])
+    assert abs(got - ref) <= 1e-11 * abs(ref)
+
+
+def test_c_star_at_a_high_zero():
+    # alpha_hat is the reference gap of `zeros --modulus 5 --t-max 1000`
+    chi = primitive_characters(5)[0]
+    val = c_star(CriticalZero(454.66907476856, 5e-10), chi, 0.5502503708976213)
+    assert abs(val - 53.5582) < 1e-4
+
+
 _NEAR_ONE = (0.999, 1.0011, 1.005, 0.9905, 0.995 + 0.003j, 1.0 + 0.0099j)
 
 
@@ -349,6 +409,109 @@ def test_find_zeros_unchanged_by_many_panel_seams(monkeypatch):
             assert fine.flagged == coarse.flagged
             for z, w in zip(fine, coarse):
                 assert abs(z.gamma - w.gamma) < 2e-9
+
+
+def test_find_zeros_brackets_are_certified(full_scans):
+    # both ends of every bracket, evaluated afresh, carry opposite signs at
+    # magnitudes well above the rounding noise of the line values
+    for q, chi, scan in full_scans:
+        # the scan's grid, whose median |value| sets the floor
+        grid = np.append(0.01 + 0.02 * np.arange(5000), 100.0)
+        scale = float(np.median(np.abs(lfunc._m_raw_line(chi, grid))))
+        gammas = np.array([z.gamma for z in scan])
+        radii = np.array([z.radius for z in scan])
+        assert (radii < 1e-9).all()
+        lo = lfunc._m_raw_line(chi, gammas - radii)
+        hi = lfunc._m_raw_line(chi, gammas + radii)
+        assert (np.sign(lo) == -np.sign(hi)).all(), q
+        assert min(np.abs(lo).min(), np.abs(hi).min()) >= 1e-12 * scale, q
+
+
+def test_refinement_closes_in_few_steps_per_panel(monkeypatch):
+    chi = primitive_characters(5)[0]
+    steps = []
+    line = lfunc._m_raw_line
+
+    def counted(psi, t, step=None):
+        if step is None:
+            steps.append(float(np.median(t)))
+        return line(psi, t, step)
+
+    monkeypatch.setattr(lfunc, "_m_raw_line", counted)
+    scan = find_zeros(chi, 0.02, 200.0)
+    width = (lfunc._PANEL_POINTS - 1) * 0.02
+    # each batched step evaluates the brackets of one panel
+    per_panel = np.bincount(((np.array(steps) - 0.02) // width).astype(int))
+    assert scan.panels == len(per_panel) == 3
+    assert per_panel.max() <= 8
+
+
+def test_refinement_gives_up_after_its_step_cap(monkeypatch):
+    chi = real_primitive_character(4)
+    with monkeypatch.context() as m:
+        m.setattr(lfunc, "_REFINE_STEPS", 2)
+        with pytest.raises(ConvergenceError):
+            find_zeros(chi, 5.0, 14.0)
+    # a triple zero is below the certification floor at every radius the
+    # refinement can reach, so it must end at the cap rather than loop
+    monkeypatch.setattr(lfunc, "_m_raw_line", lambda psi, t, step=None: (t - 5.01) ** 3)
+    with pytest.raises(ConvergenceError, match="1 zero bracket"):
+        find_zeros(chi, 4.0, 6.0)
+
+
+def test_refinement_closes_on_an_exact_grid_zero(monkeypatch):
+    # the grid point 4 + 50 * 0.02 is exactly 5.0, where the value is 0.0:
+    # the bracket starts there and closes around it without clipping
+    monkeypatch.setattr(lfunc, "_m_raw_line", lambda psi, t, step=None: np.tanh(t - 5.0) * (1 + t))
+    (zero,) = find_zeros(real_primitive_character(4), 4.0, 6.0)
+    assert abs(zero.gamma - 5.0) < 1e-12
+    assert zero.radius == 5e-10
+
+
+def _sign_changes_loop(vals, scale):
+    """The per-point scan loop that ``lfunc._sign_changes`` replaced."""
+    starts, flos, dips = [], [], []
+    for i in range(len(vals) - 1):
+        fa, fb = float(vals[i]), float(vals[i + 1])
+        if fa == 0.0:
+            prev = float(vals[i - 1]) if i > 0 else -fb
+            fa = math.copysign(1e-300, prev)
+        if fa * fb < 0:
+            starts.append(i)
+            flos.append(fa)
+        elif 0 < i and abs(vals[i]) < 1e-7 * scale and fa * float(vals[i - 1]) > 0:
+            dips.append(i)
+    return starts, flos, dips
+
+
+_SIGN_ARRAYS = (
+    [],
+    [1.0],
+    [0.0, 1.0],
+    [0.0, -1.0, 2.0],
+    [0.0, 0.0, 1.0, -1.0],
+    [-0.0, 0.0, -3.0],
+    [1.0, 0.0, 0.0, -2.0, 0.0],
+    [2.0, 1e-9, 3.0, -1.0, -1e-9, -2.0, 0.0, 4.0],
+    [1.0, 1e-9, 0.0, 1e-9, 5.0, -1e-30, 1e-30, 0.0],
+    [3.0, -2.0, 1e-8, 1e-8, 0.0, 0.0, -1.0, 0.0],
+)
+
+
+def test_sign_changes_match_the_scan_loop():
+    rng = np.random.default_rng(7)
+    arrays = [np.array(a, dtype=np.float64) for a in _SIGN_ARRAYS]
+    for _ in range(200):
+        # runs of exact zeros, dips and sign changes in random mixtures
+        a = rng.choice([0.0, -0.0, 1e-9, -1e-9, 1e-310, 2.0, -3.0], size=rng.integers(1, 30))
+        arrays.append(a * rng.uniform(0.5, 2.0, size=len(a)))
+    for vals in arrays:
+        scale = 1.0
+        starts, flos, dips = lfunc._sign_changes(vals, scale)
+        ref_starts, ref_flos, ref_dips = _sign_changes_loop(vals, scale)
+        assert starts.tolist() == ref_starts, vals
+        assert flos.tolist() == ref_flos, vals
+        assert dips.tolist() == ref_dips, vals
 
 
 # (start, points) on the scan step 0.02, plus grids that append an off-step
