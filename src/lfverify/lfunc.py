@@ -1,9 +1,12 @@
 """Small-modulus L-function engine.
 
 One vectorized Euler-Maclaurin kernel evaluates Hurwitz zeta over an array
-of s, with its s-derivative on request and a pole-free mode that keeps a
-nonprincipal character sum finite at s = 1; Hurwitz values, Dirichlet
-L-values and their derivatives, and critical-line values all call it.
+of s and an axis of residues a, with its s-derivative on request and a
+pole-free mode that keeps a nonprincipal character sum finite at s = 1.
+It takes the residues in blocks under a fixed memory budget, and each row
+rounds as a one-residue call would.  Hurwitz values, Dirichlet L-values
+and their derivatives, and critical-line values each make one call: an
+L-value sums chi(a) zeta(s, a/q) over the kernel's residue rows.
 Around it sit the reflection and functional-equation factors, a
 real-valued rotation of the L-function on the critical line, sign-change
 zero scanning with gap statistics, the signed triple-product ratio at a
@@ -17,6 +20,7 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -49,6 +53,9 @@ _STIRLING = tuple(b / ((2 * k + 2) * (2 * k + 1)) for k, b in enumerate(_BERNOUL
 # B_2k / 2k for k = 1..8: the asymptotic series of the digamma function
 _DIGAMMA = tuple(b / (2 * k + 2) for k, b in enumerate(_BERNOULLI[:8]))
 
+# complex elements in the Euler-Maclaurin kernel's R x N x K block (4 MB)
+_BLOCK_ELEMENTS = 1 << 18
+
 
 class BranchError(RuntimeError):
     """Continuity or realness of the rotated line values broke down."""
@@ -58,78 +65,108 @@ class BranchError(RuntimeError):
 # Hurwitz zeta
 
 
-def _effective_shift(shift: int, t_abs: float) -> int:
-    # Euler-Maclaurin needs the shifted argument to dominate |im s|
-    return max(shift, int(0.9 * t_abs) + 20)
-
-
 def _euler_maclaurin(
-    s: np.ndarray,
-    a: float,
-    shift: int,
-    order: int,
-    ds: bool = False,
-    pole_free: bool = False,
-    step: Optional[float] = None,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """zeta(s, a) over an array of s with a common shift, and d/ds if ``ds``.
+    s: np.ndarray, a, shift: int, order: int, ds: bool = False, pole_free: bool = False,
+    step: Optional[float] = None, weights: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """zeta(s, a) over an array of s and a 1-d array of a, common shift N.
+
+    N = max(``shift``, 0.9 max |im s| + 20): the shifted argument must
+    dominate |im s|.
 
     zeta(s, a) = sum_{n<N} (n+a)^-s + w^(1-s)/(s-1) + w^-s/2 + Bernoulli tail,
     w = N + a.  With ``pole_free`` the 1/(s-1) part of w^(1-s)/(s-1) is
     dropped and the rest summed as a series in s - 1; the dropped parts
     cancel across a nonprincipal character sum, which keeps s = 1 finite.
 
+    ``a`` is one residue or a 1-d array of R of them.  The result has
+    shape (1, R, K): one row per residue, over the K values of s.  With
+    ``ds`` it is (2, R, K), and [1] holds d/ds.  Given ``weights``, one per
+    residue, it is instead the (1 or 2, K) sum of weights times rows,
+    added block by block into one zeroed total as ``total += c * row``,
+    in the order of a, so no row outlives its block.
+
+    The residues go in blocks of at most _BLOCK_ELEMENTS / (N K), and at
+    least one, so the elementwise path's R x N x K exponent array stays
+    near 4 MB whatever q is.  Without the budget, ``zeros --modulus 997
+    --t-max 60`` peaked at 515 MB, against 76 MB with it, and T = 1000
+    would need gigabytes.
+    Each row takes the floating-point operations of a one-residue call:
+    - log w by math.log per residue: np.log rounds about one double in
+      10^4 differently;
+    - s as a 1 x K row before any complex product with a residue's
+      values: numpy rounds a complex product differently when a
+      broadcast of arrays of unequal rank yields one element;
+    - the d/ds direct sum as one ``ln @ e`` per row.
+
     Given ``step`` (values only, not ``ds``), s is a scan's uniform grid
-    s_k = s_0 + i k step, k < K, and the direct sum is one complex product
-    A @ C: with k = B j + r and B = ceil(sqrt(K)),
-    A[r, n] = (n+a)^-(s_0 + i r step) is B x N,
+    s_k = s_0 + i k step, k < K, and each residue's direct sum is one
+    complex product P @ C: with k = B j + r and B = ceil(sqrt(K)),
+    P[r, n] = (n+a)^-(s_0 + i r step) is B x N,
     C[n, j] = (n+a)^-(i B j step) is N x ceil(K/B), and entry (r, j) is the
-    sum at s_k.  That takes N (B + K/B) exps in place of N K.  A last point
-    more than 1e-9 step off the progression, the t_max a scan appends off
-    the step, is summed directly.  The tail is elementwise in s either way.
+    sum at s_k.  That takes N (B + K/B) exps in place of N K.  A block
+    takes a stack of these per-residue products, never one product over
+    all residues: such a shared product, of inner dimension R N, was no
+    faster at q = 5 or 101, and it rounds differently.  A last point more
+    than 1e-9 step off the progression, the t_max a scan appends off the
+    step, is summed directly.  The tail is elementwise in s either way.
     """
-    if not 0.0 < a <= 1.0:
+    a = np.array(a, dtype=np.float64, ndmin=1)
+    if not ((0.0 < a) & (a <= 1.0)).all():
         raise DomainError("a must lie in (0, 1]")
     if not 1 <= order <= len(_BERNOULLI):
         raise DomainError(f"order must be in 1..{len(_BERNOULLI)}")
     if not pole_free and (s == 1.0).any():
         raise DomainError("pole at s = 1")
-    n_shift = _effective_shift(shift, float(np.max(np.abs(s.imag))))
-    ln = np.log(np.arange(n_shift, dtype=np.float64) + a)
+    n_shift = max(shift, int(0.9 * float(np.max(np.abs(s.imag)))) + 20)
+    per_block = max(1, _BLOCK_ELEMENTS // (n_shift * len(s)))
+    rows, total = [], np.zeros((1 + ds, len(s)), dtype=np.complex128)
+    for i in range(0, len(a), per_block):
+        block = _em_block(s, a[i : i + per_block], n_shift, order, ds, pole_free, step)
+        if weights is None:
+            rows.append(block)
+        else:
+            for c, row in zip(weights[i : i + per_block], block.swapaxes(0, 1)):
+                total += c * row
+    return np.concatenate(rows, axis=1) if weights is None else total
+
+
+def _em_block(s, a, n_shift, order, ds, pole_free, step) -> np.ndarray:
+    """``_euler_maclaurin``'s (1 or 2, R, K) rows for one block of residues."""
+    ln = np.log(np.arange(n_shift, dtype=np.float64) + a[:, None])
     if step is None:
-        # exponentiated in place: each fresh N x K temporary page-faults
-        e = np.outer(ln, -s)
+        # exponentiated in place: each fresh R x N x K temporary page-faults
+        e = ln[:, :, None] * -s
         np.exp(e, out=e)
-        head = e.sum(axis=0)
+        head = e.sum(axis=1)
     else:
         k_len = len(s)
         if k_len > 1 and abs(s[-1].imag - s[0].imag - (k_len - 1) * step) > 1e-9 * step:
             k_len -= 1
         b = math.isqrt(k_len - 1) + 1
-        a_mat = np.exp(-np.outer(s[0] + 1j * step * np.arange(b), ln))
-        c_mat = np.exp(np.outer(ln, -1j * b * step * np.arange(-(-k_len // b))))
-        head = (a_mat @ c_mat).ravel(order="F")[:k_len]
+        p_mat = np.exp(-((s[0] + 1j * step * np.arange(b))[:, None] * ln[:, None, :]))
+        c_mat = np.exp(ln[:, :, None] * (-1j * b * step * np.arange(-(-k_len // b))))
+        head = (p_mat @ c_mat).transpose(0, 2, 1).reshape(len(a), -1)[:, :k_len]
         if k_len < len(s):
-            head = np.append(head, np.exp(-ln * s[-1]).sum())
-    w = n_shift + a
-    lw = math.log(w)
+            head = np.append(head, np.exp(-ln * s[-1]).sum(axis=1)[:, None], axis=1)
+    s = s[None]
+    w = n_shift + a[:, None]
+    lws = [math.log(v) for v in w[:, 0]]
+    lw = np.array(lws)[:, None]
     w_pow = np.exp(-s * lw)
     x = s - 1.0
     if pole_free:
         # e^(-x lw)/x - 1/x = sum over m >= 1 of (-lw)^m x^(m-1)/m!
-        series = [(-lw) ** m / math.factorial(m) for m in range(1, 16)]
-        pole = _poly.polyval(x, series)
+        series = np.array([[[(-v) ** m / math.factorial(m)] for v in lws] for m in range(1, 16)])
+        pole, pole_ds = (_poly.polyval(x, c, tensor=False) for c in (series, _poly.polyder(series)))
     else:
         pole = w * w_pow / x
+        pole_ds = -pole * (lw + 1.0 / x) if ds else None
     out = head + pole + 0.5 * w_pow
-    out_ds = None
     if ds:
-        pole_ds = _poly.polyval(x, _poly.polyder(series)) if pole_free else -pole * (lw + 1.0 / x)
-        out_ds = -(ln @ e) + pole_ds - 0.5 * lw * w_pow
+        out_ds = -np.array([lr @ er for lr, er in zip(ln, e)]) + pole_ds - 0.5 * lw * w_pow
         psi_sum = 1.0 / s
-    poch = s.copy()
-    w_fall = w_pow / w
-    fact = 2.0
+    poch, w_fall, fact = s.copy(), w_pow / w, 2.0
     for k in range(1, order + 1):
         term = (_BERNOULLI[k - 1] / fact) * poch * w_fall
         out = out + term
@@ -139,7 +176,7 @@ def _euler_maclaurin(
         poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
         w_fall = w_fall / (w * w)
         fact *= (2 * k + 1) * (2 * k + 2)
-    return out, out_ds
+    return np.stack((out, out_ds)) if ds else out[None]
 
 
 def hurwitz_zeta(s: complex, a: float, shift: int = 30, order: int = 12) -> complex:
@@ -151,39 +188,44 @@ def hurwitz_zeta(s: complex, a: float, shift: int = 30, order: int = 12) -> comp
     the error is about 1e-11 at re s = 0, |im s| near 1e3, and up to 1e-7
     near the zeros of zeta(s, a) on the negative real axis.
     """
-    return complex(_euler_maclaurin(np.array([complex(s)]), a, shift, order)[0][0])
+    return _euler_maclaurin(np.array([s], dtype=complex), a, shift, order).item()
 
 
 def hurwitz_zeta_ds(s: complex, a: float, shift: int = 30, order: int = 12) -> complex:
     """d/ds of hurwitz_zeta, term-by-term on the same expansion."""
-    return complex(_euler_maclaurin(np.array([complex(s)]), a, shift, order, ds=True)[1][0])
+    return _euler_maclaurin(np.array([s], dtype=complex), a, shift, order, ds=True)[1].item()
 
 
 # ---------------------------------------------------------------------------
 # Dirichlet L
 
 
+def _residues(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
+    """(a / q, chi(a)) over the a in 1..q with chi(a) != 0, in increasing a."""
+    c = np.array([chi(a) for a in range(1, chi.modulus + 1)], dtype=np.complex128)
+    a = np.flatnonzero(c) + 1
+    return a / chi.modulus, c[a - 1]
+
+
 def _l_sums(
     s: complex, chi: DirichletCharacter, shift: int, order: int, ds: bool
 ) -> tuple[complex, complex, complex]:
-    """(q^-s, sum_a chi(a) zeta(s, a/q), its d/ds if ``ds``) in one pass.
+    """(q^-s, sum_a chi(a) zeta(s, a/q), its d/ds if ``ds``) in one kernel call.
 
-    A nonprincipal chi within 1e-2 of s = 1 takes the pole-free expansion,
+    The kernel gives one row per residue a with chi(a) != 0.  Each
+    chi(a) zeta(s, a/q) is a Python complex product, and the products are
+    added as Python complex numbers in the order of a: numpy's complex
+    product can round differently, through a fused multiply-add.  A
+    nonprincipal chi within 1e-2 of s = 1 takes the pole-free expansion,
     whose 15-term series in s - 1 ends below 1e-30 there; a principal one
     keeps its genuine pole.
     """
     s = complex(s)
-    q = chi.modulus
     pole_free = not chi.is_principal and abs(s - 1.0) < 1e-2
-    total = total_ds = 0j
-    for a in range(1, q + 1):
-        c = chi(a)
-        if c != 0:
-            val, val_ds = _euler_maclaurin(np.array([s]), a / q, shift, order, ds, pole_free)
-            total += c * complex(val[0])
-            if ds:
-                total_ds += c * complex(val_ds[0])
-    return cmath.exp(-s * math.log(q)), total, total_ds
+    a, c = _residues(chi)
+    rows = _euler_maclaurin(np.array([s]), a, shift, order, ds, pole_free)[:, :, 0].tolist()
+    sums = [reduce(complex.__add__, map(complex.__mul__, c.tolist(), r), 0j) for r in rows]
+    return cmath.exp(-s * math.log(chi.modulus)), sums[0], sums[1] if ds else 0j
 
 
 def l_function(s: complex, chi: DirichletCharacter, shift: int = 30, order: int = 12) -> complex:
@@ -323,20 +365,16 @@ def _l_line(
 ) -> np.ndarray:
     """L(1/2 + it, theta) over a t-grid, shared Euler-Maclaurin shift.
 
-    ``step`` marks t as a uniform grid for the kernel's product path.  With
-    ``ds`` the result is the 2 x len(t) array of L and dL/ds.
+    One kernel call over the residues a with theta(a) != 0 sums
+    theta(a) zeta(s, a/q) in the order of a, block by block, so no
+    residue's row outlives its block.  ``step`` marks t as a uniform grid
+    for the kernel's product path.  With ``ds`` the result is the
+    2 x len(t) array of L and dL/ds.
     """
     q = theta.modulus
     s = 0.5 + 1j * t
-    total = np.zeros((2 if ds else 1, len(t)), dtype=np.complex128)
-    for a in range(1, q + 1):
-        c = theta(a)
-        if c != 0:
-            val, val_ds = _euler_maclaurin(s, a / q, shift, 12, ds, step=step)
-            total[0] += c * val
-            if ds:
-                total[1] += c * val_ds
-    total = np.exp(-s * math.log(q)) * total
+    a, c = _residues(theta)
+    total = np.exp(-s * math.log(q)) * _euler_maclaurin(s, a, shift, 12, ds, step=step, weights=c)
     if not ds:
         return total[0]
     total[1] -= math.log(q) * total[0]
@@ -618,7 +656,7 @@ def _c_star_batch(
     """(c*, |M'|, |imaginary residue|) at every ordinate of ``gammas``.
 
     The ordinates are taken in chunks no wider in t than ``_AUDIT_CHUNK_T``.
-    Per chunk, one ``_m_line_ds`` call (one kernel pass per residue, with
+    Per chunk, one ``_m_line_ds`` call (one kernel call over the residues, with
     d/ds) gives M' at the zeros and M at the 3 shifted points of each.
     c* is NaN where |M'| < 1e-10 (a degenerate zero) or where
     -i M1 M2 M3 / M' has an imaginary residue above 1e-6.

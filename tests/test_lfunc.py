@@ -534,6 +534,83 @@ def test_grid_line_values_match_pointwise(q):
         assert err.max() <= 1e-11, (t[0], len(t), float(err.max()))
 
 
+# the residues a/q of q = 11, as an L-value mod 11 passes them to the kernel
+_RESIDUES = np.arange(1, 12) / 11
+
+
+def _assert_rows_are_one_residue_calls(s, **kw):
+    """Each row of one residue-axis kernel call equals its one-residue call bit for bit."""
+    rows = lfunc._euler_maclaurin(s, _RESIDUES, 30, 12, **kw)
+    assert rows.shape == (1 + kw.get("ds", False), len(_RESIDUES), len(s))
+    for i, a in enumerate(_RESIDUES):
+        one = lfunc._euler_maclaurin(s, a, 30, 12, **kw)
+        assert rows[:, i].tobytes() == one[:, 0].tobytes(), (a, len(s), kw)
+
+
+@pytest.mark.parametrize("ds", (False, True))
+@pytest.mark.parametrize("t", ([900.0], [3.0, 41.5, 899.9], np.linspace(0.5, 900.0, 40)))
+def test_residue_axis_rows_match_one_residue_calls(t, ds):
+    # at 40 points up to t = 900 the residues span two budget blocks
+    _assert_rows_are_one_residue_calls(0.5 + 1j * np.asarray(t), ds=ds)
+
+
+@pytest.mark.parametrize("t0", (0.02, 480.0))
+def test_residue_axis_grid_rows_match_one_residue_calls(t0):
+    for n in (501, 4000):
+        t = t0 + 0.02 * np.arange(n)
+        _assert_rows_are_one_residue_calls(0.5 + 1j * t, step=0.02)
+    # 4001 points: the 4000-point progression and an off-step endpoint
+    t = np.append(t, t[-1] + 0.013)
+    _assert_rows_are_one_residue_calls(0.5 + 1j * t, step=0.02)
+
+
+@pytest.mark.parametrize("ds", (False, True))
+def test_residue_axis_pole_free_rows_match_one_residue_calls(ds):
+    for s in ([1.0 - 1e-3], [1.0 + 1e-3], [1.0 - 1e-3, 1.0, 1.0 + 1e-3 + 2e-4j]):
+        _assert_rows_are_one_residue_calls(np.array(s, dtype=complex), ds=ds, pole_free=True)
+
+
+def test_residue_block_budget_leaves_every_bit(monkeypatch):
+    chi = primitive_characters(11)[3]
+    t = np.linspace(0.5, 900.0, 40)
+    grid = 480.0 + 0.02 * np.arange(4000)
+
+    def values():
+        out = [lfunc._l_line(chi, t), lfunc._l_line(chi, t[:1])]
+        out += [lfunc._l_line(chi, grid, step=0.02)]
+        out += lfunc._m_line_ds(chi, t) + lfunc._m_line_ds(chi, t[-1:])
+        out += [np.array([l_function(s, chi) for s in (1.0, 1.0005, 0.5 + 10j, 0.3 + 899j)])]
+        return [np.asarray(v).tobytes() for v in out]
+
+    default = values()
+    # one residue per block, whatever N and K
+    monkeypatch.setattr(lfunc, "_BLOCK_ELEMENTS", 1)
+    assert values() == default
+
+
+def test_residue_blocks_keep_to_the_budget(monkeypatch):
+    blocks = []
+    em_block = lfunc._em_block
+
+    def spy(s, a, n_shift, *args):
+        blocks.append((len(a), n_shift, len(s)))
+        return em_block(s, a, n_shift, *args)
+
+    monkeypatch.setattr(lfunc, "_em_block", spy)
+    chi = primitive_characters(101)[5]
+    # a refinement-sized call, an audit-sized call and a whole scan panel
+    for call in (
+        lambda: lfunc._m_line_ds(chi, np.linspace(500.0, 501.0, 20)),
+        lambda: lfunc._m_line_ds(chi, np.linspace(0.5, 80.0, 400)),
+        lambda: lfunc._l_line(chi, 0.02 + 0.02 * np.arange(4000), step=0.02),
+    ):
+        blocks.clear()
+        call()
+        assert sum(r for r, _, _ in blocks) == 100 and len(blocks) > 1, blocks
+        for r, n, k in blocks:
+            assert r == 1 or r * n * k <= lfunc._BLOCK_ELEMENTS, (r, n, k)
+
+
 def test_find_zeros_validation():
     chi = real_primitive_character(4)
     with pytest.raises(DomainError):
