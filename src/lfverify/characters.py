@@ -1,10 +1,12 @@
 """Dirichlet characters at small moduli and the arithmetic coefficient layer.
 
-Real primitive characters come from the quadratic (Kronecker) symbol; full
-character groups for small composite moduli are assembled from primitive
-roots of the odd prime-power factors and the two-generator structure at
-powers of 2.  On top of the tables sit the multiplicative coefficients used
-by the verification (divisor-sum transforms of a character and their
+Real primitive characters come from the quadratic (Kronecker) symbol.  A
+full character group is indexed by exponent vectors on the unit-group
+generators: a primitive root for each odd prime-power factor, and -1 and 5
+at powers of 2.  The vector gives each character's values from one table of
+roots of unity at exact integer phases, and its conductor, parity and
+realness exactly.  On top of the tables sit the multiplicative coefficients
+used by the verification (divisor-sum transforms of a character and their
 Dirichlet inverses) and brute-force checks of the identities they satisfy.
 """
 
@@ -214,25 +216,6 @@ class DirichletCharacter:
                 raise AssertionError(f"support wrong at {n} mod {q}")
 
 
-def _finish(modulus: int, values: list[complex]) -> DirichletCharacter:
-    vals = tuple(_snap(v) for v in values)
-    parity = int(round(vals[(modulus - 1) % modulus].real)) if modulus > 1 else 1
-    real = all(abs(v.imag) < 1e-13 for v in vals)
-    conductor = modulus
-    for f in divisors(modulus):
-        ok = True
-        for a in range(1, modulus, f) if f < modulus else [1]:
-            if math.gcd(a, modulus) == 1 and abs(vals[a % modulus] - 1.0) > 1e-9:
-                ok = False
-                break
-        if ok:
-            conductor = f
-            break
-    return DirichletCharacter(
-        modulus, vals, parity, conductor == modulus, real, conductor
-    )
-
-
 def real_primitive_character(big_d: int) -> DirichletCharacter:
     """The real primitive character mod D, when one exists.
 
@@ -247,10 +230,8 @@ def real_primitive_character(big_d: int) -> DirichletCharacter:
         d = -big_d
     else:
         raise DomainError(f"no real primitive character mod {big_d}")
-    values = [complex(kronecker_symbol(d, n)) for n in range(big_d)]
-    chi = _finish(big_d, values)
-    assert chi.primitive and chi.real
-    return chi
+    values = tuple(complex(kronecker_symbol(d, n)) for n in range(big_d))
+    return DirichletCharacter(big_d, values, 1 if d > 0 else -1, True, True, big_d)
 
 
 def _primitive_root(p: int, e: int) -> int:
@@ -278,46 +259,66 @@ def _local_generators(p: int, e: int) -> list[tuple[int, int]]:
     return [(_primitive_root(p, e), pe // p * (p - 1))]
 
 
+def _local_conductor(p: int, e: int, exps: list[int]) -> int:
+    """Conductor of the character mod p^e with these generator exponents."""
+    if not any(exps):
+        return 1
+    if p == 2 and (e == 2 or exps[1] == 0):
+        return 4
+    # the exponent on the primitive root, or on 5 mod 2^e: the character
+    # is trivial on the units = 1 mod p^f exactly when p^(e-f) divides it
+    k, v = exps[-1], 0
+    while v < e - 1 and k % p == 0:
+        k //= p
+        v += 1
+    return p ** (e - v)
+
+
 def character_group(q: int) -> list[DirichletCharacter]:
-    """All phi(q) characters mod q, deterministic order."""
+    """All phi(q) characters mod q, deterministic order.
+
+    A character is its vector of exponents k_i on the unit-group generators,
+    chi(g_i) = e(k_i / order_i), and every fact about it is exact: the
+    conductor is the product of the local conductors, the parity is the
+    value at q - 1, and the character is real when each 2 k_i = 0 mod order_i.
+    """
     if q < 1:
         raise DomainError("modulus must be positive")
-    if q == 1:
-        return [DirichletCharacter(1, (1 + 0j,), 1, True, True, 1)]
-    fact = factorize(q)
-    locals_: list[tuple[int, list[tuple[int, int]], dict[int, tuple[int, ...]]]] = []
-    for p, e in fact.items():
+    residues = np.arange(q)
+    orders: list[int] = []
+    logs: list[np.ndarray] = []  # discrete log of each residue, per generator
+    pieces = []  # (p, e, slice of the exponent vector)
+    for p, e in factorize(q).items():
         pe = p**e
         gens = _local_generators(p, e)
-        dlog: dict[int, tuple[int, ...]] = {}
-        ranges = [range(order) for _, order in gens]
-        for exps in _iproduct(*ranges) if gens else [()]:
+        dlog = np.zeros((len(gens), pe), dtype=np.int64)
+        for exps in _iproduct(*[range(order) for _, order in gens]):
             n = 1
             for (g, _), k in zip(gens, exps):
                 n = n * pow(g, k, pe) % pe
-            dlog[n] = exps
-        locals_.append((pe, gens, dlog))
+            dlog[:, n] = exps
+        pieces.append((p, e, slice(len(orders), len(orders) + len(gens))))
+        orders += [order for _, order in gens]
+        logs += list(dlog[:, residues % pe])
 
-    chars = []
-    all_orders = [order for _, gens, _ in locals_ for _, order in gens]
     # phases in units of 1/lcm of the orders: exact integers, and the true
-    # division rot / lcm rounds the rational phase correctly
-    lcm = math.lcm(*all_orders)
-    for choice in _iproduct(*[range(o) for o in all_orders]):
-        values: list[complex] = []
-        for n in range(q):
-            if math.gcd(n, q) > 1:
-                values.append(0j)
-                continue
-            rot = 0
-            idx = 0
-            for pe, gens, dlog in locals_:
-                exps = dlog[n % pe]
-                for (_, order), k in zip(gens, exps):
-                    rot += choice[idx] * k * (lcm // order)
-                    idx += 1
-            values.append(cmath.exp(2j * cmath.pi * (rot % lcm / lcm)))
-        chars.append(_finish(q, values))
+    # division k / lcm rounds the rational phase correctly; the extra phase
+    # lcm marks the non-units, whose value is 0j
+    lcm = math.lcm(*orders)
+    roots = [_snap(cmath.exp(2j * cmath.pi * (k / lcm))) for k in range(lcm)]
+    roots = np.array(roots + [0j], dtype=object)
+    choices = np.array(list(_iproduct(*map(range, orders))), dtype=np.int64)
+    scale = lcm // np.array(orders, dtype=np.int64)
+    phases = (choices * scale) @ np.array(logs, dtype=np.int64).reshape(len(orders), q)
+    phases %= lcm
+    phases[:, np.gcd(residues, q) > 1] = lcm
+    chars = []
+    for choice, phase in zip(choices.tolist(), phases):
+        conductor = math.prod(_local_conductor(p, e, choice[s]) for p, e, s in pieces)
+        real = all(2 * k % order == 0 for k, order in zip(choice, orders))
+        parity = 1 if phase[q - 1] == 0 else -1
+        values = tuple(roots[phase].tolist())
+        chars.append(DirichletCharacter(q, values, parity, conductor == q, real, conductor))
     return chars
 
 
@@ -326,8 +327,8 @@ def primitive_characters(q: int) -> list[DirichletCharacter]:
 
 
 def principal_character(q: int) -> DirichletCharacter:
-    values = [complex(1 if math.gcd(n, q) == 1 else 0) for n in range(q)] if q > 1 else [1 + 0j]
-    return _finish(q, values)
+    values = tuple(complex(math.gcd(n, q) == 1) for n in range(q))
+    return DirichletCharacter(q, values, 1, q == 1, True, 1)
 
 
 def gauss_sum(theta: DirichletCharacter) -> complex:
@@ -453,10 +454,6 @@ def identity_810_gap(n: int, chi: DirichletCharacter) -> float:
     return abs(lhs - rhs) / abs(rhs)
 
 
-def check_identity_810(n: int, chi: DirichletCharacter) -> bool:
-    return identity_810_gap(n, chi) <= 1e-12
-
-
 def check_lemma_171(
     chi: DirichletCharacter,
     s: float = 2.0,
@@ -490,8 +487,3 @@ def coefficient_bound_margin(n_max: int, chi: DirichletCharacter) -> float:
     nu_arr, ups, vs, tau2 = (t[1:] for t in _coefficient_table(n_max, chi))
     nv = nu_arr.real
     return float(max(np.max(np.abs(ups) - nv), np.max(nv - tau2), np.max(np.abs(vs) - nv * tau2)))
-
-
-def check_coefficient_bounds(n_max: int, chi: DirichletCharacter) -> bool:
-    """|upsilon| <= nu <= tau_2 and |varsigma(n)| <= nu(n) tau_2(n) up to n_max."""
-    return coefficient_bound_margin(n_max, chi) <= 1e-9

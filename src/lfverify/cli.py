@@ -34,7 +34,8 @@ _ELIGIBILITY_FACTOR = 3.0
 _C_STAR_FLOOR = -1e-9
 # hurwitz_zeta holds its stated 1e-12 relative accuracy up to |t| = 1e3
 _T_MAX_LIMIT = 1000.0
-# primitive_characters builds all phi(q) value tables, O(q^2) time and memory
+# primitive_characters holds all phi(q) value tables of q entries each, and
+# the scan's cost per panel grows with the q residues, so q stays desk-scale
 _MODULUS_LIMIT = 1000
 
 

@@ -272,7 +272,7 @@ def compute_d_constants(model: LimitModel = None, tol: float = 1e-10) -> Constan
             + (slope / _PI) * mix1
             + (slope / (z2 * _PI)) * i4.conjugate() * mix2,
             (cj * _PI / slope) * e_mm
-            + (slope / (z2 * _PI)) * (e_f7d + e_x2)
+            + abs((slope / (z2 * _PI)) * i4.conjugate()) * (e_f7d + e_x2)
             + (slope / _PI) * e_x1,
         )
 

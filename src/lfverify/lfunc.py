@@ -9,9 +9,9 @@ and their derivatives, and critical-line values each make one call: an
 L-value sums chi(a) zeta(s, a/q) over the kernel's residue rows.
 Around it sit the reflection and functional-equation factors, a
 real-valued rotation of the L-function on the critical line, sign-change
-zero scanning with gap statistics, the signed triple-product ratio at a
-zero, and the desk-scale smoothing weights (error-function step, Gaussian
-window, its oscillatory transform and Mellin integral).
+zero scanning, the signed triple-product ratio at a zero, and the
+desk-scale smoothing weights (error-function step, Gaussian window, its
+oscillatory transform and Mellin integral).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as _poly
@@ -616,33 +616,6 @@ def find_zeros(
         gammas.extend(_refine(psi, grid[ix], grid[ix + 1], flo[i], vals[ix + 1], 1e-12 * scale))
     zeros = tuple(CriticalZero(float(g), _ZERO_RADIUS) for g in gammas)
     return ScanResult(zeros, flagged, len(panel_starts))
-
-
-@dataclass(frozen=True)
-class GapStats:
-    count: int
-    mean: float
-    minimum: float
-    maximum: float
-    histogram: tuple[tuple[float, float, int], ...]
-    note: str = ""
-
-
-def gap_stats(zeros: Union[ScanResult, Iterable[CriticalZero]], bins: int = 10) -> GapStats:
-    """Consecutive-gap summary; flagged intervals are excluded and noted."""
-    note = ""
-    if isinstance(zeros, ScanResult) and zeros.flagged:
-        note = f"{len(zeros.flagged)} flagged interval(s) excluded from statistics"
-    gammas = sorted(z.gamma for z in zeros)
-    if len(gammas) < 2:
-        raise DomainError("need at least two zeros for gap statistics")
-    gaps = np.diff(gammas)
-    edges = np.linspace(0.0, float(gaps.max()), bins + 1)
-    counts, _ = np.histogram(gaps, bins=edges)
-    hist = tuple(
-        (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(bins)
-    )
-    return GapStats(len(gaps), float(gaps.mean()), float(gaps.min()), float(gaps.max()), hist, note)
 
 
 # a chunk of the c* audit spans at most one scan panel at the default step,

@@ -9,8 +9,6 @@ from lfverify.characters import (
     DirichletCharacter,
     _coefficient_table,
     character_group,
-    check_coefficient_bounds,
-    check_identity_810,
     check_lemma_171,
     coefficient_bound_margin,
     divisors,
@@ -141,6 +139,56 @@ def test_value_table_guard():
         DirichletCharacter(3, (1 + 0j,), 1, False, True, 1)
 
 
+def _brute_force_facts(chi):
+    """Parity, primitivity, realness and conductor re-derived from the float
+    table: chi(q - 1), |imag| < 1e-13, and a scan of the divisors f of q for
+    the first that chi sees only through n mod f."""
+    q, vals = chi.modulus, chi.values
+    parity = int(round(vals[q - 1].real))
+    real = all(abs(v.imag) < 1e-13 for v in vals)
+    conductor = next(
+        f
+        for f in divisors(q)
+        if all(
+            math.gcd(a, q) > 1 or abs(vals[a % q] - 1.0) <= 1e-9
+            for a in (range(1, q, f) if f < q else [1])
+        )
+    )
+    return parity, conductor == q, real, conductor
+
+
+def test_exact_facts_match_brute_force():
+    for q in [*range(1, 131), 243, 256, 720]:
+        for chi in character_group(q):
+            assert (chi.parity, chi.primitive, chi.real, chi.conductor) == _brute_force_facts(chi)
+
+
+def _fundamental(d):
+    if d % 4 == 1:
+        return mobius(abs(d)) != 0
+    return d % 16 in (8, 12) and mobius(abs(d) // 4) != 0
+
+
+def test_real_primitive_character_is_the_group_member():
+    checked = 0
+    for big_d in range(3, 201):
+        signs = [s for s in (1, -1) if _fundamental(s * big_d)]
+        if not signs:
+            with pytest.raises(DomainError):
+                real_primitive_character(big_d)
+            continue
+        chi = real_primitive_character(big_d)
+        assert chi.real and chi.primitive and chi.conductor == big_d
+        # the even character when both signs are fundamental (D = 8)
+        assert chi.parity == signs[0]
+        (member,) = [
+            c for c in primitive_characters(big_d) if c.real and c.parity == chi.parity
+        ]
+        assert member.values == chi.values, big_d
+        checked += 1
+    assert checked == 111
+
+
 def test_nu_upsilon_varsigma_small_values():
     chi = real_primitive_character(4)
     # nu(n) counts divisors weighted by chi; hand values for small n
@@ -202,16 +250,13 @@ def test_coefficient_table_matches_trial_division(modulus):
 def test_coefficient_bounds_hold_with_exact_margin():
     for d in (3, 4, 5, 8):
         chi = real_primitive_character(d)
-        margin = coefficient_bound_margin(2000, chi)
-        assert margin <= 1e-9
-        assert check_coefficient_bounds(2000, chi)
+        assert coefficient_bound_margin(2000, chi) <= 1e-9
 
 
 def test_identity_810_spot_values():
     chi = real_primitive_character(3)
     for n in (1, 2, 7, 12, 36, 97, 360, 1024, 9973):
         assert identity_810_gap(n, chi) <= 1e-12
-        assert check_identity_810(n, chi)
 
 
 def test_identity_810_complex_character():

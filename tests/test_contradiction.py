@@ -1,10 +1,12 @@
 """Constant pipeline against the independently computed Simpson-grid values."""
 
+import itertools
 import math
 
 import pytest
 
 from conftest import assert_close
+from lfverify import contradiction
 from lfverify.contradiction import (
     ConstantTable,
     MissingConstantError,
@@ -86,6 +88,27 @@ def test_drift_inequalities(d_table):
     assert dp.real > 5.1
     assert 0.0 < dd.real < 0.1
     assert (dp + dd).real > 5.0
+
+
+def _d_table_with_quad(monkeypatch, quad):
+    """compute_d_constants with the i-th quadrature replaced by quad(i)."""
+    counter = itertools.count()
+    monkeypatch.setattr(contradiction, "_quad", lambda f, a, b, tol: quad(next(counter)))
+    return compute_d_constants(), next(counter)
+
+
+def test_d_errors_are_the_sum_of_absolute_coefficients(monkeypatch):
+    # each d entry is a combination of quadratures, some conjugated; with a
+    # unit error on every quadrature its error must be the sum of the
+    # |coefficients|, each read off by a quadrature that is 1 on one call
+    unit_error, n_quad = _d_table_with_quad(monkeypatch, lambda i: (0.0, 1.0))
+    probes = [
+        _d_table_with_quad(monkeypatch, lambda i, k=k: (float(i == k), 0.0))[0]
+        for k in range(n_quad)
+    ]
+    for name in unit_error.names():
+        expected = sum(abs(p.value(name)) for p in probes)
+        assert unit_error.error(name) == pytest.approx(expected, rel=1e-12), name
 
 
 def test_e_constants_match_grid(e_table, frozen_constants):

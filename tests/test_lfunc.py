@@ -29,7 +29,6 @@ from lfverify.lfunc import (
     export_zeros_csv,
     find_zeros,
     g_weight,
-    gap_stats,
     gauss_sum,
     hurwitz_zeta,
     hurwitz_zeta_ds,
@@ -623,18 +622,6 @@ def test_find_zeros_validation():
 
     with pytest.raises(DomainError):
         find_zeros(principal_character(4), 1.0, 10.0)
-
-
-def test_gap_stats():
-    zs = [CriticalZero(float(g), 1e-9) for g in (1.0, 2.5, 3.0, 5.0)]
-    stats = gap_stats(zs, bins=4)
-    assert stats.count == 3
-    assert stats.minimum == 0.5
-    assert stats.maximum == 2.0
-    assert abs(stats.mean - 4.0 / 3.0) < 1e-15
-    assert sum(n for _, _, n in stats.histogram) == 3
-    with pytest.raises(DomainError):
-        gap_stats([CriticalZero(1.0, 1e-9)])
 
 
 def test_c_star_real_and_guarded():
