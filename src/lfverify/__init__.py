@@ -3,8 +3,9 @@
 The package recomputes, from first principles and at desk scale, every
 explicitly checkable object the argument rests on:
 
-* ``kernels`` / ``numerics``: the limit kernel closed forms and a
-  deterministic adaptive quadrature;
+* ``kernels`` / ``numerics``: the limit kernel closed forms, the fixed
+  Gauss-Legendre panel of the constants, and a deterministic adaptive
+  quadrature for the window transforms;
 * ``contradiction``: the full constant pipeline and the claimed
   inequality chain, reported rather than asserted;
 * ``characters`` / ``eulerprod``: Dirichlet characters, the arithmetic

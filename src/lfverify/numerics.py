@@ -1,10 +1,11 @@
-"""Deterministic adaptive quadrature and the package's shared error types.
+"""Gauss-Legendre quadrature and the package's shared error types.
 
-The integrator runs fixed-order Gauss-Legendre panels (15-point value rule,
-7-point companion rule) with bisection on the worst panel until the summed
-|G15 - G7| disagreement meets the tolerance.  That disagreement is an error
-estimate, not a bound.  No randomness, no parallelism: identical inputs give
-identical outputs.
+``gauss_legendre`` is one 15-point panel; the constant pipeline integrates
+each of its exponential-polynomial integrands with it.  ``integrate`` runs
+such panels with a 7-point companion rule, bisecting the worst panel until
+the summed |G15 - G7| disagreement meets the tolerance; the window
+transforms use it.  That disagreement is an error estimate, not a bound.  No
+randomness, no parallelism: identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -54,12 +55,16 @@ def _eval(f: Callable, x: np.ndarray) -> np.ndarray:
     return np.array([complex(f(float(t))) for t in x])
 
 
-def _panel(f: Callable, a: float, b: float) -> tuple[complex, float]:
+def gauss_legendre(f: Callable, a: float, b: float) -> complex:
+    """One 15-point Gauss-Legendre panel over [a, b]."""
     mid, half = (a + b) / 2.0, (b - a) / 2.0
-    y15 = _eval(f, mid + half * _NODES15)
-    y7 = _eval(f, mid + half * _NODES7)
-    v15 = half * complex(np.dot(_WEIGHTS15, y15))
-    v7 = half * complex(np.dot(_WEIGHTS7, y7))
+    return half * complex(np.dot(_WEIGHTS15, _eval(f, mid + half * _NODES15)))
+
+
+def _panel(f: Callable, a: float, b: float) -> tuple[complex, float]:
+    v15 = gauss_legendre(f, a, b)
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    v7 = half * complex(np.dot(_WEIGHTS7, _eval(f, mid + half * _NODES7)))
     return v15, abs(v15 - v7)
 
 

@@ -366,7 +366,5 @@ def test_criterion_14_cli_determinism(tmp_path):
     "misses its bound and the command reports that honestly with exit 1",
 )
 def test_cli_constants_example_exit_code(tmp_path):
-    code = main(
-        ["constants", "--tol", "1e-10", "--format", "json", "--out", str(tmp_path / "r.json")]
-    )
+    code = main(["constants", "--format", "json", "--out", str(tmp_path / "r.json")])
     assert code == 0

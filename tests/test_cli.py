@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +37,16 @@ def test_constants_document_shape(tmp_path):
     assert doc["zeros"] is None
     assert doc["identities"] == []
     assert len(doc["notes"]) == 3
-    assert doc["meta"]["quadrature_tol"] == 1e-10
+    assert doc["meta"]["quadrature_tol"] is None
+    assert doc["meta"]["parameters"] == {}
     assert "timestamp" in doc["meta"]
 
 
-def test_constants_tol_flag_propagates(tmp_path):
-    code, doc = run_constants(tmp_path, "--tol", "1e-08")
-    assert code == 1
-    assert doc["meta"]["quadrature_tol"] == 1e-8
+def test_constants_tol_flag_is_refused(tmp_path):
+    # the constants are one fixed Gauss-Legendre panel each; there is no tolerance
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--tol", "1e-8", "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
 
 
 def test_constants_stdout_json(capsys):
@@ -62,6 +65,10 @@ def test_constants_markdown(tmp_path):
     assert "| name | computed | claim | claimed | tolerance | pass |" in text
     assert text.count("| NO |") == 1
     assert "c3_real" in text
+    footer = text.rstrip("\n").splitlines()[-1]
+    assert footer.startswith("_generated ") and footer.endswith("_")
+    datetime.fromisoformat(footer[len("_generated ") : -1])
+    assert "tol" not in footer
 
 
 def test_constants_bad_out_path():
@@ -111,6 +118,21 @@ def test_identities_input_validation(tmp_path):
     assert main(["identities", "--moduli", ","]) == 2
     # no real primitive character mod 6
     assert main(["identities", "--max-n", "10", "--moduli", "6"]) == 2
+
+
+def test_identities_modulus_limit(monkeypatch, capsys):
+    # 10^9 + 7 has a real primitive character; building its 10^9-entry table
+    # would not finish, so the entry is refused before any table is built
+    build = lfverify.characters.real_primitive_character
+
+    def guarded(q):
+        assert q <= 1000, f"built the table mod {q}"
+        return build(q)
+
+    monkeypatch.setattr(lfverify.characters, "real_primitive_character", guarded)
+    assert main(["identities", "--max-n", "10", "--moduli", "3,1000000007"]) == 2
+    assert "at most 1000" in capsys.readouterr().err
+    assert main(["identities", "--max-n", "10", "--moduli", "1001"]) == 2
 
 
 def test_identities_checks_coefficient_bounds_up_to_max_n(monkeypatch):

@@ -1,6 +1,5 @@
 """Constant pipeline against the independently computed Simpson-grid values."""
 
-import itertools
 import math
 
 import pytest
@@ -21,9 +20,10 @@ from lfverify.contradiction import (
     run_verification,
     short_window_checks,
 )
-from lfverify.kernels import default_model
+from lfverify.kernels import LimitModel, default_model
+from lfverify.numerics import integrate
 
-CROSS_TOL = 1e-12  # adaptive quadrature vs frozen Simpson grid, both near machine precision
+CROSS_TOL = 1e-12  # one Gauss-Legendre panel vs frozen Simpson grid, both near machine precision
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,6 @@ def e_table():
 def test_b_matrix_matches_independent_grid(b_table, frozen_constants):
     for name in b_table.names():
         assert_close(b_table.value(name), frozen_constants[name], CROSS_TOL, name)
-        assert b_table.error(name) < 1e-9
 
 
 def test_b44_equals_b22(b_table):
@@ -90,25 +89,22 @@ def test_drift_inequalities(d_table):
     assert (dp + dd).real > 5.0
 
 
-def _d_table_with_quad(monkeypatch, quad):
-    """compute_d_constants with the i-th quadrature replaced by quad(i)."""
-    counter = itertools.count()
-    monkeypatch.setattr(contradiction, "_quad", lambda f, a, b, tol: quad(next(counter)))
-    return compute_d_constants(), next(counter)
+def test_every_panel_matches_adaptive_quadrature(monkeypatch):
+    # each integrand is compared when it is integrated: the closures read the
+    # loop variables of the compute_* function that builds them
+    panel = contradiction._quad
+    gaps = []
 
+    def recording_quad(f, a, b):
+        value = panel(f, a, b)
+        reference = integrate(f, a, b, tol=1e-13).value
+        gaps.append(abs(value - reference) / max(1.0, abs(reference)))
+        return value
 
-def test_d_errors_are_the_sum_of_absolute_coefficients(monkeypatch):
-    # each d entry is a combination of quadratures, some conjugated; with a
-    # unit error on every quadrature its error must be the sum of the
-    # |coefficients|, each read off by a quadrature that is 1 on one call
-    unit_error, n_quad = _d_table_with_quad(monkeypatch, lambda i: (0.0, 1.0))
-    probes = [
-        _d_table_with_quad(monkeypatch, lambda i, k=k: (float(i == k), 0.0))[0]
-        for k in range(n_quad)
-    ]
-    for name in unit_error.names():
-        expected = sum(abs(p.value(name)) for p in probes)
-        assert unit_error.error(name) == pytest.approx(expected, rel=1e-12), name
+    monkeypatch.setattr(contradiction, "_quad", recording_quad)
+    run_verification()
+    assert len(gaps) == 80
+    assert max(gaps) <= 1e-14
 
 
 def test_e_constants_match_grid(e_table, frozen_constants):
@@ -155,11 +151,9 @@ def test_j1_bound_matches_grid(frozen_constants):
 def test_constant_table_api(b_table):
     with pytest.raises(MissingConstantError):
         b_table.value("b99")
-    with pytest.raises(MissingConstantError):
-        b_table.error("b99")
     assert "b11" in b_table
     assert "b99" not in b_table
-    merged = b_table.merged(ConstantTable({"extra": (1.0 + 0j, 0.0)}))
+    merged = b_table.merged(ConstantTable({"extra": 1.0 + 0j}))
     assert "extra" in merged and "b11" in merged
 
 
@@ -167,7 +161,6 @@ def test_report_shape(report, records):
     assert len(report.records) == 27
     assert len(set(records)) == 27
     assert report.notes
-    assert report.metadata["quadrature_tol"] == 1e-10
 
 
 def test_exactly_one_record_fails(report):
@@ -191,7 +184,30 @@ def test_record_kinds_cover_all_comparisons(records):
     assert kinds == {"equals", "less_than", "greater_than", "abs_less_than"}
 
 
-def test_report_tolerance_propagates():
-    rep = run_verification(tol=1e-8)
-    assert rep.metadata["quadrature_tol"] == 1e-8
-    assert [r.name for r in rep.failed_records()] == ["c3_real"]
+def test_notes_at_the_default_model(report):
+    assert report.notes == (
+        "the j->0 limit constant takes the fourth product-factor family equal "
+        "to the second, the only reading consistent with the mixing weights; "
+        "its factor values are exp(0.756*pi*i), exp(1.25*pi*i), exp(0.747*pi*i)",
+        "cross entries of the second block are normalized by the product of "
+        "the two distinct window lengths, and the fast-slow cross entry "
+        "carries the short-gap phase advance exp(0.005*pi*i)",
+        "the final negative constant computes to -6.99093, short of the "
+        "claimed bound -6.9951 by 4.2e-3; the shortfall is recorded as a "
+        "failing record on purpose",
+    )
+
+
+def test_notes_follow_the_model():
+    factors, gap, final = run_verification(LimitModel(z3=0.49, shift_b=0.004)).notes
+    assert factors.endswith("exp(0.756*pi*i), exp(1.25*pi*i), exp(0.735*pi*i)")
+    assert gap.endswith("exp(0.01*pi*i)")
+    assert final.startswith("the final negative constant computes to -6.98217, short of the ")
+    # a c3 that clears its bound is reported as such
+    rep = run_verification(LimitModel(z1=0.51))
+    assert rep.notes[0].endswith("exp(0.765*pi*i), exp(1.25*pi*i), exp(0.747*pi*i)")
+    assert "c3_real" not in [r.name for r in rep.failed_records()]
+    assert rep.notes[2] == (
+        "the final negative constant computes to -7.01076, "
+        "below the claimed bound -6.9951 by 1.6e-2"
+    )
