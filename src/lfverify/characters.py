@@ -8,6 +8,9 @@ roots of unity at exact integer phases, and its conductor, parity and
 realness exactly.  On top of the tables sit the multiplicative coefficients
 used by the verification (divisor-sum transforms of a character and their
 Dirichlet inverses) and brute-force checks of the identities they satisfy.
+The divisor-pair identity is checked for a whole array of n in one numpy
+pass, in blocks of a fixed number of divisor pairs, with the float
+operations of the term-by-term composition in ascending prime order.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ from .numerics import DomainError
 # elementary arithmetic helpers
 
 _SPF = np.arange(2, dtype=np.int32)  # smallest prime factor of each index
+# factorize sieves below this and trial-divides above it
+_SIEVE_LIMIT = 10**7
+# pairs (n, r) per identity_810_gaps block: 512 KB per int64 or float array
+_PAIR_ELEMENTS = 1 << 16
 
 
 def _ensure_sieve(n: int) -> None:
@@ -46,7 +53,7 @@ def factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise DomainError(f"cannot factor {n}")
     out: dict[int, int] = {}
-    if n < 10**7:
+    if n < _SIEVE_LIMIT:
         _ensure_sieve(n)
         while n > 1:
             p = _SPF.item(n)
@@ -385,7 +392,9 @@ def _coefficient_table(n_max: int, chi: DirichletCharacter) -> tuple[np.ndarray,
         mu[p * p :: p * p] = 0
     nu_arr = _dirichlet(one, chi_arr)
     ups = _dirichlet(mu, mu * chi_arr)
-    return nu_arr, ups, _dirichlet(nu_arr, ups, cap=chi.modulus**4), _dirichlet(one, one)
+    tau2 = _dirichlet(one, one)
+    del one, chi_arr, mu  # the capped product copies both factors
+    return nu_arr, ups, _dirichlet(nu_arr, ups, cap=chi.modulus**4), tau2
 
 
 def nu(n: int, chi: DirichletCharacter) -> complex:
@@ -423,35 +432,96 @@ def identity_810_gap(n: int, chi: DirichletCharacter) -> float:
     """Relative gap in the divisor-pair identity
     sum over n=dr of |mu(r)|/phi(r) * Pi(d,r) = n/phi(n).
 
-    n is factored once.  Its exponents give phi(n) and every squarefree
-    divisor r with phi(r) and the prime sets of r and d = n/r; Pi(d, r)
-    comes from the helper behind ``eulerprod.cap_pi``.  The terms are summed
-    over ascending r, and each prime set is built from a dict in ascending
-    prime order as ``set(factorize(.))`` is, so the result matches the
-    term-by-term composition of ``divisors``, ``mobius``, ``cap_pi`` and
-    ``euler_phi`` to the last bit.
+    The scalar entry point: one n through ``identity_810_gaps``.
     """
-    from .eulerprod import _pi_over_primes
+    return float(identity_810_gaps([n], chi)[0])
 
-    phi_n = n
-    # (r, phi(r), primes of r, primes of n/r), each prime list ascending
-    squarefree = [(1, 1, [], [])]
-    for p, e in factorize(n).items():
-        phi_n = phi_n // p * (p - 1)
-        squarefree = [
-            row
-            for r, phi, rp, dp in squarefree
-            for row in (
-                (r, phi, rp, dp + [p]),
-                (r * p, phi * (p - 1), rp + [p], dp + [p] if e > 1 else dp),
-            )
-        ]
-    lhs = 0.0
-    for r, phi_r, r_primes, d_primes in sorted(squarefree):
-        d_set, r_set = set(dict.fromkeys(d_primes)), set(dict.fromkeys(r_primes))
-        lhs += _pi_over_primes(d_set, r_set, chi) / phi_r
-    rhs = n / phi_n
-    return abs(lhs - rhs) / abs(rhs)
+
+def identity_810_gaps(ns, chi: DirichletCharacter) -> np.ndarray:
+    """``identity_810_gap`` at every n of ``ns`` in one numpy pass.
+
+    Each n's distinct primes come from the sieve in ascending order, as
+    rows padded with 1, and give phi(n).  Subset doubling over the rows
+    makes every squarefree divisor r with phi(r).  Per pair, Pi(d, r) takes
+    the float operations of ``eulerprod.cap_pi`` in ascending prime order,
+    the padding dividing and multiplying by an exact 1.0, and the terms
+    Pi / phi(r) are added in ascending r from 0.0 by ``np.bincount``, which
+    accumulates in sequence.  So each gap matches the term-by-term
+    composition of ``divisors``, ``mobius``, ``cap_pi`` and ``euler_phi`` to
+    the last bit.
+
+    The n are factored _PAIR_ELEMENTS // 8 at a time, so their prime rows
+    (at most 8 primes below 10^7) fit the budget, and split into blocks of
+    at most _PAIR_ELEMENTS pairs (n, r), and at least one n, so the pair
+    arrays stay near 512 KB each whatever the length of ``ns``.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    if ns.size:
+        if not 1 <= ns.min() <= ns.max() < _SIEVE_LIMIT:
+            raise DomainError(f"the identity is checked at 1 <= n < {_SIEVE_LIMIT}")
+        _ensure_sieve(int(ns.max()))
+    gaps = np.empty(len(ns))
+    step = _PAIR_ELEMENTS // 8
+    for lo in range(0, len(ns), step):
+        chunk = ns[lo : lo + step]
+        primes = _prime_rows(chunk)
+        ends = np.cumsum(1 << (primes > 1).sum(axis=0))  # pairs up to each n
+        i = 0
+        while i < len(chunk):
+            base = ends[i - 1] if i else 0
+            j = max(i + 1, int(np.searchsorted(ends, base + _PAIR_ELEMENTS, side="right")))
+            gaps[lo + i : lo + j] = _gap_block(chunk[i:j], primes[:, i:j], chi)
+            i = j
+    return gaps
+
+
+def _prime_rows(ns: np.ndarray) -> np.ndarray:
+    """Distinct primes of each n down a column, ascending, padded with 1."""
+    rest, rows = ns.copy(), []
+    while True:
+        p = _SPF[rest].astype(np.int64)  # the sieve maps 1 to 1
+        live = np.flatnonzero(p > 1)
+        if not live.size:
+            return np.array(rows, dtype=np.int64).reshape(len(rows), len(ns))
+        rows.append(p)
+        while live.size:
+            rest[live] //= p[live]
+            live = live[rest[live] % p[live] == 0]
+
+
+def _gap_block(ns: np.ndarray, primes: np.ndarray, chi: DirichletCharacter) -> np.ndarray:
+    """Gaps at ns, whose distinct primes are the columns of ``primes``."""
+    phi_n = ns.copy()
+    for p in primes:
+        phi_n = phi_n // p * np.maximum(p - 1, 1)
+    # Pi's factors per prime, exactly 1.0 at the padding
+    pad = primes == 1
+    inv = 1.0 / primes
+    c_over_p = np.array([v.real for v in chi.values])[primes % chi.modulus] / primes
+    local = np.where(pad, 1.0, 1.0 - c_over_p)
+    unramified = np.divide(1.0 - inv - c_over_p, 1.0 - inv, out=np.ones_like(inv), where=~pad)
+
+    # pair s of n takes the primes at the set bits of s, and doubles the
+    # pair without its top bit; then the pairs go in ascending r per n
+    counts = 1 << (~pad).sum(axis=0)
+    idx = np.repeat(np.arange(len(ns)), counts)
+    bits = np.arange(len(idx)) - np.repeat(np.cumsum(counts) - counts, counts)
+    r, phi_r = np.ones_like(idx), np.ones_like(idx)
+    for k, p in enumerate(primes):
+        top = np.flatnonzero(bits >> k == 1)
+        pk = p[idx[top]]
+        r[top] = r[top - (1 << k)] * pk
+        phi_r[top] = phi_r[top - (1 << k)] * (pk - 1)
+    order = np.argsort(idx * _SIEVE_LIMIT + r, kind="stable")  # r <= n < _SIEVE_LIMIT
+    bits, phi_r = bits[order], phi_r[order]  # idx is already in order
+
+    pi = np.ones(len(idx))
+    for k in range(len(primes)):
+        pi /= local[k, idx]
+        pi *= np.where(bits >> k & 1, 1.0, unramified[k, idx])
+    lhs = np.bincount(idx, weights=pi / phi_r, minlength=len(ns))
+    rhs = ns / phi_n
+    return np.abs(lhs - rhs) / np.abs(rhs)
 
 
 def check_lemma_171(

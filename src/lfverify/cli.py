@@ -26,6 +26,8 @@ import math
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import characters, contradiction, eulerprod, lfunc
 from .numerics import ConvergenceError, DomainError
 
@@ -154,7 +156,7 @@ def _identity_rows(max_n: int, moduli: list[int]) -> list[tuple[str, float, bool
     rows: list[tuple[str, float, bool]] = []
     for q in moduli:
         chi = characters.real_primitive_character(q)
-        worst = max(characters.identity_810_gap(n, chi) for n in range(1, max_n + 1))
+        worst = float(characters.identity_810_gaps(np.arange(1, max_n + 1), chi).max())
         rows.append((f"divisor_sum_mod{q}", worst, worst <= 1e-12))
         _, _, gap = characters.check_lemma_171(chi)
         rows.append((f"euler_product_mod{q}", gap, gap < 1e-4))
@@ -204,6 +206,10 @@ def cmd_identities(args) -> int:
         return 2
     if not moduli:
         print("error: --moduli is empty", file=sys.stderr)
+        return 2
+    repeated = sorted({q for q in moduli if moduli.count(q) > 1})
+    if repeated:
+        print(f"error: --moduli repeats {', '.join(map(str, repeated))}", file=sys.stderr)
         return 2
     if max(moduli) > _MODULUS_LIMIT:
         print(f"error: --moduli entries must be at most {_MODULUS_LIMIT}", file=sys.stderr)

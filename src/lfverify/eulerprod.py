@@ -103,13 +103,14 @@ def cap_pi(d: int, r: int, chi: DirichletCharacter, strict: bool = True) -> floa
 
 
 def _pi_over_primes(d_primes: set[int], r_primes: set[int], chi: DirichletCharacter) -> float:
-    """Pi(d, r) from the prime sets of d and r, multiplied in the union's order.
+    """Pi(d, r) from the prime sets of d and r, multiplied in ascending prime order.
 
-    Callers build each set from a factorization dict, as ``set(factorize(.))``
-    does, so that the product's rounding does not depend on the caller.
+    The order is fixed, so the product's rounding does not depend on how the
+    caller built its sets, and ``characters.identity_810_gaps`` repeats the
+    same float operations.
     """
     out = 1.0
-    for q in d_primes | r_primes:
+    for q in sorted(d_primes | r_primes):
         c = chi(q).real
         out /= 1.0 - c / q
         if q in d_primes and q not in r_primes:

@@ -1,7 +1,9 @@
 """Character tables, arithmetic transforms, and the divisor-pair identity."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from lfverify import characters, eulerprod
@@ -17,6 +19,7 @@ from lfverify.characters import (
     frak_a,
     gauss_sum,
     identity_810_gap,
+    identity_810_gaps,
     kronecker_symbol,
     mobius,
     nu,
@@ -272,15 +275,75 @@ def test_identity_810_bit_identical_to_composition(modulus):
         chi = next(c for c in primitive_characters(5) if not c.real)
     else:
         chi = real_primitive_character(modulus)
-    # past 3000: n whose prime sets, built from lists instead of dicts,
-    # iterate in another order and round the product differently
-    for n in [*range(1, 3001), 7770, 14910, 21210, 34170]:
+    ns = [*range(1, 3001), 7770, 14910, 21210, 34170]
+    for n, gap in zip(ns, identity_810_gaps(ns, chi).tolist()):
         lhs = 0.0
         for r in divisors(n):
             if mobius(r) != 0:
                 lhs += cap_pi(n // r, r, chi, strict=False) / euler_phi(r)
         rhs = n / euler_phi(n)
-        assert identity_810_gap(n, chi).hex() == (abs(lhs - rhs) / abs(rhs)).hex(), n
+        assert gap.hex() == (abs(lhs - rhs) / abs(rhs)).hex(), n
+
+
+@pytest.mark.parametrize("n", [7770, 14910, 21210, 34170])
+def test_cap_pi_does_not_depend_on_how_the_sets_were_built(n):
+    # sets of these primes built from lists and from dicts iterate in
+    # different orders; the product must not follow that order
+    primes = list(factorize(n))
+    for chi in map(real_primitive_character, (3, 4, 5, 8)):
+        for r in divisors(n):
+            if mobius(r) == 0:
+                continue
+            d_list = [p for p in primes if (n // r) % p == 0]
+            r_list = [p for p in primes if r % p == 0]
+            from_lists = eulerprod._pi_over_primes(set(d_list), set(r_list), chi)
+            from_dicts = eulerprod._pi_over_primes(
+                set(dict.fromkeys(d_list)), set(dict.fromkeys(r_list)), chi
+            )
+            pi = cap_pi(n // r, r, chi, strict=False)
+            assert from_lists.hex() == from_dicts.hex() == pi.hex(), (chi.modulus, r)
+
+
+def test_identity_810_blocks_keep_to_the_budget(monkeypatch):
+    chi = real_primitive_character(4)
+    ns = np.arange(1, 3001)
+    whole = identity_810_gaps(ns, chi)
+    budget = 64  # n <= 3000 has at most 2^5 squarefree divisors
+    blocks = []
+    gap_block = characters._gap_block
+
+    def spy(block, primes, chi):
+        blocks.append(block.tolist())
+        return gap_block(block, primes, chi)
+
+    monkeypatch.setattr(characters, "_PAIR_ELEMENTS", budget)
+    monkeypatch.setattr(characters, "_gap_block", spy)
+    blocked = identity_810_gaps(ns, chi)
+    assert [g.hex() for g in blocked.tolist()] == [g.hex() for g in whole.tolist()]
+    assert len(blocks) > 100
+    assert sum(blocks, []) == ns.tolist()
+    for block in blocks:
+        pairs = sum(2 ** len(factorize(n)) for n in block)
+        assert pairs <= budget, (block, pairs)
+
+
+def test_identity_810_scalar_matches_array():
+    chi = next(c for c in primitive_characters(5) if not c.real)
+    ns = random.Random(810).sample(range(1, 200_000), 50)
+    gaps = identity_810_gaps(ns, chi).tolist()
+    assert [identity_810_gap(n, chi).hex() for n in ns] == [g.hex() for g in gaps]
+
+
+def test_identity_810_domain():
+    chi = real_primitive_character(3)
+    assert identity_810_gap(1, chi) == 0.0
+    assert identity_810_gaps([1, 1], chi).tolist() == [0.0, 0.0]
+    assert identity_810_gaps([], chi).shape == (0,)
+    for bad in (0, -6):
+        with pytest.raises(DomainError):
+            identity_810_gap(bad, chi)
+        with pytest.raises(DomainError):
+            identity_810_gaps([5, bad, 7], chi)
 
 
 def test_identity_810_factors_each_n_once(monkeypatch):

@@ -135,6 +135,18 @@ def test_identities_modulus_limit(monkeypatch, capsys):
     assert main(["identities", "--max-n", "10", "--moduli", "1001"]) == 2
 
 
+def test_identities_refuses_repeated_moduli(monkeypatch, capsys):
+    # a repeated modulus would give its rows twice under one name
+    def unreachable(max_n, moduli):
+        raise AssertionError("checked a repeated modulus")
+
+    monkeypatch.setattr(lfverify.cli, "_identity_rows", unreachable)
+    assert main(["identities", "--max-n", "10", "--moduli", "3,3"]) == 2
+    assert "repeats 3" in capsys.readouterr().err
+    assert main(["identities", "--max-n", "10", "--moduli", "4,5,8,5,4"]) == 2
+    assert "repeats 4, 5" in capsys.readouterr().err
+
+
 def test_identities_checks_coefficient_bounds_up_to_max_n(monkeypatch):
     from lfverify import characters, cli
 
