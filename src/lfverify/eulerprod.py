@@ -1,11 +1,19 @@
 """Per-prime convolution algebra and its exactly-checkable identities.
 
-Three families of multiplicative coefficients (three-, two-, and one-factor
-quotients of shifted zeta local factors), their tilted partial sums over the
-set of integers supported on a fixed prime, and the rational product
-Pi(d, r).  The identity checker evaluates both sides of each named local
-identity: with all shifts zero the two sides agree to rounding; with small
-nonzero shifts the gap obeys an explicit decay envelope in the prime.
+At a prime q = 1/u with shifts beta_1..beta_3 and v = chi(q) in {-1, 0, 1},
+the coefficients c_r are those of (1 - x) / prod_{j<=k} (1 - q^{-beta_j} x)
+for k = 3, 2 or 1 factors.  Each identity case is a bracket
+1 + lam * sum_{r>=1} w^r xi_r, where xi_r is the open tail
+T_r = sum_{eta>=0} c_{r+eta} wt^eta or just c_r, less the Mobius term
+mob * c_{r-1} if the case has one.  The weights depend only on k.  The
+three-factor family is evaluated at s = 1 - beta_1 and chi-weighted:
+wt = u^{1-beta_1}, mob = u^{beta_1} / (1 - u), w = v u.  For k < 3 the
+character sits in the tail: wt = v u, mob = v / (1 - u), w = u.
+
+``_CASES`` is the one table of the cases.  With all shifts zero the two
+sides of each case agree to rounding; with small nonzero shifts the gap
+obeys an explicit decay envelope in the prime.  The module also holds the
+rational product Pi(d, r) of the divisor-pair identity.
 """
 
 from __future__ import annotations
@@ -17,12 +25,53 @@ from typing import Sequence
 from .characters import DirichletCharacter, factorize
 from .numerics import DomainError
 
-_CASES = ("A1", "A2", "A3", "A6", "A7", "L152", "L161", "L162")
-# public alias: the named identity cases accepted by check_local_identity
-IDENTITY_CASES = _CASES
-
 # enough series terms for |weight| <= 0.72 to reach 1e-17 tails
 _SERIES_LEN = 260
+
+
+def _one(u: float, v: int, b: Sequence[complex]) -> float:
+    return 1.0
+
+
+def _ratio(u: float, v: int, shifts: Sequence[complex]) -> complex:
+    """prod over the shifts of (1 - v u^{1+beta}), divided by 1 - v u."""
+    return math.prod(1.0 - v * u ** (1.0 + bj) for bj in shifts) / (1.0 - v * u)
+
+
+def _value_a6(u: float, v: int) -> float:
+    return 1.0 / (1.0 - u) - u * v * (1.0 - v * u) / (1.0 - u) ** 2
+
+
+# case: (k, open tail, Mobius term, prefactor(u, v, b), lam(u, v, b), value(u, v)).
+# A1-A3 fix the channel j = 1, so their prefactor takes the other two shifts;
+# A1's lam is prod_j (1 - u^{s+beta_j}) / (1 - u^s) at s = 1 - beta_1.
+# L162's left side is the ratio of its bracket to the same bracket with the
+# Mobius term, so it has no prefactor.
+_CASES = {
+    "A1": (3, True, True, lambda u, v, b: _ratio(u, v, b[1:]),
+           lambda u, v, b: math.prod(1.0 - u ** (1.0 - b[0] + bj) for bj in b)
+           / (1.0 - u ** (1.0 - b[0])),
+           lambda u, v: 1.0),
+    "A2": (3, False, False, lambda u, v, b: _ratio(u, v, b[1:]), _one,
+           lambda u, v: 1.0 / (1.0 - v * u)),
+    "A3": (3, False, True, lambda u, v, b: _ratio(u, v, b[1:]), _one,
+           lambda u, v: (1.0 - u - v * u) / ((1.0 - v * u) * (1.0 - u))),
+    "A6": (2, True, True, _one, lambda u, v, b: _ratio(u, v, b[:2]), _value_a6),
+    "A7": (2, True, True, _one, lambda u, v, b: _ratio(u, v, b[:2]), _value_a6),
+    "L152": (2, True, True,
+             lambda u, v, b: (1.0 - u ** (1.0 + b[0])) * (1.0 - u ** (1.0 + b[1]))
+             / ((1.0 - u) * (1.0 - v * u)),
+             lambda u, v, b: _ratio(u, v, b[:2]),
+             lambda u, v: 1.0 if v == 0 else (1.0 - v * u * u) / (1.0 - u * u)),
+    "L161": (1, True, True,
+             lambda u, v, b: (1.0 - u ** (1.0 + b[0])) / ((1.0 - u) * (1.0 - v * u)),
+             lambda u, v, b: _ratio(u, v, b[:1]),
+             lambda u, v: (1.0 - v * u / (1.0 - u)) / (1.0 - v * u)),
+    "L162": (1, True, False, None, lambda u, v, b: _ratio(u, v, b[:1]),
+             lambda u, v: 1.0 / (1.0 - v * u / (1.0 - u))),
+}
+# public: the named identity cases accepted by check_local_identity
+IDENTITY_CASES = tuple(_CASES)
 
 
 @dataclass(frozen=True)
@@ -39,58 +88,84 @@ class LocalFactorParams:
             raise DomainError("u must be the reciprocal of an integer >= 2")
         if self.v not in (-1, 0, 1):
             raise DomainError("v must be -1, 0 or 1")
+        if len(self.betas) != 3:
+            raise DomainError("betas must hold exactly three shifts")
 
 
-def _num_denom(variant: str, a: Sequence[complex]) -> tuple[list[complex], list[complex]]:
-    if variant == "kappa":
-        factors = a[:3]
-    elif variant == "kappa1":
-        factors = a[:2]
-    elif variant == "kappa2":
-        factors = a[:1]
-    else:
-        raise DomainError(f"unknown coefficient variant {variant!r}")
+def _coeffs(k: int, betas: Sequence[complex], q: float) -> list[complex]:
+    """c_0 .. c_{_SERIES_LEN - 1} of (1 - x) / prod_{j<=k} (1 - q^{-beta_j} x)."""
     denom = [1 + 0j]
-    for c in factors:
-        denom = [x - (c * denom[i - 1] if i else 0) for i, x in enumerate(denom + [0j])]
-    # denom now expands prod (1 - a_j x); numerator is (1 - x)
-    return [1 + 0j, -1 + 0j], denom
-
-
-def _series_div(num: list[complex], denom: list[complex], length: int) -> list[complex]:
-    out = [0j] * length
-    for r in range(length):
-        acc = num[r] if r < len(num) else 0j
-        for k in range(1, min(r, len(denom) - 1) + 1):
-            acc -= denom[k] * out[r - k]
+    for b in betas[:k]:
+        a = q ** (-b)
+        denom = [x - (a * denom[i - 1] if i else 0) for i, x in enumerate(denom + [0j])]
+    out = [0j] * _SERIES_LEN
+    for r in range(_SERIES_LEN):
+        acc = (1 + 0j, -1 + 0j)[r] if r < 2 else 0j
+        for j in range(1, min(r, k) + 1):
+            acc -= denom[j] * out[r - j]
         out[r] = acc  # denom[0] == 1
     return out
 
 
-def _coeffs(variant: str, betas: Sequence[complex], q: float, length: int) -> list[complex]:
-    a = [q ** (-b) for b in betas]
-    num, denom = _num_denom(variant, a)
-    return _series_div(num, denom, length)
-
-
-def _kappa_tilde_prime(
-    coeffs: Sequence[complex], r: int, weight: complex, blocked: bool
+def _early_sum(
+    c: Sequence[complex], first: int, stop: int, weight: complex, w: complex, last_kept: int,
+    wt: complex = 0, mob: complex | None = None,
 ) -> complex:
-    """Sum over q-power tails: sum_eta coeffs[r+eta] * weight^eta."""
-    if blocked or weight == 0:
-        return coeffs[r]
+    """Sum over first <= i < stop of x_i * w * weight^(i - first).
+
+    x_i is c_i, or the open tail T_i = sum_eta c_{i+eta} wt^eta if wt is
+    nonzero, less mob * c_{i-1} if mob is given.  The sum stops after two
+    negligible terms in a row, but not before index last_kept + 1.
+    """
     total: complex = 0.0
-    w: complex = 1.0
     small_run = 0
-    for eta in range(len(coeffs) - r):
-        term = coeffs[r + eta] * w
+    for i in range(first, stop):
+        x = _early_sum(c, i, len(c), wt, 1.0, i + 4) if wt else c[i]
+        if mob is not None:
+            x -= mob * c[i - 1]
+        term = x * w
         total += term
         # a single term can vanish by accident; stop on two tiny in a row
         small_run = small_run + 1 if abs(term) < 1e-18 * max(1.0, abs(total)) else 0
-        if eta > 4 and small_run >= 2:
+        if i > last_kept and small_run >= 2:
             break
         w *= weight
     return total
+
+
+def check_local_identity(
+    case: str, params: LocalFactorParams
+) -> tuple[complex, complex, float]:
+    """Evaluate (lhs, rhs, |lhs-rhs|) for a named per-prime identity.
+
+    The rhs is the exact rational value of the limit with all shifts zero;
+    the lhs is the series evaluation at the given shifts.
+    """
+    if case not in _CASES:
+        raise DomainError(f"unknown identity case {case!r}")
+    u, v, b = params.u, params.v, params.betas
+    if case == "A6" and v == 0:
+        raise DomainError("A6 needs v = +-1; use A7 for v = 0")
+    if case == "L162" and v == 1 and abs(u - 0.5) < 1e-12:
+        raise DomainError("L162 is singular at u=1/2, v=1")
+    k, open_tail, mobius, prefactor, lam, value = _CASES[case]
+    c = _coeffs(k, b, 1.0 / u)
+    if k == 3:
+        wt, mob, w = u ** (1.0 - b[0]), u ** b[0] / (1.0 - u), v * u
+    else:
+        wt, mob, w = v * u, v / (1.0 - u), u
+    wt = wt if open_tail else 0
+    lam_b = lam(u, v, b)
+
+    def bracket(mob_r: complex | None) -> complex:
+        return 1.0 + lam_b * _early_sum(c, 1, len(c) - 1, w, w, 4, wt, mob_r)
+
+    if prefactor is None:  # L162
+        lhs = bracket(None) / bracket(mob)
+    else:
+        lhs = prefactor(u, v, b) * bracket(mob if mobius else None)
+    rhs = value(u, v)
+    return complex(lhs), complex(rhs), abs(lhs - rhs)
 
 
 def cap_pi(d: int, r: int, chi: DirichletCharacter, strict: bool = True) -> float:
@@ -116,121 +191,3 @@ def _pi_over_primes(d_primes: set[int], r_primes: set[int], chi: DirichletCharac
         if q in d_primes and q not in r_primes:
             out *= (1.0 - 1.0 / q - c / q) / (1.0 - 1.0 / q)
     return out
-
-
-# ---------------------------------------------------------------------------
-# local identity checker
-
-
-def _bare_xi_sum(
-    variant: str,
-    coeffs: Sequence[complex],
-    u: float,
-    v: int,
-    betas: Sequence[complex],
-    case: str,
-) -> complex:
-    """sum over r >= 1 of (series weight)^r * xi(q^r; ...) for the named case."""
-    q = 1.0 / u
-    if variant == "kappa":
-        # three-factor family at evaluation point 1 - beta_1, chi-weighted sum
-        tilde_w = u ** (1.0 - betas[0])       # q^{-(1-beta_1)}
-        mob = u**betas[0] / (1.0 - u)          # q^{1-beta_1}/phi(q) * q^{-1}... see below
-        sum_w = v * u                           # chi(q^r)/q^r at s=1
-    else:
-        tilde_w = v * u                          # chi(q)/q at s=1
-        mob = v / (1.0 - u)                      # chi(q) q/phi(q) * q^{-1}... see below
-        sum_w = u                                # plain 1/q^r at s=1
-    # the Mobius term of xi(q^r) is -mob * coeffs[r-1] after pulling one q^{-s}
-    # out of the summation weight: q^{1-b}/phi(q) * q^{-rs} = mob * q^{-(r-1)s}
-    total: complex = 0.0
-    w: complex = 1.0
-    small_run = 0
-    for r in range(1, len(coeffs) - 1):
-        w *= sum_w
-        if case == "A2":
-            xi_r = coeffs[r]                                   # blocked, no Mobius term
-        elif case == "A3":
-            xi_r = coeffs[r] - mob * coeffs[r - 1]             # blocked tail
-        elif case == "L162":
-            xi_r = _kappa_tilde_prime(coeffs, r, tilde_w, False)   # no Mobius term
-        else:  # A1, A6, A7, L152, L161: open tail plus Mobius term
-            xi_r = _kappa_tilde_prime(coeffs, r, tilde_w, False) - mob * coeffs[r - 1]
-        term = w * xi_r
-        total += term
-        small_run = small_run + 1 if abs(term) < 1e-18 * max(1.0, abs(total)) else 0
-        if r > 4 and small_run >= 2:
-            break
-    return total
-
-
-def check_local_identity(
-    case: str, params: LocalFactorParams
-) -> tuple[complex, complex, float]:
-    """Evaluate (lhs, rhs, |lhs-rhs|) for a named per-prime identity.
-
-    The rhs is the exact rational value of the limit with all shifts zero;
-    the lhs is the series evaluation at the given shifts.  A1-A3 fix the
-    channel j=1 (prefactor built from the second and third shifts).
-    """
-    if case not in _CASES:
-        raise DomainError(f"unknown identity case {case!r}")
-    u, v, betas = params.u, params.v, params.betas
-    q = 1.0 / u
-
-    if case in ("A1", "A2", "A3"):
-        coeffs = _coeffs("kappa", betas, q, _SERIES_LEN)
-        s_eval = 1.0 - betas[0]
-        pref = (1.0 - v * u ** (1.0 + betas[1])) * (1.0 - v * u ** (1.0 + betas[2])) / (
-            1.0 - v * u
-        )
-        if case == "A1":
-            lam: complex = 1.0
-            for b in betas:
-                lam *= 1.0 - u ** (s_eval + b)
-            lam /= 1.0 - u**s_eval
-        else:
-            lam = 1.0
-        bracket = 1.0 + lam * _bare_xi_sum("kappa", coeffs, u, v, betas, case)
-        lhs = pref * bracket
-        rhs = {
-            "A1": 1.0,
-            "A2": 1.0 / (1.0 - v * u),
-            "A3": (1.0 - u - v * u) / ((1.0 - v * u) * (1.0 - u)),
-        }[case]
-        return complex(lhs), complex(rhs), abs(lhs - rhs)
-
-    if case in ("A6", "A7", "L152"):
-        if case == "A6" and v == 0:
-            raise DomainError("A6 needs v = +-1; use A7 for v = 0")
-        coeffs = _coeffs("kappa1", betas, q, _SERIES_LEN)
-        lam = (1.0 - v * u ** (1.0 + betas[0])) * (1.0 - v * u ** (1.0 + betas[1])) / (
-            1.0 - v * u
-        )
-        bracket = 1.0 + lam * _bare_xi_sum("kappa1", coeffs, u, v, betas, case)
-        if case in ("A6", "A7"):
-            lhs: complex = bracket
-            rhs = 1.0 / (1.0 - u) - u * v * (1.0 - v * u) / (1.0 - u) ** 2
-        else:
-            pref = (1.0 - u ** (1.0 + betas[0])) * (1.0 - u ** (1.0 + betas[1])) / (
-                (1.0 - u) * (1.0 - v * u)
-            )
-            lhs = pref * bracket
-            rhs = 1.0 if v == 0 else (1.0 - v * u * u) / (1.0 - u * u)
-        return complex(lhs), complex(rhs), abs(lhs - rhs)
-
-    # L161 / L162
-    if case == "L162" and v == 1 and abs(u - 0.5) < 1e-12:
-        raise DomainError("L162 is singular at u=1/2, v=1")
-    coeffs = _coeffs("kappa2", betas, q, _SERIES_LEN)
-    lam = (1.0 - v * u ** (1.0 + betas[0])) / (1.0 - v * u)
-    open_bracket = 1.0 + lam * _bare_xi_sum("kappa2", coeffs, u, v, betas, "L161")
-    if case == "L161":
-        pref = (1.0 - u ** (1.0 + betas[0])) / ((1.0 - u) * (1.0 - v * u))
-        lhs = pref * open_bracket
-        rhs = (1.0 - v * u / (1.0 - u)) / (1.0 - v * u)
-    else:
-        blocked_bracket = 1.0 + lam * _bare_xi_sum("kappa2", coeffs, u, v, betas, "L162")
-        lhs = blocked_bracket / open_bracket
-        rhs = 1.0 / (1.0 - v * u / (1.0 - u))
-    return complex(lhs), complex(rhs), abs(lhs - rhs)

@@ -191,11 +191,6 @@ def hurwitz_zeta(s: complex, a: float, shift: int = 30, order: int = 12) -> comp
     return _euler_maclaurin(np.array([s], dtype=complex), a, shift, order).item()
 
 
-def hurwitz_zeta_ds(s: complex, a: float, shift: int = 30, order: int = 12) -> complex:
-    """d/ds of hurwitz_zeta, term-by-term on the same expansion."""
-    return _euler_maclaurin(np.array([s], dtype=complex), a, shift, order, ds=True)[1].item()
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet L
 

@@ -29,6 +29,10 @@ def test_params_validation():
         LocalFactorParams(u=0.2, v=2, betas=ZERO)
     with pytest.raises(DomainError):
         check_local_identity("B9", LocalFactorParams(u=0.2, v=0, betas=ZERO))
+    with pytest.raises(DomainError, match="three shifts"):
+        LocalFactorParams(u=0.2, v=1, betas=(0j,))
+    with pytest.raises(DomainError, match="three shifts"):
+        LocalFactorParams(u=0.2, v=1, betas=ZERO + (0j,))
 
 
 @pytest.mark.parametrize("case", IDENTITY_CASES)
@@ -85,6 +89,46 @@ def test_large_prime_envelope():
                     case, LocalFactorParams(u=1.0 / p, v=v, betas=betas)
                 )
                 assert gap <= bound, f"{case} v={v} p={p}: {gap:.3e} > {bound:.3e}"
+
+
+# frozen (lhs, rhs) at p = 101 and betas = i pi 1e-3 (1, 2, 3): at zero shift
+# the factors collapse, so a swapped shift index shows only at nonzero shifts
+_SHIFTED_AT_101 = {
+    ("A1", -1): ((0.9999998763865714+2.670868552907303e-09j), (1+0j)),
+    ("A1", 0): ((1+0j), (1+0j)),
+    ("A1", 1): ((1.0000001260856972-2.7242859236943986e-09j), (1+0j)),
+    ("A2", -1): ((0.9901970787767725+0.00014074715326265592j), (0.9901960784313726+0j)),
+    ("A2", 0): ((1+0j), (1+0j)),
+    ("A2", 1): ((1.0099989171984765-0.00014643272853000894j), (1.01+0j)),
+    ("A3", -1): ((1.0000980292122323-1.4074715326265657e-06j), (1.0000980392156862+0j)),
+    ("A3", 0): ((1+0j), (1+0j)),
+    ("A3", 1): ((0.9999000108280153+1.4643272853000558e-06j), (0.9999+0j)),
+    ("A6", -1): ((1.020194392221301-0.00044804894680316207j), (1.0202+0j)),
+    ("A6", 1): ((0.999994586247585-0.000439265538577157j), (1+0j)),
+    ("A7", -1): ((1.020194392221301-0.00044804894680316207j), (1.0202+0j)),
+    ("A7", 0): ((1.0099945437964781-0.00043926459672293043j), (1.01+0j)),
+    ("A7", 1): ((0.999994586247585-0.000439265538577157j), (1+0j)),
+    ("L152", -1): ((1.0001959857036258-4.263016857117274e-06j), (1.0001960784313724+0j)),
+    ("L152", 0): ((1-1.0842021724855044e-19j), (1+0j)),
+    ("L152", 1): ((0.9999999903211735-4.35012398685721e-06j), (1+0j)),
+    ("L161", -1): ((1.0000980392156862+2.710505431213761e-20j), (1.0000980392156862+0j)),
+    ("L161", 0): ((0.9999999999999999+2.710505431213761e-20j), (1+0j)),
+    ("L161", 1): ((0.9998999787685525-2.9286607885577653e-06j), (0.9999+0j)),
+    ("L162", -1): ((0.9900990201034919+1.4073306868020025e-06j), (0.9900990099009901+0j)),
+    ("L162", 0): ((1+0j), (1+0j)),
+    ("L162", 1): ((1.0101010209279002+1.4940622961455269e-06j), (1.0101010101010102+0j)),
+}
+
+
+@pytest.mark.parametrize("case_v", tuple(_SHIFTED_AT_101), ids=lambda cv: f"{cv[0]}-v{cv[1]}")
+def test_shifted_values_are_frozen(case_v):
+    betas = tuple(1j * math.pi * k * 1e-3 for k in (1, 2, 3))
+    case, v = case_v
+    lhs, rhs, gap = check_local_identity(case, LocalFactorParams(u=1.0 / 101, v=v, betas=betas))
+    ref_lhs, ref_rhs = _SHIFTED_AT_101[case_v]
+    assert abs(lhs - ref_lhs) <= 1e-13 * abs(ref_lhs)
+    assert abs(rhs - ref_rhs) <= 1e-13 * abs(ref_rhs)
+    assert gap == abs(lhs - rhs)
 
 
 def test_cap_pi_basics():

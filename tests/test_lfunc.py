@@ -31,7 +31,6 @@ from lfverify.lfunc import (
     g_weight,
     gauss_sum,
     hurwitz_zeta,
-    hurwitz_zeta_ds,
     l_function,
     l_function_ds,
     m_function,
@@ -70,21 +69,20 @@ def test_l_function_derivative_matches_difference_quotient():
 
 
 @pytest.mark.parametrize("s", (1.0, 2.0))
-@pytest.mark.parametrize("fn", (hurwitz_zeta, hurwitz_zeta_ds, l_function, l_function_ds))
+@pytest.mark.parametrize("fn", (hurwitz_zeta, l_function, l_function_ds))
 def test_every_entry_point_checks_order(fn, s):
-    arg = 1.0 if fn in (hurwitz_zeta, hurwitz_zeta_ds) else real_primitive_character(4)
+    arg = 1.0 if fn is hurwitz_zeta else real_primitive_character(4)
     for order in (0, 13):
         with pytest.raises(DomainError, match="order"):
             fn(s, arg, order=order)
 
 
 def test_hurwitz_domain_and_poles():
-    for fn in (hurwitz_zeta, hurwitz_zeta_ds):
-        for a in (0.0, 1.5):
-            with pytest.raises(DomainError, match="a must"):
-                fn(2.0, a)
-        with pytest.raises(DomainError, match="pole"):
-            fn(1.0, 0.5)
+    for a in (0.0, 1.5):
+        with pytest.raises(DomainError, match="a must"):
+            hurwitz_zeta(2.0, a)
+    with pytest.raises(DomainError, match="pole"):
+        hurwitz_zeta(1.0, 0.5)
     for fn in (l_function, l_function_ds):
         with pytest.raises(DomainError, match="pole"):
             fn(1.0, principal_character(4))
@@ -119,8 +117,6 @@ _SPECIAL_VALUES = {
     "zeta((0.5 + 100.0j),0.3)": lambda: hurwitz_zeta(0.5 + 100j, 0.3),
     "zeta((0.5 + 1000.0j),1.0)": lambda: hurwitz_zeta(0.5 + 1000j, 1.0),
     "zeta((-0.8 + 41.5j),0.6)": lambda: hurwitz_zeta(-0.8 + 41.5j, 0.6),
-    "zeta'(2.0,0.3)": lambda: hurwitz_zeta_ds(2.0, 0.3),
-    "zeta'((1.5 + 2.0j),0.7)": lambda: hurwitz_zeta_ds(1.5 + 2j, 0.7),
     "L(2,chi4)": lambda: l_function(2.0, _oracle_chi("chi4")),
     "L(1,chi3)": lambda: l_function(1.0, _oracle_chi("chi3")),
     "L(1,chi4)": lambda: l_function(1.0, _oracle_chi("chi4")),
