@@ -1,12 +1,12 @@
 """Small-modulus L-function engine.
 
 One vectorized Euler-Maclaurin kernel evaluates Hurwitz zeta over an array
-of s and an axis of residues a, with its s-derivative on request and a
-pole-free mode that keeps a nonprincipal character sum finite at s = 1.
-It takes the residues in blocks under a fixed memory budget, and each row
-rounds as a one-residue call would.  Hurwitz values, Dirichlet L-values
-and their derivatives, and critical-line values each make one call: an
-L-value sums chi(a) zeta(s, a/q) over the kernel's residue rows.
+of s and an axis of residues a, at the shift N = max(30, 0.9 max |im s| + 20)
+with 12 Bernoulli terms, with its s-derivative on request and a pole-free
+mode that keeps a nonprincipal character sum finite at s = 1.  It takes the
+residues in blocks under a fixed memory budget, and each row rounds as a
+one-residue call would.  Every L-value and its derivative, at one s or
+along the critical line, is one call that sums chi(a) zeta(s, a/q).
 Around it sit the reflection and functional-equation factors, a
 real-valued rotation of the L-function on the critical line, sign-change
 zero scanning, the signed triple-product ratio at a zero, and the
@@ -20,7 +20,6 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -31,7 +30,7 @@ from .numerics import _NODES15, _WEIGHTS15, ConvergenceError, DomainError, integ
 
 _TWO_PI = 2.0 * math.pi
 
-# B_2 .. B_24 as exact fractions, enough for the correction orders we allow
+# B_2 .. B_24 as exact fractions: the 12 terms of the Euler-Maclaurin tail
 _BERNOULLI = (
     1.0 / 6,
     -1.0 / 30,
@@ -66,18 +65,19 @@ class BranchError(RuntimeError):
 
 
 def _euler_maclaurin(
-    s: np.ndarray, a, shift: int, order: int, ds: bool = False, pole_free: bool = False,
+    s: np.ndarray, a, ds: bool = False, pole_free: bool = False,
     step: Optional[float] = None, weights: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """zeta(s, a) over an array of s and a 1-d array of a, common shift N.
 
-    N = max(``shift``, 0.9 max |im s| + 20): the shifted argument must
+    N = max(30, 0.9 max |im s| + 20): the shifted argument must
     dominate |im s|.
 
     zeta(s, a) = sum_{n<N} (n+a)^-s + w^(1-s)/(s-1) + w^-s/2 + Bernoulli tail,
-    w = N + a.  With ``pole_free`` the 1/(s-1) part of w^(1-s)/(s-1) is
-    dropped and the rest summed as a series in s - 1; the dropped parts
-    cancel across a nonprincipal character sum, which keeps s = 1 finite.
+    w = N + a, with one tail term per entry of ``_BERNOULLI``.  With
+    ``pole_free`` the 1/(s-1) part of w^(1-s)/(s-1) is dropped and the
+    rest summed as a series in s - 1; the dropped parts cancel across a
+    nonprincipal character sum, which keeps s = 1 finite.
 
     ``a`` is one residue or a 1-d array of R of them.  The result has
     shape (1, R, K): one row per residue, over the K values of s.  With
@@ -114,15 +114,13 @@ def _euler_maclaurin(
     a = np.array(a, dtype=np.float64, ndmin=1)
     if not ((0.0 < a) & (a <= 1.0)).all():
         raise DomainError("a must lie in (0, 1]")
-    if not 1 <= order <= len(_BERNOULLI):
-        raise DomainError(f"order must be in 1..{len(_BERNOULLI)}")
     if not pole_free and (s == 1.0).any():
         raise DomainError("pole at s = 1")
-    n_shift = max(shift, int(0.9 * float(np.max(np.abs(s.imag)))) + 20)
+    n_shift = max(30, int(0.9 * float(np.max(np.abs(s.imag)))) + 20)
     per_block = max(1, _BLOCK_ELEMENTS // (n_shift * len(s)))
     rows, total = [], np.zeros((1 + ds, len(s)), dtype=np.complex128)
     for i in range(0, len(a), per_block):
-        block = _em_block(s, a[i : i + per_block], n_shift, order, ds, pole_free, step)
+        block = _em_block(s, a[i : i + per_block], n_shift, ds, pole_free, step)
         if weights is None:
             rows.append(block)
         else:
@@ -131,7 +129,7 @@ def _euler_maclaurin(
     return np.concatenate(rows, axis=1) if weights is None else total
 
 
-def _em_block(s, a, n_shift, order, ds, pole_free, step) -> np.ndarray:
+def _em_block(s, a, n_shift, ds, pole_free, step) -> np.ndarray:
     """``_euler_maclaurin``'s (1 or 2, R, K) rows for one block of residues."""
     ln = np.log(np.arange(n_shift, dtype=np.float64) + a[:, None])
     if step is None:
@@ -167,8 +165,8 @@ def _em_block(s, a, n_shift, order, ds, pole_free, step) -> np.ndarray:
         out_ds = -np.array([lr @ er for lr, er in zip(ln, e)]) + pole_ds - 0.5 * lw * w_pow
         psi_sum = 1.0 / s
     poch, w_fall, fact = s.copy(), w_pow / w, 2.0
-    for k in range(1, order + 1):
-        term = (_BERNOULLI[k - 1] / fact) * poch * w_fall
+    for k, b2k in enumerate(_BERNOULLI, 1):
+        term = (b2k / fact) * poch * w_fall
         out = out + term
         if ds:
             out_ds = out_ds + term * (psi_sum - lw)
@@ -179,16 +177,16 @@ def _em_block(s, a, n_shift, order, ds, pole_free, step) -> np.ndarray:
     return np.stack((out, out_ds)) if ds else out[None]
 
 
-def hurwitz_zeta(s: complex, a: float, shift: int = 30, order: int = 12) -> complex:
+def hurwitz_zeta(s: complex, a: float) -> complex:
     """zeta(s, a) = sum over n >= 0 of (n+a)^(-s), continued in s.
 
-    The shift grows automatically with |im s| so the stated error
-    (relative 1e-12 for re s >= 1/2 and |im s| up to 1e3) holds; ``shift``
-    is a floor.  Left of re s = 1/2 the direct sum cancels: against mpmath
-    the error is about 1e-11 at re s = 0, |im s| near 1e3, and up to 1e-7
-    near the zeros of zeta(s, a) on the negative real axis.
+    The shift N = max(30, 0.9 |im s| + 20) grows with |im s| so the stated
+    error (relative 1e-12 for re s >= 1/2 and |im s| up to 1e3) holds.
+    Left of re s = 1/2 the direct sum cancels: against mpmath the error is
+    about 1e-11 at re s = 0, |im s| near 1e3, and up to 1e-7 near the
+    zeros of zeta(s, a) on the negative real axis.
     """
-    return _euler_maclaurin(np.array([s], dtype=complex), a, shift, order).item()
+    return _euler_maclaurin(np.array([s], dtype=complex), a).item()
 
 
 # ---------------------------------------------------------------------------
@@ -202,41 +200,41 @@ def _residues(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
     return a / chi.modulus, c[a - 1]
 
 
-def _l_sums(
-    s: complex, chi: DirichletCharacter, shift: int, order: int, ds: bool
-) -> tuple[complex, complex, complex]:
-    """(q^-s, sum_a chi(a) zeta(s, a/q), its d/ds if ``ds``) in one kernel call.
+def _l_values(
+    chi: DirichletCharacter, s: np.ndarray, step: Optional[float] = None, ds: bool = False
+) -> np.ndarray:
+    """L(s, chi) = q^(-s) sum_a chi(a) zeta(s, a/q) over an array of s.
 
-    The kernel gives one row per residue a with chi(a) != 0.  Each
-    chi(a) zeta(s, a/q) is a Python complex product, and the products are
-    added as Python complex numbers in the order of a: numpy's complex
-    product can round differently, through a fused multiply-add.  A
-    nonprincipal chi within 1e-2 of s = 1 takes the pole-free expansion,
-    whose 15-term series in s - 1 ends below 1e-30 there; a principal one
-    keeps its genuine pole.
+    One kernel call over the residues a with chi(a) != 0 sums
+    chi(a) zeta(s, a/q) in the order of a.  ``step`` marks s as a uniform
+    grid on a vertical line for the kernel's product path.  With ``ds``
+    the result is the 2 x len(s) array of L and dL/ds.  A nonprincipal chi
+    with every s within 1e-2 of 1 takes the pole-free expansion, whose
+    15-term series in s - 1 ends below 1e-30 there; a principal one keeps
+    its genuine pole.
     """
-    s = complex(s)
-    pole_free = not chi.is_principal and abs(s - 1.0) < 1e-2
+    q = chi.modulus
+    pole_free = not chi.is_principal and bool((np.abs(s - 1.0) < 1e-2).all())
     a, c = _residues(chi)
-    rows = _euler_maclaurin(np.array([s]), a, shift, order, ds, pole_free)[:, :, 0].tolist()
-    sums = [reduce(complex.__add__, map(complex.__mul__, c.tolist(), r), 0j) for r in rows]
-    return cmath.exp(-s * math.log(chi.modulus)), sums[0], sums[1] if ds else 0j
+    total = np.exp(-s * math.log(q)) * _euler_maclaurin(s, a, ds, pole_free, step, weights=c)
+    if not ds:
+        return total[0]
+    total[1] -= math.log(q) * total[0]
+    return total
 
 
-def l_function(s: complex, chi: DirichletCharacter, shift: int = 30, order: int = 12) -> complex:
+def l_function(s: complex, chi: DirichletCharacter) -> complex:
     """L(s, chi) = q^(-s) sum_a chi(a) zeta(s, a/q).
 
     At s = 1 a nonprincipal character is evaluated by the pole-free
     expansion; a principal one is a genuine pole.
     """
-    q_pow, total, _ = _l_sums(s, chi, shift, order, False)
-    return q_pow * total
+    return complex(_l_values(chi, np.array([complex(s)]))[0])
 
 
-def l_function_ds(s: complex, chi: DirichletCharacter, shift: int = 30, order: int = 12) -> complex:
+def l_function_ds(s: complex, chi: DirichletCharacter) -> complex:
     """d/ds L(s, chi), with the same pole-free route near s = 1."""
-    q_pow, total, total_ds = _l_sums(s, chi, shift, order, True)
-    return q_pow * total_ds - math.log(chi.modulus) * (q_pow * total)
+    return complex(_l_values(chi, np.array([complex(s)]), ds=True)[1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -351,36 +349,11 @@ def _arg_z_line(t: np.ndarray, theta: DirichletCharacter) -> np.ndarray:
     return cmath.phase(eps) + t * math.log(math.pi / q) - 2.0 * np.imag(lg)
 
 
-def _l_line(
-    theta: DirichletCharacter,
-    t: np.ndarray,
-    shift: int = 30,
-    step: Optional[float] = None,
-    ds: bool = False,
-) -> np.ndarray:
-    """L(1/2 + it, theta) over a t-grid, shared Euler-Maclaurin shift.
-
-    One kernel call over the residues a with theta(a) != 0 sums
-    theta(a) zeta(s, a/q) in the order of a, block by block, so no
-    residue's row outlives its block.  ``step`` marks t as a uniform grid
-    for the kernel's product path.  With ``ds`` the result is the
-    2 x len(t) array of L and dL/ds.
-    """
-    q = theta.modulus
-    s = 0.5 + 1j * t
-    a, c = _residues(theta)
-    total = np.exp(-s * math.log(q)) * _euler_maclaurin(s, a, shift, 12, ds, step=step, weights=c)
-    if not ds:
-        return total[0]
-    total[1] -= math.log(q) * total[0]
-    return total
-
-
 def _m_line(
     theta: DirichletCharacter, t: np.ndarray, step: Optional[float] = None
 ) -> np.ndarray:
     """Rotated line values exp(-i arg Z / 2) L(1/2+it), complex, over a t-grid."""
-    return np.exp(-0.5j * _arg_z_line(t, theta)) * _l_line(theta, t, step=step)
+    return np.exp(-0.5j * _arg_z_line(t, theta)) * _l_values(theta, 0.5 + 1j * t, step)
 
 
 def _m_line_ds(theta: DirichletCharacter, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -392,7 +365,7 @@ def _m_line_ds(theta: DirichletCharacter, t: np.ndarray) -> tuple[np.ndarray, np
     the root number; so M' = exp(-i arg Z / 2) (dL/ds - (arg Z)' L / 2).
     """
     _, half_arg = _root_number(theta)
-    l_val, l_ds = _l_line(theta, t, ds=True)
+    l_val, l_ds = _l_values(theta, 0.5 + 1j * t, ds=True)
     arg_ds = math.log(math.pi / theta.modulus) - _digamma(half_arg + 0.5j * t).real
     rot = np.exp(-0.5j * _arg_z_line(t, theta))
     return rot * l_val, rot * (l_ds - 0.5 * arg_ds * l_val)
@@ -742,7 +715,7 @@ def delta_fn(x: Union[float, np.ndarray], p: WeightParams) -> Union[complex, np.
     return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def delta_mellin(s: complex, p: WeightParams, tol: float = 1e-9) -> complex:
+def delta_mellin(s: complex, p: WeightParams) -> complex:
     """Mellin integral of delta_fn(x) x^(s-1) over the transform's effective support.
 
     The transform lives where log(x / t0) is within a few 1/L2 (narrow
@@ -761,7 +734,7 @@ def delta_mellin(s: complex, p: WeightParams, tol: float = 1e-9) -> complex:
     def f(x):
         return delta_fn(x, p) * np.exp((s - 1.0) * np.log(x))
 
-    return integrate(f, x_lo, x_hi, tol=tol, max_panels=8192).value
+    return integrate(f, x_lo, x_hi, tol=1e-9, max_panels=8192).value
 
 
 # ---------------------------------------------------------------------------

@@ -214,13 +214,13 @@ def test_criterion_11_functional_equation():
 
 
 def test_criterion_12_line_rotation_is_real():
-    from lfverify.lfunc import _arg_z_line, _l_line
+    from lfverify.lfunc import _m_line
 
     ts = np.arange(0.5, 100.0, 0.5)
     worst = 0.0
     for q in (3, 4, 5, 7, 8, 9, 11, 12):
         for chi in primitive_characters(q):
-            vals = np.exp(-0.5j * _arg_z_line(ts, chi)) * _l_line(chi, ts)
+            vals = _m_line(chi, ts)
             worst = max(worst, float(np.max(np.abs(vals.imag))))
     assert worst < 1e-8
     print(f"\nPASS criterion 12 (rotation): worst imaginary residue {worst:.2e}")
