@@ -55,12 +55,6 @@ class ConstantTable:
     def __contains__(self, name: str) -> bool:
         return name in self.entries
 
-    def merged(self, *others: "ConstantTable") -> "ConstantTable":
-        joined = dict(self.entries)
-        for other in others:
-            joined.update(other.entries)
-        return ConstantTable(joined)
-
 
 @dataclass(frozen=True)
 class VerificationRecord:

@@ -1,12 +1,11 @@
 """Small-modulus L-function engine.
 
-One vectorized Euler-Maclaurin kernel evaluates Hurwitz zeta over an array
-of s and an axis of residues a, at the shift N = max(30, 0.9 max |im s| + 20)
-with 12 Bernoulli terms, with its s-derivative on request and a pole-free
-mode that keeps a nonprincipal character sum finite at s = 1.  It takes the
-residues in blocks under a fixed memory budget, and each row rounds as a
-one-residue call would.  Every L-value and its derivative, at one s or
-along the critical line, is one call that sums chi(a) zeta(s, a/q).
+One vectorized Euler-Maclaurin kernel evaluates sum_a c_a zeta(s, a) over
+an array of s, at the shift N = max(30, 0.9 max |im s| + 20) with 12
+Bernoulli terms, with its s-derivative on request and a pole-free mode that
+keeps a nonprincipal character sum finite at s = 1; it takes the residues in
+blocks under a fixed memory budget.  Every value, zeta(s, a) or L(s, chi) =
+q^(-s) sum_a chi(a) zeta(s, a/q) and its derivative, is one kernel call.
 Around it sit the reflection and functional-equation factors, a
 real-valued rotation of the L-function on the critical line, sign-change
 zero scanning, the signed triple-product ratio at a zero, and the
@@ -65,10 +64,10 @@ class BranchError(RuntimeError):
 
 
 def _euler_maclaurin(
-    s: np.ndarray, a, ds: bool = False, pole_free: bool = False,
-    step: Optional[float] = None, weights: Optional[np.ndarray] = None,
+    s: np.ndarray, a, weights: np.ndarray, ds: bool = False, pole_free: bool = False,
+    step: Optional[float] = None,
 ) -> np.ndarray:
-    """zeta(s, a) over an array of s and a 1-d array of a, common shift N.
+    """sum_a c_a zeta(s, a) over an array of s and a 1-d array of a, common shift N.
 
     N = max(30, 0.9 max |im s| + 20): the shifted argument must
     dominate |im s|.
@@ -79,12 +78,10 @@ def _euler_maclaurin(
     rest summed as a series in s - 1; the dropped parts cancel across a
     nonprincipal character sum, which keeps s = 1 finite.
 
-    ``a`` is one residue or a 1-d array of R of them.  The result has
-    shape (1, R, K): one row per residue, over the K values of s.  With
-    ``ds`` it is (2, R, K), and [1] holds d/ds.  Given ``weights``, one per
-    residue, it is instead the (1 or 2, K) sum of weights times rows,
-    added block by block into one zeroed total as ``total += c * row``,
-    in the order of a, so no row outlives its block.
+    ``a`` is one residue or a 1-d array of R of them, with one weight c_a
+    each.  The result has shape (1, K) over the K values of s, or (2, K)
+    with ``ds``, [1] holding d/ds.  A running sum (np.add.accumulate) adds
+    the weighted rows in the order of a, so no row outlives its block.
 
     The residues go in blocks of at most _BLOCK_ELEMENTS / (N K), and at
     least one, so the elementwise path's R x N x K exponent array stays
@@ -118,15 +115,12 @@ def _euler_maclaurin(
         raise DomainError("pole at s = 1")
     n_shift = max(30, int(0.9 * float(np.max(np.abs(s.imag)))) + 20)
     per_block = max(1, _BLOCK_ELEMENTS // (n_shift * len(s)))
-    rows, total = [], np.zeros((1 + ds, len(s)), dtype=np.complex128)
+    total = np.zeros((1 + ds, len(s)), dtype=np.complex128)
     for i in range(0, len(a), per_block):
         block = _em_block(s, a[i : i + per_block], n_shift, ds, pole_free, step)
-        if weights is None:
-            rows.append(block)
-        else:
-            for c, row in zip(weights[i : i + per_block], block.swapaxes(0, 1)):
-                total += c * row
-    return np.concatenate(rows, axis=1) if weights is None else total
+        terms = weights[i : i + per_block, None, None] * block.swapaxes(0, 1)
+        total = np.add.accumulate(np.concatenate((total[None], terms)), axis=0)[-1]
+    return total
 
 
 def _em_block(s, a, n_shift, ds, pole_free, step) -> np.ndarray:
@@ -186,7 +180,7 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
     about 1e-11 at re s = 0, |im s| near 1e3, and up to 1e-7 near the
     zeros of zeta(s, a) on the negative real axis.
     """
-    return _euler_maclaurin(np.array([s], dtype=complex), a).item()
+    return _euler_maclaurin(np.array([s], dtype=complex), a, np.ones(1)).item()
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +210,7 @@ def _l_values(
     q = chi.modulus
     pole_free = not chi.is_principal and bool((np.abs(s - 1.0) < 1e-2).all())
     a, c = _residues(chi)
-    total = np.exp(-s * math.log(q)) * _euler_maclaurin(s, a, ds, pole_free, step, weights=c)
+    total = np.exp(-s * math.log(q)) * _euler_maclaurin(s, a, c, ds, pole_free, step)
     if not ds:
         return total[0]
     total[1] -= math.log(q) * total[0]
@@ -350,24 +344,21 @@ def _arg_z_line(t: np.ndarray, theta: DirichletCharacter) -> np.ndarray:
 
 
 def _m_line(
-    theta: DirichletCharacter, t: np.ndarray, step: Optional[float] = None
-) -> np.ndarray:
-    """Rotated line values exp(-i arg Z / 2) L(1/2+it), complex, over a t-grid."""
-    return np.exp(-0.5j * _arg_z_line(t, theta)) * _l_values(theta, 0.5 + 1j * t, step)
+    theta: DirichletCharacter, t: np.ndarray, step: Optional[float] = None, ds: bool = False
+) -> Union[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Rotated line values M = exp(-i arg Z / 2) L(1/2+it), complex, over a t-grid.
 
-
-def _m_line_ds(theta: DirichletCharacter, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M, M') over a t-grid: the rotated line values and M' = -i dM/dt, analytically.
-
-    With M = exp(-i arg Z / 2) L(1/2 + it),
+    With ``ds`` it returns (M, M'), M' = -i dM/dt analytically:
     dM/dt = exp(-i arg Z / 2) (-i (arg Z)' L / 2 + i dL/ds), where
     (arg Z)'(t) = log(pi / q) - re psi(h + it/2), h the half-argument of
     the root number; so M' = exp(-i arg Z / 2) (dL/ds - (arg Z)' L / 2).
     """
-    _, half_arg = _root_number(theta)
-    l_val, l_ds = _l_values(theta, 0.5 + 1j * t, ds=True)
-    arg_ds = math.log(math.pi / theta.modulus) - _digamma(half_arg + 0.5j * t).real
     rot = np.exp(-0.5j * _arg_z_line(t, theta))
+    if not ds:
+        return rot * _l_values(theta, 0.5 + 1j * t, step)
+    l_val, l_ds = _l_values(theta, 0.5 + 1j * t, ds=True)
+    _, half_arg = _root_number(theta)
+    arg_ds = math.log(math.pi / theta.modulus) - _digamma(half_arg + 0.5j * t).real
     return rot * l_val, rot * (l_ds - 0.5 * arg_ds * l_val)
 
 
@@ -578,8 +569,7 @@ def find_zeros(
 
     panel = starts // (_PANEL_POINTS - 1)
     gammas = []
-    for p in np.unique(panel):
-        i = panel == p
+    for i in np.split(np.arange(len(panel)), np.flatnonzero(np.diff(panel)) + 1):
         ix = starts[i]
         gammas.extend(_refine(psi, grid[ix], grid[ix + 1], flo[i], vals[ix + 1], 1e-12 * scale))
     zeros = tuple(CriticalZero(float(g), _ZERO_RADIUS) for g in gammas)
@@ -596,9 +586,9 @@ def _c_star_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(c*, |M'|, |imaginary residue|) at every ordinate of ``gammas``.
 
-    The ordinates are taken in chunks no wider in t than ``_AUDIT_CHUNK_T``.
-    Per chunk, one ``_m_line_ds`` call (one kernel call over the residues, with
-    d/ds) gives M' at the zeros and M at the 3 shifted points of each.
+    The ordinates, sorted as a scan gives them, go in runs that share a
+    chunk of t no wider than ``_AUDIT_CHUNK_T``.  Per run, one ``_m_line``
+    call with ``ds`` gives M' at the zeros and M at the 3 shifted points.
     c* is NaN where |M'| < 1e-10 (a degenerate zero) or where
     -i M1 M2 M3 / M' has an imaginary residue above 1e-6.
     """
@@ -608,11 +598,11 @@ def _c_star_batch(
     m_prime = np.empty(len(g), dtype=np.complex128)
     triple = np.empty(len(g), dtype=np.complex128)
     chunk = np.floor(g / _AUDIT_CHUNK_T)
-    for key in np.unique(chunk):
-        idx = np.flatnonzero(chunk == key)
-        # row j of pts is the chunk's zeros shifted by j alpha_hat
+    runs = np.split(np.arange(len(g)), np.flatnonzero(np.diff(chunk)) + 1) if len(g) else []
+    for idx in runs:
+        # row j of pts is the run's zeros shifted by j alpha_hat
         pts = g[idx] + alpha_hat * np.arange(4)[:, None]
-        m, m_ds = _m_line_ds(psi, pts.ravel())
+        m, m_ds = _m_line(psi, pts.ravel(), ds=True)
         m_prime[idx] = m_ds[: len(idx)]
         triple[idx] = m[len(idx) :].reshape(3, -1).prod(axis=0)
     m_abs = np.abs(m_prime)
@@ -627,7 +617,7 @@ def c_star(rho: CriticalZero, psi: DirichletCharacter, alpha_hat: float) -> floa
     """Signed triple-product ratio at a zero with shifts i j alpha_hat.
 
     -i M(rho+b1) M(rho+b2) M(rho+b3) / M'(rho), where b_j = i j alpha_hat and
-    M' = -i dM/dt is analytic (see ``_m_line_ds``).  The value is
+    M' = -i dM/dt is analytic (see ``_m_line``).  The value is
     branch-independent: flipping the rotation sign flips all four factors.
     This is ``_c_star_batch`` at one zero; it raises DomainError where
     |M'| < 1e-10 and BranchError where the imaginary residue exceeds 1e-6.

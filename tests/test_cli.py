@@ -234,22 +234,24 @@ _COLD_START = textwrap.dedent(
     """
     import json, sys
 
-    def scipy_modules():
-        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    def slow_modules():
+        return sorted(
+            m for m in sys.modules if m in ("scipy", "numpy.ma") or m.startswith("scipy.")
+        )
 
     from lfverify.cli import main
 
-    seen = {"import": (None, scipy_modules())}
+    seen = {"import": (None, slow_modules())}
     for argv in json.loads(sys.argv[1]):
         code = main(argv)
-        seen[argv[0]] = (code, scipy_modules())
+        seen[argv[0]] = (code, slow_modules())
     print(json.dumps(seen))
     """
 )
 
 
 def test_no_command_loads_scipy(tmp_path):
-    """A fresh interpreter runs every command without importing scipy."""
+    """A fresh interpreter runs every command without importing scipy or numpy.ma."""
     commands = [
         ["constants", "--out", str(tmp_path / "c.json")],
         ["identities", "--max-n", "100", "--out", str(tmp_path / "i.json")],

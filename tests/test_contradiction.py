@@ -7,7 +7,6 @@ import pytest
 from conftest import assert_close
 from lfverify import contradiction
 from lfverify.contradiction import (
-    ConstantTable,
     MissingConstantError,
     compute_b_matrix,
     compute_c1_c2,
@@ -153,8 +152,6 @@ def test_constant_table_api(b_table):
         b_table.value("b99")
     assert "b11" in b_table
     assert "b99" not in b_table
-    merged = b_table.merged(ConstantTable({"extra": 1.0 + 0j}))
-    assert "extra" in merged and "b11" in merged
 
 
 def test_report_shape(report, records):

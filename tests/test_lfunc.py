@@ -246,7 +246,7 @@ _M_PRIME_ZEROS = ((4, 0, 6.020948904157), (5, 1, 14.0), (5, 0, 454.66907476856))
 def test_m_prime_matches_mpmath_derivative(q, index, gamma):
     chi = primitive_characters(q)[index]
     ref = _mp_m_prime(chi, gamma)
-    got = complex(lfunc._m_line_ds(chi, np.array([gamma]))[1][0])
+    got = complex(lfunc._m_line(chi, np.array([gamma]), ds=True)[1][0])
     assert abs(got - ref) <= 1e-11 * abs(ref)
 
 
@@ -524,36 +524,44 @@ def test_grid_line_values_match_pointwise(q):
 _RESIDUES = np.arange(1, 12) / 11
 
 
-def _assert_rows_are_one_residue_calls(s, **kw):
-    """Each row of one residue-axis kernel call equals its one-residue call bit for bit."""
-    rows = lfunc._euler_maclaurin(s, _RESIDUES, **kw)
-    assert rows.shape == (1 + kw.get("ds", False), len(_RESIDUES), len(s))
-    for i, a in enumerate(_RESIDUES):
-        one = lfunc._euler_maclaurin(s, a, **kw)
-        assert rows[:, i].tobytes() == one[:, 0].tobytes(), (a, len(s), kw)
+# one complex unit weight per residue, as a character mod 11 gives them
+_WEIGHTS = np.exp(0.2j * np.pi * np.arange(11))
+
+
+def _assert_weighted_call_is_one_residue_sum(s, **kw):
+    """One weighted residue-axis kernel call equals the in-order sum of one-residue calls.
+
+    The sum is built as ``ref += c * one`` over the residues in order, bit for bit.
+    """
+    total = lfunc._euler_maclaurin(s, _RESIDUES, _WEIGHTS, **kw)
+    assert total.shape == (1 + kw.get("ds", False), len(s))
+    ref = np.zeros_like(total)
+    for a, c in zip(_RESIDUES, _WEIGHTS):
+        ref += c * lfunc._euler_maclaurin(s, a, np.ones(1), **kw)
+    assert total.tobytes() == ref.tobytes(), (len(s), kw)
 
 
 @pytest.mark.parametrize("ds", (False, True))
 @pytest.mark.parametrize("t", ([900.0], [3.0, 41.5, 899.9], np.linspace(0.5, 900.0, 40)))
 def test_residue_axis_rows_match_one_residue_calls(t, ds):
     # at 40 points up to t = 900 the residues span two budget blocks
-    _assert_rows_are_one_residue_calls(0.5 + 1j * np.asarray(t), ds=ds)
+    _assert_weighted_call_is_one_residue_sum(0.5 + 1j * np.asarray(t), ds=ds)
 
 
 @pytest.mark.parametrize("t0", (0.02, 480.0))
 def test_residue_axis_grid_rows_match_one_residue_calls(t0):
     for n in (501, 4000):
         t = t0 + 0.02 * np.arange(n)
-        _assert_rows_are_one_residue_calls(0.5 + 1j * t, step=0.02)
+        _assert_weighted_call_is_one_residue_sum(0.5 + 1j * t, step=0.02)
     # 4001 points: the 4000-point progression and an off-step endpoint
     t = np.append(t, t[-1] + 0.013)
-    _assert_rows_are_one_residue_calls(0.5 + 1j * t, step=0.02)
+    _assert_weighted_call_is_one_residue_sum(0.5 + 1j * t, step=0.02)
 
 
 @pytest.mark.parametrize("ds", (False, True))
 def test_residue_axis_pole_free_rows_match_one_residue_calls(ds):
     for s in ([1.0 - 1e-3], [1.0 + 1e-3], [1.0 - 1e-3, 1.0, 1.0 + 1e-3 + 2e-4j]):
-        _assert_rows_are_one_residue_calls(np.array(s, dtype=complex), ds=ds, pole_free=True)
+        _assert_weighted_call_is_one_residue_sum(np.array(s, dtype=complex), ds=ds, pole_free=True)
 
 
 def test_residue_block_budget_leaves_every_bit(monkeypatch):
@@ -564,7 +572,7 @@ def test_residue_block_budget_leaves_every_bit(monkeypatch):
     def values():
         out = [lfunc._l_values(chi, 0.5 + 1j * t), lfunc._l_values(chi, 0.5 + 1j * t[:1])]
         out += [lfunc._l_values(chi, 0.5 + 1j * grid, step=0.02)]
-        out += lfunc._m_line_ds(chi, t) + lfunc._m_line_ds(chi, t[-1:])
+        out += lfunc._m_line(chi, t, ds=True) + lfunc._m_line(chi, t[-1:], ds=True)
         out += [np.array([l_function(s, chi) for s in (1.0, 1.0005, 0.5 + 10j, 0.3 + 899j)])]
         return [np.asarray(v).tobytes() for v in out]
 
@@ -586,8 +594,8 @@ def test_residue_blocks_keep_to_the_budget(monkeypatch):
     chi = primitive_characters(101)[5]
     # a refinement-sized call, an audit-sized call and a whole scan panel
     for call in (
-        lambda: lfunc._m_line_ds(chi, np.linspace(500.0, 501.0, 20)),
-        lambda: lfunc._m_line_ds(chi, np.linspace(0.5, 80.0, 400)),
+        lambda: lfunc._m_line(chi, np.linspace(500.0, 501.0, 20), ds=True),
+        lambda: lfunc._m_line(chi, np.linspace(0.5, 80.0, 400), ds=True),
         lambda: lfunc._l_values(chi, 0.5 + 1j * (0.02 + 0.02 * np.arange(4000)), step=0.02),
     ):
         blocks.clear()
