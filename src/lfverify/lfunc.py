@@ -1,9 +1,10 @@
 """Small-modulus L-function engine.
 
 One vectorized Euler-Maclaurin kernel evaluates sum_a c_a zeta(s, a) over
-an array of s, at the shift N = max(30, 0.9 max |im s| + 20) with 12
-Bernoulli terms, with its s-derivative on request and a pole-free mode that
-keeps a nonprincipal character sum finite at s = 1; it takes the residues in
+an array of s, with its s-derivative on request and a pole-free mode that
+keeps a nonprincipal character sum finite at s = 1.  Each call takes the
+least shift N, and then the fewest of up to 40 Bernoulli terms, at which
+the explicit remainder bound is below 1e-17; it takes the residues in
 blocks under a fixed memory budget.  Every value, zeta(s, a) or L(s, chi) =
 q^(-s) sum_a chi(a) zeta(s, a/q) and its derivative, is one kernel call.
 Around it sit the reflection and functional-equation factors, a
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -29,27 +31,61 @@ from .numerics import _NODES15, _WEIGHTS15, ConvergenceError, DomainError, integ
 
 _TWO_PI = 2.0 * math.pi
 
-# B_2 .. B_24 as exact fractions: the 12 terms of the Euler-Maclaurin tail
+# B_2 .. B_80 as exact fractions (numerator, denominator)
 _BERNOULLI = (
-    1.0 / 6,
-    -1.0 / 30,
-    1.0 / 42,
-    -1.0 / 30,
-    5.0 / 66,
-    -691.0 / 2730,
-    7.0 / 6,
-    -3617.0 / 510,
-    43867.0 / 798,
-    -174611.0 / 330,
-    854513.0 / 138,
-    -236364091.0 / 2730,
+    (1, 6),
+    (-1, 30),
+    (1, 42),
+    (-1, 30),
+    (5, 66),
+    (-691, 2730),
+    (7, 6),
+    (-3617, 510),
+    (43867, 798),
+    (-174611, 330),
+    (854513, 138),
+    (-236364091, 2730),
+    (8553103, 6),
+    (-23749461029, 870),
+    (8615841276005, 14322),
+    (-7709321041217, 510),
+    (2577687858367, 6),
+    (-26315271553053477373, 1919190),
+    (2929993913841559, 6),
+    (-261082718496449122051, 13530),
+    (1520097643918070802691, 1806),
+    (-27833269579301024235023, 690),
+    (596451111593912163277961, 282),
+    (-5609403368997817686249127547, 46410),
+    (495057205241079648212477525, 66),
+    (-801165718135489957347924991853, 1590),
+    (29149963634884862421418123812691, 798),
+    (-2479392929313226753685415739663229, 870),
+    (84483613348880041862046775994036021, 354),
+    (-1215233140483755572040304994079820246041491, 56786730),
+    (12300585434086858541953039857403386151, 6),
+    (-106783830147866529886385444979142647942017, 510),
+    (1472600022126335654051619428551932342241899101, 64722),
+    (-78773130858718728141909149208474606244347001, 30),
+    (1505381347333367003803076567377857208511438160235, 4686),
+    (-5827954961669944110438277244641067365282488301844260429, 140100870),
+    (34152417289221168014330073731472635186688307783087, 6),
+    (-24655088825935372707687196040585199904365267828865801, 30),
+    (414846365575400828295179035549542073492199375372400483487, 3318),
+    (-4603784299479457646935574969019046849794257872751288919656867, 230010),
 )
 
+# B_2k / (2k)! for k = 1..40, each correctly rounded: the Euler-Maclaurin tail
+_EM_COEFFS = np.array([n / (d * math.factorial(2 * k)) for k, (n, d) in enumerate(_BERNOULLI, 1)])
+
 # B_2k / (2k (2k - 1)) for k = 1..8: the Stirling series of log Gamma
-_STIRLING = tuple(b / ((2 * k + 2) * (2 * k + 1)) for k, b in enumerate(_BERNOULLI[:8]))
+_STIRLING = tuple((n / d) / ((2 * k + 2) * (2 * k + 1)) for k, (n, d) in enumerate(_BERNOULLI[:8]))
 
 # B_2k / 2k for k = 1..8: the asymptotic series of the digamma function
-_DIGAMMA = tuple(b / (2 * k + 2) for k, b in enumerate(_BERNOULLI[:8]))
+_DIGAMMA = tuple((n / d) / (2 * k + 2) for k, (n, d) in enumerate(_BERNOULLI[:8]))
+
+# every kernel call bounds its Euler-Maclaurin remainder by this
+_EM_TARGET = 1e-17
 
 # complex elements in the Euler-Maclaurin kernel's R x N x K block (4 MB)
 _BLOCK_ELEMENTS = 1 << 18
@@ -63,20 +99,57 @@ class BranchError(RuntimeError):
 # Hurwitz zeta
 
 
+@functools.lru_cache(maxsize=4096)
+def _em_shift(s_abs: int, sigma: float) -> tuple[int, int]:
+    """(N, M): the Euler-Maclaurin shift and number of Bernoulli terms.
+
+    For re s >= sigma and sigma + 2M - 1 > 0 the remainder after M tail
+    terms at w = N + a is at most
+    4 |(s)_2M| w^(1-sigma-2M) / ((2 pi)^2M (sigma + 2M - 1))
+    (Johansson, Numer. Algorithms 69, 2015).  Taken at w = N and with
+    |(s)_2M| <= (s_abs)_2M for |s| <= s_abs, the bound holds for every a
+    in (0, 1].  N is the least N >= 10 at which it is at most
+    ``_EM_TARGET`` for some M <= 40, and M the least such M there.  The
+    kernel passes the largest |s| of a call rounded up to an integer, at
+    least 1, so that the calls along a line share cached answers.
+    """
+    best = (math.inf, 0)
+    log_poch = 0.0
+    for m in range(1, len(_BERNOULLI) + 1):
+        log_poch += math.log((s_abs + 2 * m - 2) * (s_abs + 2 * m - 1))
+        e = sigma + 2 * m - 1
+        if e <= 0:
+            continue
+        log_bound_at_1 = math.log(4.0 / (e * _EM_TARGET)) + log_poch - 2 * m * math.log(_TWO_PI)
+        # the least N with bound <= target; the cap keeps exp finite near e = 0
+        n = max(10, math.ceil(math.exp(min(log_bound_at_1 / e, 700.0))))
+        if n < best[0]:
+            best = (n, m)
+    return best
+
+
 def _euler_maclaurin(
     s: np.ndarray, a, weights: np.ndarray, ds: bool = False, pole_free: bool = False,
     step: Optional[float] = None,
 ) -> np.ndarray:
     """sum_a c_a zeta(s, a) over an array of s and a 1-d array of a, common shift N.
 
-    N = max(30, 0.9 max |im s| + 20): the shifted argument must
-    dominate |im s|.
+    N and the number M of Bernoulli terms come from ``_em_shift`` at the
+    largest |s| and the least re s of the call, so the remainder is at most
+    ``_EM_TARGET`` at every s.  On the critical line N is 36 at t = 100
+    and 270 at t = 1000.
 
-    zeta(s, a) = sum_{n<N} (n+a)^-s + w^(1-s)/(s-1) + w^-s/2 + Bernoulli tail,
-    w = N + a, with one tail term per entry of ``_BERNOULLI``.  With
-    ``pole_free`` the 1/(s-1) part of w^(1-s)/(s-1) is dropped and the
-    rest summed as a series in s - 1; the dropped parts cancel across a
-    nonprincipal character sum, which keeps s = 1 finite.
+    zeta(s, a) = sum_{n<N} (n+a)^-s + w^(1-s)/(s-1) + w^-s/2 + tail,
+    w = N + a, with the tail
+    w^-s sum_{k<=M} c_k [(s)_(2k-1) / N^(2k-1)] (N / w)^(2k-1),
+    c_k = B_2k / (2k)! (``_EM_COEFFS``).  The bracketed rows depend on s
+    alone and are built once per call (with ``ds``, also their products
+    with the digamma partial sums sum_{j<2k-1} 1/(s+j)); each residue
+    meets them in one (1 x M) @ (M x K) product of its own ratios.
+    Scaled by N, every factor stays finite at |s| = 1000 and M = 40.
+    With ``pole_free`` the 1/(s-1) part of w^(1-s)/(s-1) is dropped and
+    the rest summed as a series in s - 1; the dropped parts cancel across
+    a nonprincipal character sum, which keeps s = 1 finite.
 
     ``a`` is one residue or a 1-d array of R of them, with one weight c_a
     each.  The result has shape (1, K) over the K values of s, or (2, K)
@@ -94,7 +167,9 @@ def _euler_maclaurin(
     - s as a 1 x K row before any complex product with a residue's
       values: numpy rounds a complex product differently when a
       broadcast of arrays of unequal rank yields one element;
-    - the d/ds direct sum as one ``ln @ e`` per row.
+    - the d/ds direct sum as one ``ln @ e`` per row, and the tail as one
+      product per residue: a shared (R x M) @ (M x K) product rounds
+      differently with the block's shape.
 
     Given ``step`` (values only, not ``ds``), s is a scan's uniform grid
     s_k = s_0 + i k step, k < K, and each residue's direct sum is one
@@ -106,24 +181,42 @@ def _euler_maclaurin(
     all residues: such a shared product, of inner dimension R N, was no
     faster at q = 5 or 101, and it rounds differently.  A last point more
     than 1e-9 step off the progression, the t_max a scan appends off the
-    step, is summed directly.  The tail is elementwise in s either way.
+    step, is summed directly.
     """
     a = np.array(a, dtype=np.float64, ndmin=1)
     if not ((0.0 < a) & (a <= 1.0)).all():
         raise DomainError("a must lie in (0, 1]")
     if not pole_free and (s == 1.0).any():
         raise DomainError("pole at s = 1")
-    n_shift = max(30, int(0.9 * float(np.max(np.abs(s.imag)))) + 20)
+    s_abs = max(1, math.ceil(float(np.max(np.abs(s)))))
+    n_shift, n_terms = _em_shift(s_abs, float(np.min(s.real)))
+    # row k - 1 is c_k (s)_(2k-1) / N^(2k-1): x = s / N times the running product
+    # of (s + 2j - 1)(s + 2j) / N^2 = x (x + (4j - 1) / N) + 2j (2j - 1) / N^2,
+    # built in place, since each fresh M x K temporary page-faults
+    j = np.arange(n_terms)[:, None]
+    x = s / n_shift
+    rows = x + (4 * j - 1) / n_shift
+    rows *= x
+    rows += 2 * j * (2 * j - 1) / n_shift**2
+    rows[0] = x
+    np.cumprod(rows, axis=0, out=rows)
+    rows *= _EM_COEFFS[:n_terms, None]
+    if ds:
+        # sum over j < 2k - 1 of 1 / (s + j), the log-derivative of (s)_(2k-1)
+        psi = np.cumsum(1.0 / (s + np.arange(2 * n_terms - 1)[:, None]), axis=0)[::2]
+        tail = np.stack((rows, rows * psi))
+    else:
+        tail = rows[None]
     per_block = max(1, _BLOCK_ELEMENTS // (n_shift * len(s)))
     total = np.zeros((1 + ds, len(s)), dtype=np.complex128)
     for i in range(0, len(a), per_block):
-        block = _em_block(s, a[i : i + per_block], n_shift, ds, pole_free, step)
+        block = _em_block(s, a[i : i + per_block], n_shift, tail, ds, pole_free, step)
         terms = weights[i : i + per_block, None, None] * block.swapaxes(0, 1)
         total = np.add.accumulate(np.concatenate((total[None], terms)), axis=0)[-1]
     return total
 
 
-def _em_block(s, a, n_shift, ds, pole_free, step) -> np.ndarray:
+def _em_block(s, a, n_shift, tail, ds, pole_free, step) -> np.ndarray:
     """``_euler_maclaurin``'s (1 or 2, R, K) rows for one block of residues."""
     ln = np.log(np.arange(n_shift, dtype=np.float64) + a[:, None])
     if step is None:
@@ -154,31 +247,25 @@ def _em_block(s, a, n_shift, ds, pole_free, step) -> np.ndarray:
     else:
         pole = w * w_pow / x
         pole_ds = -pole * (lw + 1.0 / x) if ds else None
-    out = head + pole + 0.5 * w_pow
-    if ds:
-        out_ds = -np.array([lr @ er for lr, er in zip(ln, e)]) + pole_ds - 0.5 * lw * w_pow
-        psi_sum = 1.0 / s
-    poch, w_fall, fact = s.copy(), w_pow / w, 2.0
-    for k, b2k in enumerate(_BERNOULLI, 1):
-        term = (b2k / fact) * poch * w_fall
-        out = out + term
-        if ds:
-            out_ds = out_ds + term * (psi_sum - lw)
-            psi_sum += 1.0 / (s + (2 * k - 1)) + 1.0 / (s + 2 * k)
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-        w_fall = w_fall / (w * w)
-        fact *= (2 * k + 1) * (2 * k + 2)
-    return np.stack((out, out_ds)) if ds else out[None]
+    # (N / w)^(2k-1): a row of M per residue, each its own 1 x M product
+    ratios = (n_shift / w) ** np.arange(1, 2 * tail.shape[1], 2)
+    bern = w_pow * (ratios[:, None, None, :] @ tail)[:, :, 0].swapaxes(0, 1)
+    out = head + pole + 0.5 * w_pow + bern[0]
+    if not ds:
+        return out[None]
+    out_ds = -np.array([lr @ er for lr, er in zip(ln, e)]) + pole_ds - 0.5 * lw * w_pow
+    return np.stack((out, out_ds + bern[1] - lw * bern[0]))
 
 
 def hurwitz_zeta(s: complex, a: float) -> complex:
     """zeta(s, a) = sum over n >= 0 of (n+a)^(-s), continued in s.
 
-    The shift N = max(30, 0.9 |im s| + 20) grows with |im s| so the stated
-    error (relative 1e-12 for re s >= 1/2 and |im s| up to 1e3) holds.
-    Left of re s = 1/2 the direct sum cancels: against mpmath the error is
-    about 1e-11 at re s = 0, |im s| near 1e3, and up to 1e-7 near the
-    zeros of zeta(s, a) on the negative real axis.
+    The kernel's shift and order bound the truncation error by 1e-17, so
+    what remains is rounding: relative 1e-12 for re s >= 1/2 and |im s| up
+    to 1e3.  Left of re s = 1/2 the direct sum cancels: against mpmath the
+    error is about 1e-12 at re s = 0, |im s| near 1e3, and up to 1e-8 near
+    the zeros of zeta(s, a) on the negative real axis (9e-9 at s = -2.997,
+    a = 0.235).
     """
     return _euler_maclaurin(np.array([s], dtype=complex), a, np.ones(1)).item()
 

@@ -3,6 +3,7 @@
 import cmath
 import csv
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -66,6 +67,59 @@ def test_l_function_derivative_matches_difference_quotient():
     h = 1e-6
     numeric = (l_function(s + h, chi) - l_function(s - h, chi)) / (2.0 * h)
     assert abs(l_function_ds(s, chi) - numeric) < 1e-8
+
+
+def test_bernoulli_tables_are_exact():
+    # B_0 .. B_80 from sum_{j<=m} C(m+1, j) B_j = 0, in exact fractions
+    b = [Fraction(1)]
+    for m in range(1, 81):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    exact = [b[2 * k] for k in range(1, 41)]
+    assert [Fraction(n, d) for n, d in lfunc._BERNOULLI] == exact
+    # each tail coefficient is B_2k / (2k)! correctly rounded
+    coeffs = [float(v / math.factorial(2 * k)) for k, v in enumerate(exact, 1)]
+    assert list(lfunc._EM_COEFFS) == coeffs
+    # the Stirling and digamma series keep their rounding from B_2k as doubles
+    low = [float(v) for v in exact[:8]]
+    assert lfunc._STIRLING == tuple(v / ((2 * k + 2) * (2 * k + 1)) for k, v in enumerate(low))
+    assert lfunc._DIGAMMA == tuple(v / (2 * k + 2) for k, v in enumerate(low))
+
+
+def _em_bound(s_abs, sigma, n, m):
+    """Johansson's remainder bound after m tail terms at w = n, for |s| <= s_abs, in mpmath."""
+    e = sigma + 2 * m - 1
+    poch = mpmath.rf(s_abs, 2 * m)
+    return 4 * poch * mpmath.mpf(n) ** (1 - sigma - 2 * m) / ((2 * mpmath.pi) ** (2 * m) * e)
+
+
+@pytest.mark.parametrize("sigma", (-1.0, -0.8, 0.0, 0.3, 0.5, 1.0, 3.7))
+def test_em_shift_is_the_least_that_meets_the_target(sigma):
+    with mpmath.workdps(30):
+        for t in np.append(np.linspace(0.0, 1000.0, 41), (0.02, 999.9)):
+            # the kernel passes the largest |s| rounded up, at least 1
+            s_abs = max(1, math.ceil(abs(complex(sigma, t))))
+            n, m = lfunc._em_shift(s_abs, sigma)
+            orders = [k for k in range(1, 41) if sigma + 2 * k - 1 > 0]
+            assert n >= 10 and m in orders
+            assert _em_bound(s_abs, sigma, n, m) <= lfunc._EM_TARGET, (t, n, m)
+            assert all(_em_bound(s_abs, sigma, n, k) > lfunc._EM_TARGET for k in orders if k < m)
+            if n > 10:
+                assert all(_em_bound(s_abs, sigma, n - 1, k) > lfunc._EM_TARGET for k in orders)
+
+
+@pytest.mark.parametrize("q", (5, 7, 11))
+def test_line_values_match_mpmath_high_on_the_line(q):
+    # high on the line the shift is the smallest fraction of t (0.27 at
+    # t = 1000); the frozen special-value oracle stops at t = 99.5 and has
+    # no L' on the line
+    chi = primitive_characters(q)[0]
+    table = [chi(n) for n in range(q)]
+    for t in (250.0, 500.0, 999.9):
+        s = complex(0.5, t)
+        with mpmath.workdps(20):
+            ref = [complex(mpmath.dirichlet(mpmath.mpc(0.5, t), table, k)) for k in (0, 1)]
+        for fn, r in zip((l_function, l_function_ds), ref):
+            assert abs(fn(s, chi) - r) <= 1e-11 * abs(r), (t, fn.__name__)
 
 
 def test_hurwitz_domain_and_poles():
