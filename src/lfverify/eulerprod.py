@@ -9,6 +9,11 @@ mob * c_{r-1} if the case has one.  The weights depend only on k.  The
 three-factor family is evaluated at s = 1 - beta_1 and chi-weighted:
 wt = u^{1-beta_1}, mob = u^{beta_1} / (1 - u), w = v u.  For k < 3 the
 character sits in the tail: wt = v u, mob = v / (1 - u), w = u.
+Summed by coefficient, the bracket is one dot product
+1 + lam * sum_m (g_m - mob w^{m+1}) c_m over the first ``_SERIES_LEN``
+coefficients, where g_m = sum_{1<=r<=m} w^r wt^{m-r} is the convolution
+of (0, w, w^2, ...) with (1, wt, wt^2, ...), and g_m = w^m with no open
+tail.
 
 ``_CASES`` is the one table of the cases.  With all shifts zero the two
 sides of each case agree to rounding; with small nonzero shifts the gap
@@ -21,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .characters import DirichletCharacter, factorize
 from .numerics import DomainError
@@ -92,7 +99,7 @@ class LocalFactorParams:
             raise DomainError("betas must hold exactly three shifts")
 
 
-def _coeffs(k: int, betas: Sequence[complex], q: float) -> list[complex]:
+def _coeffs(k: int, betas: Sequence[complex], q: float) -> np.ndarray:
     """c_0 .. c_{_SERIES_LEN - 1} of (1 - x) / prod_{j<=k} (1 - q^{-beta_j} x)."""
     denom = [1 + 0j]
     for b in betas[:k]:
@@ -104,33 +111,7 @@ def _coeffs(k: int, betas: Sequence[complex], q: float) -> list[complex]:
         for j in range(1, min(r, k) + 1):
             acc -= denom[j] * out[r - j]
         out[r] = acc  # denom[0] == 1
-    return out
-
-
-def _early_sum(
-    c: Sequence[complex], first: int, stop: int, weight: complex, w: complex, last_kept: int,
-    wt: complex = 0, mob: complex | None = None,
-) -> complex:
-    """Sum over first <= i < stop of x_i * w * weight^(i - first).
-
-    x_i is c_i, or the open tail T_i = sum_eta c_{i+eta} wt^eta if wt is
-    nonzero, less mob * c_{i-1} if mob is given.  The sum stops after two
-    negligible terms in a row, but not before index last_kept + 1.
-    """
-    total: complex = 0.0
-    small_run = 0
-    for i in range(first, stop):
-        x = _early_sum(c, i, len(c), wt, 1.0, i + 4) if wt else c[i]
-        if mob is not None:
-            x -= mob * c[i - 1]
-        term = x * w
-        total += term
-        # a single term can vanish by accident; stop on two tiny in a row
-        small_run = small_run + 1 if abs(term) < 1e-18 * max(1.0, abs(total)) else 0
-        if i > last_kept and small_run >= 2:
-            break
-        w *= weight
-    return total
+    return np.array(out)
 
 
 def check_local_identity(
@@ -154,18 +135,21 @@ def check_local_identity(
         wt, mob, w = u ** (1.0 - b[0]), u ** b[0] / (1.0 - u), v * u
     else:
         wt, mob, w = v * u, v / (1.0 - u), u
-    wt = wt if open_tail else 0
+    powers = np.arange(_SERIES_LEN + 1)
+    w_pow = w**powers
+    w_pow[0] = 0.0  # both sums start at w^1
+    g = np.convolve(w_pow[:-1], (wt if open_tail else 0.0) ** powers[:-1])[:_SERIES_LEN]
     lam_b = lam(u, v, b)
 
-    def bracket(mob_r: complex | None) -> complex:
-        return 1.0 + lam_b * _early_sum(c, 1, len(c) - 1, w, w, 4, wt, mob_r)
+    def bracket(mob_r: complex) -> complex:
+        return 1.0 + lam_b * ((g - mob_r * w_pow[1:]) @ c)
 
     if prefactor is None:  # L162
-        lhs = bracket(None) / bracket(mob)
+        lhs = bracket(0.0) / bracket(mob)
     else:
-        lhs = prefactor(u, v, b) * bracket(mob if mobius else None)
+        lhs = prefactor(u, v, b) * bracket(mob if mobius else 0.0)
     rhs = value(u, v)
-    return complex(lhs), complex(rhs), abs(lhs - rhs)
+    return complex(lhs), complex(rhs), float(abs(lhs - rhs))
 
 
 def cap_pi(d: int, r: int, chi: DirichletCharacter, strict: bool = True) -> float:

@@ -87,8 +87,13 @@ _DIGAMMA = tuple((n / d) / (2 * k + 2) for k, (n, d) in enumerate(_BERNOULLI[:8]
 # every kernel call bounds its Euler-Maclaurin remainder by this
 _EM_TARGET = 1e-17
 
-# complex elements in the Euler-Maclaurin kernel's R x N x K block (4 MB)
+# complex elements in one block of the Euler-Maclaurin kernel's residues (4 MB)
 _BLOCK_ELEMENTS = 1 << 18
+
+# R x K arrays a block holds beside its R x N x K exponents: up to 12 at once
+# in _em_block's ds path, and the 4 of the previous block's rows and weighted
+# terms that the loop still holds
+_BLOCK_ROWS = 16
 
 
 class BranchError(RuntimeError):
@@ -143,9 +148,10 @@ def _euler_maclaurin(
     w = N + a, with the tail
     w^-s sum_{k<=M} c_k [(s)_(2k-1) / N^(2k-1)] (N / w)^(2k-1),
     c_k = B_2k / (2k)! (``_EM_COEFFS``).  The bracketed rows depend on s
-    alone and are built once per call (with ``ds``, also their products
-    with the digamma partial sums sum_{j<2k-1} 1/(s+j)); each residue
-    meets them in one (1 x M) @ (M x K) product of its own ratios.
+    alone and are built once per call as a running product (with ``ds``,
+    also its s-derivative by the product rule, which stays finite where a
+    row vanishes at s = 0, -1, -2, ...); each residue meets them in one
+    (1 x M) @ (M x K) product of its own ratios.
     Scaled by N, every factor stays finite at |s| = 1000 and M = 40.
     With ``pole_free`` the 1/(s-1) part of w^(1-s)/(s-1) is dropped and
     the rest summed as a series in s - 1; the dropped parts cancel across
@@ -156,11 +162,11 @@ def _euler_maclaurin(
     with ``ds``, [1] holding d/ds.  A running sum (np.add.accumulate) adds
     the weighted rows in the order of a, so no row outlives its block.
 
-    The residues go in blocks of at most _BLOCK_ELEMENTS / (N K), and at
-    least one, so the elementwise path's R x N x K exponent array stays
-    near 4 MB whatever q is.  Without the budget, ``zeros --modulus 997
-    --t-max 60`` peaked at 515 MB, against 76 MB with it, and T = 1000
-    would need gigabytes.
+    The residues go in blocks of at most _BLOCK_ELEMENTS / ((N + 16) K),
+    and at least one: a residue takes N K exponents on the elementwise
+    path and up to 16 rows of K (``_BLOCK_ROWS``), so a block stays near
+    4 MB whatever q is.  Without the budget, ``zeros --modulus 997
+    --t-max 60`` peaked at 515 MB, against 47 MB with it.
     Each row takes the floating-point operations of a one-residue call:
     - log w by math.log per residue: np.log rounds about one double in
       10^4 differently;
@@ -199,15 +205,20 @@ def _euler_maclaurin(
     rows *= x
     rows += 2 * j * (2 * j - 1) / n_shift**2
     rows[0] = x
-    np.cumprod(rows, axis=0, out=rows)
-    rows *= _EM_COEFFS[:n_terms, None]
     if ds:
-        # sum over j < 2k - 1 of 1 / (s + j), the log-derivative of (s)_(2k-1)
-        psi = np.cumsum(1.0 / (s + np.arange(2 * n_terms - 1)[:, None]), axis=0)[::2]
-        tail = np.stack((rows, rows * psi))
-    else:
-        tail = rows[None]
-    per_block = max(1, _BLOCK_ELEMENTS // (n_shift * len(s)))
+        # d/ds of the running product by the product rule as it grows, the
+        # factor of row k having derivative (2x + (4k - 1) / N) / N; its
+        # log-derivative would meet the zero rows at s = 0, -1, ... as 0 * inf
+        d_rows = np.empty_like(rows)
+        d_rows[0] = 1.0 / n_shift
+        prod = x
+        for k in range(1, n_terms):
+            d_rows[k] = d_rows[k - 1] * rows[k] + prod * (2 * x + (4 * k - 1) / n_shift) / n_shift
+            prod = prod * rows[k]
+    np.cumprod(rows, axis=0, out=rows)
+    tail = np.stack((rows, d_rows)) if ds else rows[None]
+    tail *= _EM_COEFFS[:n_terms, None]
+    per_block = max(1, _BLOCK_ELEMENTS // ((n_shift + _BLOCK_ROWS) * len(s)))
     total = np.zeros((1 + ds, len(s)), dtype=np.complex128)
     for i in range(0, len(a), per_block):
         block = _em_block(s, a[i : i + per_block], n_shift, tail, ds, pole_free, step)

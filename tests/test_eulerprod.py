@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from lfverify import eulerprod
 from lfverify.characters import primes_up_to, real_primitive_character
 from lfverify.eulerprod import (
     IDENTITY_CASES,
@@ -129,6 +131,59 @@ def test_shifted_values_are_frozen(case_v):
     assert abs(lhs - ref_lhs) <= 1e-13 * abs(ref_lhs)
     assert abs(rhs - ref_rhs) <= 1e-13 * abs(ref_rhs)
     assert gap == abs(lhs - rhs)
+
+
+def _double_loop_lhs(case, p, v, betas):
+    """The case's left side from its bracket summed term by term over the whole series."""
+    k, open_tail, mobius, prefactor, lam, _ = eulerprod._CASES[case]
+    n, u = eulerprod._SERIES_LEN, 1.0 / p
+    # (1 - x) prod_j sum_r (p^-beta_j x)^r, truncated to n terms
+    c = np.zeros(n, dtype=complex)
+    c[0] = 1.0
+    for bj in betas[:k]:
+        c = np.convolve(c, (p ** -bj) ** np.arange(n))[:n]
+    c = (c - np.concatenate(([0j], c[:-1]))).tolist()
+    if k == 3:
+        wt, mob, w = u ** (1.0 - betas[0]), u ** betas[0] / (1.0 - u), v * u
+    else:
+        wt, mob, w = v * u, v / (1.0 - u), u
+
+    def bracket(with_mobius):
+        total = 0j
+        for i in range(1, n):
+            x = sum(c[i + e] * wt**e for e in range(n - i)) if open_tail else c[i]
+            if with_mobius:
+                x -= mob * c[i - 1]
+            total += w**i * x
+        return 1.0 + lam(u, v, betas) * total
+
+    if prefactor is None:  # L162
+        return bracket(False) / bracket(True)
+    return prefactor(u, v, betas) * bracket(mobius)
+
+
+_SHIFT_SETS = (
+    (0.01 + 0.02j, -0.015 + 0.003j, 0.007 - 0.011j),
+    tuple(1j * math.pi * k * 1e-3 for k in (1, 2, 3)),
+)
+
+
+@pytest.mark.parametrize("case", IDENTITY_CASES)
+def test_bracket_matches_the_double_loop(case):
+    # p = 2 is the slowest-decaying series
+    for p in (2, 3):
+        for v in (-1, 0, 1):
+            for betas in _SHIFT_SETS:
+                params = LocalFactorParams(u=1.0 / p, v=v, betas=betas)
+                if (case, v) == ("A6", 0) or (case, v, p) == ("L162", 1, 2):
+                    with pytest.raises(DomainError):
+                        check_local_identity(case, params)
+                    continue
+                lhs = check_local_identity(case, params)[0]
+                ref = _double_loop_lhs(case, p, v, betas)
+                # an absolute floor where a v = 1 bracket cancels to |lhs| < 1:
+                # 0.0044 for A3 at p = 2, where both sides are 1e-16 from exact
+                assert abs(lhs - ref) <= 1e-14 * max(abs(ref), 1.0), (case, p, v, betas, lhs, ref)
 
 
 def test_cap_pi_basics():

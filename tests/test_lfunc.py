@@ -3,6 +3,7 @@
 import cmath
 import csv
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -323,6 +324,19 @@ def test_l_function_near_s_one(name):
             for fn, order in ((l_function, 0), (l_function_ds, 1)):
                 ref = complex(mpmath.dirichlet(mpmath.mpmathify(s), table, order))
                 assert abs(fn(s, chi) - ref) <= 1e-12 * abs(ref), (s, order)
+
+
+@pytest.mark.parametrize("q", (4, 5))
+def test_l_prime_at_non_positive_integers(q):
+    # the kernel's Pochhammer rows vanish at s = 0, -1, -2; q = 4 is odd and
+    # q = 5 even; 1e-9 is the hurwitz_zeta error on the negative axis
+    chi = real_primitive_character(q)
+    table = [chi(n) for n in range(q)]
+    for s in (0, -1, -2):
+        got = l_function_ds(s, chi)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.diff(lambda z: mpmath.dirichlet(z, table), s))
+        assert cmath.isfinite(got) and abs(got - ref) <= 1e-9 * abs(ref), (s, got, ref)
 
 
 def test_vartheta_reflects_zeta():
@@ -657,6 +671,20 @@ def test_residue_blocks_keep_to_the_budget(monkeypatch):
         assert sum(r for r, _, _ in blocks) == 100 and len(blocks) > 1, blocks
         for r, n, k in blocks:
             assert r == 1 or r * n * k <= lfunc._BLOCK_ELEMENTS, (r, n, k)
+
+
+def test_audit_sized_call_keeps_to_the_block_budget():
+    # 996 residues in blocks, each holding its exponents and its rows of K;
+    # 5 MB is 1.25 times the 4 MB budget
+    chi = primitive_characters(997)[7]
+    s = 0.5 + 1j * np.linspace(20.0, 100.0, 320)
+    tracemalloc.start()
+    try:
+        lfunc._l_values(chi, s, ds=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20, peak
 
 
 def test_find_zeros_validation():
