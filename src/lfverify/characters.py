@@ -356,17 +356,18 @@ def _dirichlet(a: np.ndarray, b: np.ndarray, cap: int | None = None) -> np.ndarr
 
     Hyperbola split: the pairs d m = n with d <= sqrt(N) take one slice-add
     per d, and the rest, which all have m <= sqrt(N), one slice-add per m.
+    With ``cap`` every slice ends at the cap.
     """
-    if cap is not None:
-        a, b = a.copy(), b.copy()
-        a[cap + 1 :] = b[cap + 1 :] = 0
     n_max = len(a) - 1
+    cap = n_max if cap is None else cap
     root = math.isqrt(n_max)
     out = np.zeros(n_max + 1, dtype=np.result_type(a, b))
-    for d in range(1, root + 1):
-        out[d::d] += a[d] * b[1 : n_max // d + 1]
-    for m in range(1, root + 1):
-        out[(root + 1) * m :: m] += b[m] * a[root + 1 : n_max // m + 1]
+    for d in range(1, min(root, cap) + 1):
+        top = min(cap, n_max // d)
+        out[d : d * top + 1 : d] += a[d] * b[1 : top + 1]
+    for m in range(1, min(root, cap) + 1):
+        top = min(cap, n_max // m)
+        out[(root + 1) * m : m * top + 1 : m] += b[m] * a[root + 1 : top + 1]
     return out
 
 
@@ -393,7 +394,6 @@ def _coefficient_table(n_max: int, chi: DirichletCharacter) -> tuple[np.ndarray,
     nu_arr = _dirichlet(one, chi_arr)
     ups = _dirichlet(mu, mu * chi_arr)
     tau2 = _dirichlet(one, one)
-    del one, chi_arr, mu  # the capped product copies both factors
     return nu_arr, ups, _dirichlet(nu_arr, ups, cap=chi.modulus**4), tau2
 
 

@@ -240,8 +240,8 @@ def cmd_zeros(args) -> int:
     if not 0 < args.t_max <= _T_MAX_LIMIT:
         print(f"error: --t-max must be positive and at most {_T_MAX_LIMIT:g}", file=sys.stderr)
         return 2
-    if args.alpha_hat is not None and args.alpha_hat <= 0:
-        print("error: --alpha-hat must be positive", file=sys.stderr)
+    if args.alpha_hat is not None and not 0 < args.alpha_hat <= _T_MAX_LIMIT:
+        print(f"error: --alpha-hat must be positive and at most {_T_MAX_LIMIT:g}", file=sys.stderr)
         return 2
     prims = characters.primitive_characters(args.modulus)
     if not prims:

@@ -100,18 +100,12 @@ class LocalFactorParams:
 
 
 def _coeffs(k: int, betas: Sequence[complex], q: float) -> np.ndarray:
-    """c_0 .. c_{_SERIES_LEN - 1} of (1 - x) / prod_{j<=k} (1 - q^{-beta_j} x)."""
-    denom = [1 + 0j]
+    """c_0 .. c_{_SERIES_LEN - 1} of (1 - x) / prod_{j<=k} (1 - q^{-beta_j} x):
+    (1, -1) convolved in turn with each truncated geometric series of q^{-beta_j}."""
+    c = np.array([1.0, -1.0], dtype=complex)
     for b in betas[:k]:
-        a = q ** (-b)
-        denom = [x - (a * denom[i - 1] if i else 0) for i, x in enumerate(denom + [0j])]
-    out = [0j] * _SERIES_LEN
-    for r in range(_SERIES_LEN):
-        acc = (1 + 0j, -1 + 0j)[r] if r < 2 else 0j
-        for j in range(1, min(r, k) + 1):
-            acc -= denom[j] * out[r - j]
-        out[r] = acc  # denom[0] == 1
-    return np.array(out)
+        c = np.convolve(c, (q ** -b) ** np.arange(_SERIES_LEN))[:_SERIES_LEN]
+    return c
 
 
 def check_local_identity(

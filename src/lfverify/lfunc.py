@@ -173,9 +173,9 @@ def _euler_maclaurin(
     - s as a 1 x K row before any complex product with a residue's
       values: numpy rounds a complex product differently when a
       broadcast of arrays of unequal rank yields one element;
-    - the d/ds direct sum as one ``ln @ e`` per row, and the tail as one
-      product per residue: a shared (R x M) @ (M x K) product rounds
-      differently with the block's shape.
+    - the d/ds direct sum and the tail as one stacked product, (1 x N) @
+      (N x K) and (1 x M) @ (M x K) per residue: a shared (R x M) @ (M x K)
+      product rounds differently with the block's shape.
 
     Given ``step`` (values only, not ``ds``), s is a scan's uniform grid
     s_k = s_0 + i k step, k < K, and each residue's direct sum is one
@@ -198,25 +198,25 @@ def _euler_maclaurin(
     n_shift, n_terms = _em_shift(s_abs, float(np.min(s.real)))
     # row k - 1 is c_k (s)_(2k-1) / N^(2k-1): x = s / N times the running product
     # of (s + 2j - 1)(s + 2j) / N^2 = x (x + (4j - 1) / N) + 2j (2j - 1) / N^2,
-    # built in place, since each fresh M x K temporary page-faults
+    # built in place in ``tail``, since each fresh M x K temporary page-faults
     j = np.arange(n_terms)[:, None]
     x = s / n_shift
-    rows = x + (4 * j - 1) / n_shift
+    tail = np.empty((1 + ds, n_terms, len(s)), dtype=np.complex128)
+    rows = tail[0]
+    np.add(x, (4 * j - 1) / n_shift, out=rows)
     rows *= x
     rows += 2 * j * (2 * j - 1) / n_shift**2
     rows[0] = x
     if ds:
-        # d/ds of the running product by the product rule as it grows, the
-        # factor of row k having derivative (2x + (4k - 1) / N) / N; its
-        # log-derivative would meet the zero rows at s = 0, -1, ... as 0 * inf
-        d_rows = np.empty_like(rows)
+        # d/ds by the product rule as the product grows, factor k having derivative
+        # (2x + (4k - 1) / N) / N; a log-derivative is 0 * inf at s = 0, -1, ...
+        d_rows = tail[1]
         d_rows[0] = 1.0 / n_shift
         prod = x
         for k in range(1, n_terms):
             d_rows[k] = d_rows[k - 1] * rows[k] + prod * (2 * x + (4 * k - 1) / n_shift) / n_shift
             prod = prod * rows[k]
     np.cumprod(rows, axis=0, out=rows)
-    tail = np.stack((rows, d_rows)) if ds else rows[None]
     tail *= _EM_COEFFS[:n_terms, None]
     per_block = max(1, _BLOCK_ELEMENTS // ((n_shift + _BLOCK_ROWS) * len(s)))
     total = np.zeros((1 + ds, len(s)), dtype=np.complex128)
@@ -264,7 +264,7 @@ def _em_block(s, a, n_shift, tail, ds, pole_free, step) -> np.ndarray:
     out = head + pole + 0.5 * w_pow + bern[0]
     if not ds:
         return out[None]
-    out_ds = -np.array([lr @ er for lr, er in zip(ln, e)]) + pole_ds - 0.5 * lw * w_pow
+    out_ds = -(ln[:, None, :] @ e)[:, 0] + pole_ds - 0.5 * lw * w_pow
     return np.stack((out, out_ds + bern[1] - lw * bern[0]))
 
 

@@ -250,6 +250,21 @@ def test_coefficient_table_matches_trial_division(modulus):
         assert (nu(n, chi), upsilon(n, chi), varsigma(n, chi)) == (nu_arr[n], ups[n], vs[n])
 
 
+@pytest.mark.parametrize("n_max", [960, 961])
+def test_capped_product_matches_brute_force(n_max):
+    # integer factors, so the sums are exact; caps on both sides of sqrt(N) = 30 or 31
+    a, b = np.random.default_rng(n_max).integers(-9, 10, size=(2, n_max + 1))
+    root = math.isqrt(n_max)
+    for cap in (1, root - 1, root, root + 1, n_max, 10 * n_max, None):
+        top = n_max if cap is None else min(cap, n_max)
+        ref = np.zeros(n_max + 1, dtype=np.int64)
+        for d in range(1, top + 1):
+            for m in range(1, min(top, n_max // d) + 1):
+                ref[d * m] += a[d] * b[m]
+        out = characters._dirichlet(a, b, cap)
+        assert out.dtype == np.int64 and np.array_equal(out, ref), cap
+
+
 def test_coefficient_bounds_hold_with_exact_margin():
     for d in (3, 4, 5, 8):
         chi = real_primitive_character(d)

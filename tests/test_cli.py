@@ -212,9 +212,11 @@ def test_zeros_input_validation(tmp_path):
     assert main(["zeros", "--modulus", "4", "--t-max", "1000.5"]) == 2
     assert main(["zeros", "--modulus", "4", "--t-max", "10", "--step", "0.5"]) == 2
     assert main(["zeros", "--modulus", "4", "--t-max", "10", "--char-index", "5"]) == 2
-    assert (
-        main(["zeros", "--modulus", "4", "--t-max", "10", "--alpha-hat", "-1"]) == 2
-    )
+    # nan would pass a bare positivity test; inf and 1e300 overflow the kernel's shift
+    for alpha_hat in ("-1", "nan", "inf", "1e300", "1001"):
+        assert (
+            main(["zeros", "--modulus", "4", "--t-max", "10", "--alpha-hat", alpha_hat]) == 2
+        )
     assert (
         main(
             ["zeros", "--modulus", "4", "--t-max", "10", "--csv", "/nonexistent-dir/z.csv"]

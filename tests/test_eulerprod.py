@@ -168,6 +168,28 @@ _SHIFT_SETS = (
 )
 
 
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_coeffs_invert_the_denominator(k):
+    # c * prod_{j<=k} (1 - p^{-beta_j} x) = 1 - x, to rounding on the scale of c
+    for p in (2, 3, 1009):
+        for betas in (ZERO,) + _SHIFT_SETS:
+            c = eulerprod._coeffs(k, betas, float(p))
+            denom = np.ones(1)
+            for b in betas[:k]:
+                denom = np.convolve(denom, [1.0, -(p ** -b)])
+            out = np.convolve(c, denom)[: eulerprod._SERIES_LEN]
+            out[:2] -= (1.0, -1.0)
+            assert np.abs(out).max() <= 1e-14 * np.abs(c).max(), (k, p, betas)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_coeffs_at_zero_shift_are_binomials(k):
+    # (1 - x) / (1 - x)^k = (1 - x)^{1-k}: c_m = C(m + k - 2, k - 2), and 0^m for k = 1
+    ms = range(eulerprod._SERIES_LEN)
+    expect = [math.comb(m + k - 2, k - 2) if k > 1 else int(m == 0) for m in ms]
+    assert eulerprod._coeffs(k, ZERO, 7.0).tolist() == expect
+
+
 @pytest.mark.parametrize("case", IDENTITY_CASES)
 def test_bracket_matches_the_double_loop(case):
     # p = 2 is the slowest-decaying series
