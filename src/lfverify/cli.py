@@ -37,7 +37,7 @@ _C_STAR_FLOOR = -1e-9
 # the Euler-Maclaurin kernel bounds its truncation at any height, but the
 # rounding of its direct sum (relative 1e-12 on the line) is checked against
 # mpmath only up to t = 999.9, and a scan's cost grows as T^2
-_T_MAX_LIMIT = 1000.0
+_T_MAX_LIMIT = lfunc._T_LIMIT
 # primitive_characters holds all phi(q) value tables of q entries each, and
 # the scan's cost per panel grows with the q residues, so q stays desk-scale;
 # identities, which tabulates q Kronecker symbols per modulus, shares the cap

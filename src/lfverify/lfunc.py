@@ -433,29 +433,25 @@ def z_factor(s: complex, theta: DirichletCharacter) -> complex:
     return front * base * cmath.exp(complex(_log_gamma(num)) - complex(_log_gamma(den)))
 
 
-def _arg_z_line(t: np.ndarray, theta: DirichletCharacter) -> np.ndarray:
-    """Continuous arg Z(1/2 + it) along the line (vectorized in t)."""
-    q = theta.modulus
-    eps, half_arg = _root_number(theta)
-    lg = _log_gamma(half_arg + 0.5j * t)
-    return cmath.phase(eps) + t * math.log(math.pi / q) - 2.0 * np.imag(lg)
-
-
 def _m_line(
     theta: DirichletCharacter, t: np.ndarray, step: Optional[float] = None, ds: bool = False
 ) -> Union[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Rotated line values M = exp(-i arg Z / 2) L(1/2+it), complex, over a t-grid.
 
+    arg Z(1/2 + it) = arg eps + t log(pi / q) - 2 im log Gamma(h + it/2) is
+    continuous, with (eps, h) the root number and its half-argument.
     With ``ds`` it returns (M, M'), M' = -i dM/dt analytically:
     dM/dt = exp(-i arg Z / 2) (-i (arg Z)' L / 2 + i dL/ds), where
-    (arg Z)'(t) = log(pi / q) - re psi(h + it/2), h the half-argument of
-    the root number; so M' = exp(-i arg Z / 2) (dL/ds - (arg Z)' L / 2).
+    (arg Z)'(t) = log(pi / q) - re psi(h + it/2); so
+    M' = exp(-i arg Z / 2) (dL/ds - (arg Z)' L / 2).
     """
-    rot = np.exp(-0.5j * _arg_z_line(t, theta))
+    eps, half_arg = _root_number(theta)
+    lg = _log_gamma(half_arg + 0.5j * t)
+    arg_z = cmath.phase(eps) + t * math.log(math.pi / theta.modulus) - 2.0 * np.imag(lg)
+    rot = np.exp(-0.5j * arg_z)
     if not ds:
         return rot * _l_values(theta, 0.5 + 1j * t, step)
     l_val, l_ds = _l_values(theta, 0.5 + 1j * t, ds=True)
-    _, half_arg = _root_number(theta)
     arg_ds = math.log(math.pi / theta.modulus) - _digamma(half_arg + 0.5j * t).real
     return rot * l_val, rot * (l_ds - 0.5 * arg_ds * l_val)
 
@@ -523,7 +519,9 @@ class ScanResult(Sequence):
 _PANEL_POINTS = 4000
 # a refined zero is returned as [x - r, x + r] with this r
 _ZERO_RADIUS = 0.5e-9
-# batched Illinois steps a panel's brackets may take before the scan gives up
+# refinement's first step evaluates each bracket's cubic start x0 at x0 -+ this
+_PROBE_RADIUS = 1e-6
+# batched line evaluations a panel's brackets may take before the scan gives up
 _REFINE_STEPS = 40
 
 
@@ -546,6 +544,28 @@ def _sign_changes(vals: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarra
     return np.flatnonzero(change), fa[change], np.flatnonzero(dip)
 
 
+def _cubic_root(t, f, lo, hi, flo, fhi) -> np.ndarray:
+    """Per row, a root in [lo, hi] of the polynomial (a cubic for 4) through its points (t, f).
+
+    4 Newton steps from the regula falsi point of [lo, hi] (end values flo, fhi);
+    a row whose iterate is not finite or leaves [lo, hi] takes that point instead.
+    """
+    rf = (lo * fhi - hi * flo) / (fhi - flo)
+    c = f.copy()
+    x, kept = rf, np.ones(len(rf), dtype=bool)
+    with np.errstate(all="ignore"):
+        for j in range(1, c.shape[1]):
+            c[:, j:] = (c[:, j:] - c[:, j - 1 : -1]) / (t[:, j:] - t[:, :-j])
+        for _ in range(4):
+            p, dp = c[:, -1], 0.0
+            for j in range(c.shape[1] - 2, -1, -1):
+                d = x - t[:, j]
+                dp, p = dp * d + p, p * d + c[:, j]
+            x = x - p / dp
+            kept &= (lo <= x) & (x <= hi)
+    return np.where(kept, x, rf)
+
+
 def _refine(
     psi: DirichletCharacter,
     lo: np.ndarray,
@@ -553,45 +573,59 @@ def _refine(
     flo: np.ndarray,
     fhi: np.ndarray,
     floor: float,
+    start: np.ndarray,
 ) -> np.ndarray:
-    """Centres of certified zero brackets, by batched Illinois regula falsi.
+    """Centres of certified zero brackets, each refined from its ``start`` x0.
 
     Each bracket [lo, hi] has end values of opposite sign (fhi may be 0).
-    Every step evaluates, in one line evaluation, the regula falsi point
-    x = (lo fhi - hi flo) / (fhi - flo) of each open bracket; the end of
-    the same sign as the new value moves to x, and an end kept twice in a
-    row has its value halved (Illinois).  Once x moves by less than 1e-11,
-    or the bracket is narrower than 2e-9, the step evaluates x -+ r
-    (r = ``_ZERO_RADIUS``, not clipped to the bracket) instead, and the
-    bracket closes as [x - r, x + r] if their signs are those of lo and hi
-    and both |values| are at least ``floor``.  Otherwise the points that
-    fall inside the bracket narrow it, and stepping resumes.  A bracket
-    still open after ``_REFINE_STEPS`` steps raises ConvergenceError.
+    Every step is one line evaluation over the open brackets.  The first
+    evaluates x0 -+ ``_PROBE_RADIUS``; where the pair straddles the zero,
+    the next step closes at the root of the cubic through it, lo and hi.
+    Otherwise, and after a failed close, each step evaluates the Illinois
+    regula falsi point x, until x moves by less than 1e-11 or the bracket
+    is narrower than 2e-9; that step closes at x instead.  A close
+    evaluates x -+ r (r = ``_ZERO_RADIUS``, not clipped) and succeeds as
+    [x - r, x + r] if their signs are those of lo and hi and both |values|
+    are at least ``floor``.  A pair's points inside the bracket narrow it.
+    A bracket open after ``_REFINE_STEPS`` steps, the first included,
+    raises ConvergenceError.
     """
     lo, hi, flo, fhi = lo.copy(), hi.copy(), flo.copy(), fhi.copy()
     x_hat = np.full(len(lo), np.nan)
     side = np.zeros(len(lo), dtype=np.int8)
     done = np.zeros(len(lo), dtype=bool)
-    for _ in range(_REFINE_STEPS):
+    # the x each bracket's next step closes at, NaN for an Illinois step
+    guess = start.copy()
+    for k in range(_REFINE_STEPS):
         idx = np.flatnonzero(~done)
         if not len(idx):
             return x_hat
         x = (lo[idx] * fhi[idx] - hi[idx] * flo[idx]) / (fhi[idx] - flo[idx])
-        close = (np.abs(x - x_hat[idx]) < 1e-11) | (hi[idx] - lo[idx] < 2e-9)
+        given = ~np.isnan(guess[idx])
+        x[given] = guess[idx[given]]
+        guess[idx] = np.nan
+        close = given | (np.abs(x - x_hat[idx]) < 1e-11) | (hi[idx] - lo[idx] < 2e-9)
         x_hat[idx] = x
         step, xm = idx[~close], x[~close]
         shut, xs = idx[close], x[close]
-        vals = _m_raw_line(psi, np.concatenate((xm, xs - _ZERO_RADIUS, xs + _ZERO_RADIUS)))
+        r = _ZERO_RADIUS if k else _PROBE_RADIUS
+        vals = _m_raw_line(psi, np.concatenate((xm, xs - r, xs + r)))
         fx, fa, fb = np.split(vals, [len(xm), len(xm) + len(xs)])
 
-        ok = (np.sign(fa) == np.sign(flo[shut])) & (np.sign(fb) == -np.sign(flo[shut]))
-        ok &= (np.abs(fa) >= floor) & (np.abs(fb) >= floor)
+        straddle = (np.sign(fa) == np.sign(flo[shut])) & (np.sign(fb) == -np.sign(flo[shut]))
+        if not k:
+            # a probe pair that straddles the zero: the next step closes at the cubic's root
+            j, f_a, f_b = shut[straddle], fa[straddle], fb[straddle]
+            a, b = xs[straddle] - r, xs[straddle] + r
+            f = np.stack((flo[j], f_a, f_b, fhi[j]), axis=1)
+            guess[j] = _cubic_root(np.stack((lo[j], a, b, hi[j]), axis=1), f, a, b, f_a, f_b)
+        ok = straddle & (np.abs(fa) >= floor) & (np.abs(fb) >= floor) & (k > 0)
         done[shut[ok]] = True
         # the rest keep what the two points showed and step again
         shut, xs, fa, fb = shut[~ok], xs[~ok], fa[~ok], fb[~ok]
         x_hat[shut] = np.nan
         side[shut] = 0
-        for pt, fp in ((xs - _ZERO_RADIUS, fa), (xs + _ZERO_RADIUS, fb)):
+        for pt, fp in ((xs - r, fa), (xs + r, fb)):
             inside = (lo[shut] < pt) & (pt < hi[shut])
             to_lo = inside & (np.sign(fp) == np.sign(flo[shut]))
             to_hi = inside & ~to_lo
@@ -630,13 +664,12 @@ def find_zeros(
     dips near zero without a sign change is flagged as a suspected double
     zero, never dropped silently (see ``_sign_changes``).
 
-    The sign-change brackets of each panel are then refined together by
-    Illinois regula falsi from the grid values at their ends, so every
-    step runs at that panel's shift (see ``_refine``).  A bracket closes
-    once the estimate x moves by less than 1e-11 (or the bracket is
-    narrower than 2e-9) and the values at x -+ 0.5e-9 have opposite signs
-    and magnitudes of at least 1e-12 times the median |value| on the grid.
-    Each zero is returned as gamma = x with radius 0.5e-9.
+    The sign-change brackets of each panel are then refined together, so
+    every line evaluation runs at that panel's shift (see ``_refine``).
+    Each starts at the root of the cubic through the 4 grid values around
+    it, whose error is O(step^4), 1e-8 typically at the default step; most
+    close in two evaluations, with a floor of 1e-12 times the median
+    |value| on the grid.  Each zero is returned as gamma = x, radius 0.5e-9.
     """
     if not psi.primitive:
         raise DomainError("scan needs a primitive character")
@@ -665,15 +698,22 @@ def find_zeros(
     starts, flo, dips = _sign_changes(vals, scale)
     flagged = tuple((float(grid[i - 1]), float(grid[i + 1])) for i in dips)
 
+    # the 4 grid points around each bracket, kept inside the grid at its ends
+    near = np.clip(starts - 1, 0, max(len(grid) - 4, 0))[:, None] + np.arange(min(len(grid), 4))
+    x0 = _cubic_root(grid[near], vals[near], grid[starts], grid[starts + 1], flo, vals[starts + 1])
     panel = starts // (_PANEL_POINTS - 1)
+    floor = 1e-12 * scale
     gammas = []
     for i in np.split(np.arange(len(panel)), np.flatnonzero(np.diff(panel)) + 1):
         ix = starts[i]
-        gammas.extend(_refine(psi, grid[ix], grid[ix + 1], flo[i], vals[ix + 1], 1e-12 * scale))
+        gammas.extend(_refine(psi, grid[ix], grid[ix + 1], flo[i], vals[ix + 1], floor, x0[i]))
     zeros = tuple(CriticalZero(float(g), _ZERO_RADIUS) for g in gammas)
     return ScanResult(zeros, flagged, len(panel_starts))
 
 
+# the line values' accuracy is checked up to this height, and the c* audit
+# evaluates L up to 3 alpha_hat above a zero, so it caps alpha_hat too
+_T_LIMIT = 1000.0
 # a chunk of the c* audit spans at most one scan panel at the default step,
 # so each chunk's kernel passes run at a shift fit for its own ordinates
 _AUDIT_CHUNK_T = (_PANEL_POINTS - 1) * 0.02
@@ -690,8 +730,8 @@ def _c_star_batch(
     c* is NaN where |M'| < 1e-10 (a degenerate zero) or where
     -i M1 M2 M3 / M' has an imaginary residue above 1e-6.
     """
-    if alpha_hat <= 0:
-        raise DomainError("alpha_hat must be positive")
+    if not 0 < alpha_hat <= _T_LIMIT:
+        raise DomainError(f"alpha_hat must be finite, positive and at most {_T_LIMIT:g}")
     g = np.asarray(gammas, dtype=np.float64)
     m_prime = np.empty(len(g), dtype=np.complex128)
     triple = np.empty(len(g), dtype=np.complex128)

@@ -497,13 +497,56 @@ def test_refinement_closes_in_few_steps_per_panel(monkeypatch):
     # each batched step evaluates the brackets of one panel
     per_panel = np.bincount(((np.array(steps) - 0.02) // width).astype(int))
     assert scan.panels == len(per_panel) == 3
-    assert per_panel.max() <= 8
+    assert per_panel.max() <= 3
+
+
+def test_refinement_falls_back_when_the_cubic_start_misses(monkeypatch):
+    # the cubic through the grid values of this steep step misses its zero
+    # by about 2e-4, far beyond the probe radius, so both probes fall on one
+    # side and the bracket must close by Illinois steps
+    def line(psi, t, step=None):
+        if step is None:
+            calls.append(len(t))
+        return np.tanh(40.0 * (t - 5.005)) * (1 + t)
+
+    calls = []
+    monkeypatch.setattr(lfunc, "_m_raw_line", line)
+    grid = np.array([[4.98, 5.0, 5.02, 5.04]])
+    lo, hi = grid[:, 1], grid[:, 2]
+    start = lfunc._cubic_root(grid, line(None, grid), lo, hi, line(None, lo), line(None, hi))
+    assert abs(start[0] - 5.005) > 10 * lfunc._PROBE_RADIUS
+    calls.clear()
+    (zero,) = find_zeros(real_primitive_character(4), 4.0, 6.0)
+    assert len(calls) > 2
+    assert abs(zero.gamma - 5.005) < 1e-12
+
+
+def test_cubic_root_falls_back_to_regula_falsi_without_warnings():
+    # coincident nodes, a constant interpolant and a root outside the bracket:
+    # each row takes the regula falsi point, and nothing warns
+    t = np.array([[0.0, 0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0]])
+    f = np.array([[-1.0, -1.0, 1.0, 3.0], [1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 4.0, 9.0]])
+    lo, hi = np.array([0.0, 0.0, 1.5]), np.array([1.0, 1.0, 2.0])
+    flo, fhi = np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 3.0])
+    got = lfunc._cubic_root(t, f, lo, hi, flo, fhi)
+    assert np.array_equal(got, (lo * fhi - hi * flo) / (fhi - flo))
+
+
+def test_find_zeros_gammas_match_a_fine_secant(full_scans):
+    # the secant on [gamma -+ 2e-9] is exact to about 1e-17 for a simple
+    # zero, so it measures how far the refined centre is from the zero
+    for q, chi, scan in full_scans:
+        g = np.array([z.gamma for z in scan])
+        a, b = g - 2e-9, g + 2e-9
+        fa, fb = lfunc._m_raw_line(chi, a), lfunc._m_raw_line(chi, b)
+        assert np.abs((a * fb - b * fa) / (fb - fa) - g).max() < 1e-12, q
 
 
 def test_refinement_gives_up_after_its_step_cap(monkeypatch):
     chi = real_primitive_character(4)
     with monkeypatch.context() as m:
-        m.setattr(lfunc, "_REFINE_STEPS", 2)
+        # the probe step counts against the cap, and it closes no bracket
+        m.setattr(lfunc, "_REFINE_STEPS", 1)
         with pytest.raises(ConvergenceError):
             find_zeros(chi, 5.0, 14.0)
     # a triple zero is below the certification floor at every radius the
@@ -701,14 +744,30 @@ def test_find_zeros_validation():
         find_zeros(principal_character(4), 1.0, 10.0)
 
 
-def test_c_star_real_and_guarded():
+def test_c_star_real_and_guarded(tmp_path):
     chi = real_primitive_character(4)
     scan = find_zeros(chi, 5.0, 14.0)
     alpha = scan_alpha_hat(scan)
     val = c_star(scan[0], chi, alpha)
     assert isinstance(val, float)
-    with pytest.raises(DomainError):
-        c_star(scan[0], chi, 0.0)
+    # nan passed a bare positivity test; inf and 1e300 overflowed the
+    # kernel's shift after a RuntimeWarning
+    for alpha_hat in (0.0, math.nan, math.inf, 1e300, 1001.0):
+        with pytest.raises(DomainError, match="alpha_hat"):
+            c_star(scan[0], chi, alpha_hat)
+        with pytest.raises(DomainError, match="alpha_hat"):
+            export_zeros_csv(str(tmp_path / "zeros.csv"), scan, chi, alpha_hat)
+
+
+def test_m_line_computes_the_root_number_once(monkeypatch):
+    chi = primitive_characters(7)[1]
+    calls = []
+    root_number = lfunc._root_number
+    monkeypatch.setattr(lfunc, "_root_number", lambda theta: calls.append(1) or root_number(theta))
+    t = np.array([3.0, 14.5])
+    lfunc._m_line(chi, t)
+    lfunc._m_line(chi, t, ds=True)
+    assert len(calls) == 2
 
 
 def test_export_zeros_csv(tmp_path):
