@@ -3,9 +3,9 @@
 The package recomputes, from first principles and at desk scale, every
 explicitly checkable object the argument rests on:
 
-* ``kernels`` / ``numerics``: the limit kernel closed forms, the fixed
-  Gauss-Legendre panel of the constants, and a deterministic adaptive
-  quadrature for the window transforms;
+* ``kernels`` / ``numerics``: the limit kernel closed forms, and the one
+  quadrature rule, equal 15-point Gauss-Legendre panels, behind the
+  constants and the window transforms;
 * ``contradiction``: the full constant pipeline and the claimed
   inequality chain, reported rather than asserted;
 * ``characters`` / ``eulerprod``: Dirichlet characters, the arithmetic

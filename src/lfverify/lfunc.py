@@ -786,8 +786,8 @@ class WeightParams:
     t0: float = 2000.0
 
     def __post_init__(self):
-        if self.S <= 0 or self.L2 <= 0 or self.t0 <= 0:
-            raise DomainError("all weight parameters must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.S, self.L2, self.t0)):
+            raise DomainError("all weight parameters must be positive and finite")
 
     @property
     def s0(self) -> complex:
@@ -826,8 +826,8 @@ def delta_fn(x: Union[float, np.ndarray], p: WeightParams) -> Union[complex, np.
     least 8.
     """
     xs = np.asarray(x, dtype=np.float64)
-    if (xs <= 0).any():
-        raise DomainError("x must be positive")
+    if not (np.isfinite(xs) & (xs > 0)).all():
+        raise DomainError("x must be positive and finite")
     umax = _u_cut(p)
     u_star = np.clip(np.log(p.t0 / xs), -umax, umax)
     variation = 2.0 * p.t0 * u_star + xs * (2.0 * math.cosh(umax) - 2.0 * np.exp(u_star))
@@ -849,20 +849,28 @@ def delta_mellin(s: complex, p: WeightParams) -> complex:
     The transform lives where log(x / t0) is within a few 1/L2 (narrow
     window, large t0) or where x - t0 is within a few L2 (wide window,
     decoherence of the slowly-turning phase); the x-range is the union of
-    both, cut where the induced Gaussian drops below 1e-16.  The adaptive
-    quadrature over x passes each panel's abscissae to delta_fn as one
-    array.
+    both, cut where the induced Gaussian drops below 1e-16.  The integral
+    is taken by equal 15-point Gauss-Legendre panels, each panel's
+    abscissae passed to delta_fn as one array.  They are sized by the
+    phase: delta_fn(x) turns at most 2 pi (e^U - 1) per unit of x,
+    U = ``_u_cut(p)``, and x^(s-1) adds |Im s| log(x_hi / x_lo) over the
+    range; one panel per 12 radians of the sum, and at least 8.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError("s must be finite")
     c = math.sqrt(40.0) / p.L2
     w_add = math.sqrt(40.0) * p.L2 / math.pi
     x_lo = max(1e-12, min(p.t0 * math.exp(-c), p.t0 - w_add))
     x_hi = max(p.t0 * math.exp(c), p.t0 + w_add)
+    turn = _TWO_PI * math.expm1(_u_cut(p))
+    variation = turn * (x_hi - x_lo) + abs(s.imag) * math.log(x_hi / x_lo)
+    n_panels = max(8, int(variation / 12.0) + 1)
 
     def f(x):
         return delta_fn(x, p) * np.exp((s - 1.0) * np.log(x))
 
-    return integrate(f, x_lo, x_hi, tol=1e-9, max_panels=8192).value
+    return integrate(f, x_lo, x_hi, n_panels).value
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
-"""Gauss-Legendre quadrature and the package's shared error types.
+"""Fixed-panel Gauss-Legendre quadrature and the package's shared error types.
 
-``gauss_legendre`` is one 15-point panel; the constant pipeline integrates
-each of its exponential-polynomial integrands with it.  ``integrate`` runs
-such panels with a 7-point companion rule, bisecting the worst panel until
-the summed |G15 - G7| disagreement meets the tolerance; the window
-transforms use it.  That disagreement is an error estimate, not a bound.  No
-randomness, no parallelism: identical inputs give identical outputs.
+``integrate`` splits [a, b] into equal panels, applies one 15-point
+Gauss-Legendre rule on each and adds the panel sums in order.  The caller
+chooses the number of panels; there is no tolerance and no adaptivity.  For
+an integrand analytic on a Bernstein ellipse about each panel the rule's
+error has an explicit bound (Trefethen, Approximation Theory and
+Approximation Practice, Thm 19.3).  No randomness, no parallelism: identical
+inputs give identical outputs.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -24,11 +25,10 @@ class DomainError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iteration failed to converge within its budget.
 
-    The best available result is attached as ``partial``: the quadrature's
-    ``QuadratureResult``, or the zero scan's current estimates.
+    The zero scan's current estimates are attached as ``partial``.
     """
 
-    def __init__(self, message: str, partial: Union["QuadratureResult", np.ndarray]):
+    def __init__(self, message: str, partial: np.ndarray):
         super().__init__(message)
         self.partial = partial
 
@@ -36,12 +36,10 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class QuadratureResult:
     value: complex
-    error_estimate: float
     evaluations: int
 
 
 _NODES15, _WEIGHTS15 = np.polynomial.legendre.leggauss(15)
-_NODES7, _WEIGHTS7 = np.polynomial.legendre.leggauss(7)
 
 
 def _eval(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -55,74 +53,29 @@ def _eval(f: Callable, x: np.ndarray) -> np.ndarray:
     return np.array([complex(f(float(t))) for t in x])
 
 
-def gauss_legendre(f: Callable, a: float, b: float) -> complex:
-    """One 15-point Gauss-Legendre panel over [a, b]."""
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    return half * complex(np.dot(_WEIGHTS15, _eval(f, mid + half * _NODES15)))
-
-
-def _panel(f: Callable, a: float, b: float) -> tuple[complex, float]:
-    v15 = gauss_legendre(f, a, b)
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    v7 = half * complex(np.dot(_WEIGHTS7, _eval(f, mid + half * _NODES7)))
-    return v15, abs(v15 - v7)
-
-
-def integrate(
-    f: Callable,
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_panels: int = 4096,
-) -> QuadratureResult:
-    """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
+def integrate(f: Callable, a: float, b: float, panels: int = 1) -> QuadratureResult:
+    """Integrate ``f`` over [a, b] by ``panels`` equal 15-point Gauss-Legendre panels.
 
     ``f`` may return real or complex values and may be vectorized over numpy
-    arrays.  Raises ConvergenceError (carrying the partial result) if the
-    panel budget is exhausted before the summed disagreement estimate drops
-    below ``tol``.
+    arrays; it is called on one panel's 15 abscissae at a time.  Raises
+    DomainError unless a and b are finite, a <= b and panels >= 1.
     """
-    if not (a <= b):
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise DomainError(f"invalid interval [{a}, {b}]")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if panels < 1:
+        raise DomainError("at least one panel is needed")
     if a == b:
-        return QuadratureResult(0j, 0.0, 0)
-
-    min_width = 1e-14 * (b - a)
-    value, err = _panel(f, a, b)
-    evals = 22
-    # heap orders splittable panels worst-first; the counter breaks ties
-    # deterministically.  Panels too narrow to split are parked in `frozen`.
-    heap = [(-err, 0, a, b, value, err)]
-    counter = 1
-    frozen: list[tuple[float, float, complex, float]] = []
-    total_err = err
-    while total_err > tol and heap and len(heap) + len(frozen) < max_panels:
-        _, _, pa, pb, pv, pe = heapq.heappop(heap)
-        if pb - pa < min_width:
-            frozen.append((pa, pb, pv, pe))
-            continue
-        pm = (pa + pb) / 2.0
-        lv, le = _panel(f, pa, pm)
-        rv, re_ = _panel(f, pm, pb)
-        evals += 44
-        total_err += le + re_ - pe
-        heapq.heappush(heap, (-le, counter, pa, pm, lv, le))
-        heapq.heappush(heap, (-re_, counter + 1, pm, pb, rv, re_))
-        counter += 2
-
-    # re-sum panel contributions in positional order: no accumulation drift
-    pieces = frozen + [(pa, pb, pv, pe) for (_, _, pa, pb, pv, pe) in heap]
-    pieces.sort(key=lambda t: t[0])
-    value = complex(sum(p[2] for p in pieces))
-    total_err = float(sum(p[3] for p in pieces))
-
-    result = QuadratureResult(value, total_err, evals)
-    if total_err > tol:
-        raise ConvergenceError(
-            f"needed more than {max_panels} panels for tol={tol:g} "
-            f"(reached {total_err:g})",
-            result,
-        )
-    return result
+        return QuadratureResult(0j, 0)
+    # Python scalars throughout, so that the panel sums and the value are
+    # Python complex whatever numeric types the caller passes
+    a, b = float(a), float(b)
+    width = (b - a) / panels
+    # the exact additive identity, signed zeros included: one panel's sum
+    # comes back bit for bit
+    value = complex(-0.0, -0.0)
+    for k in range(panels):
+        lo = a + k * width
+        hi = b if k == panels - 1 else a + (k + 1) * width
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        value += half * complex(np.dot(_WEIGHTS15, _eval(f, mid + half * _NODES15)))
+    return QuadratureResult(value, 15 * panels)

@@ -5,7 +5,7 @@ Every kernel closed form and every integral below is typed out afresh as a
 plain lambda, with no imports from the package under test. A dense composite
 Simpson rule (about 1e6 points per unit-length integral) puts the quadrature
 error far below 1e-12, so the printed values serve as frozen cross-checks for
-the adaptive integrator and the constant pipeline.
+the Gauss-Legendre rule and the constant pipeline.
 
 Run:  python tests/oracles/simpson_constants.py
 """

@@ -796,6 +796,14 @@ def test_weight_params():
         WeightParams(L2=0.0)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("S", math.nan), ("L2", math.inf), ("t0", math.nan), ("t0", math.inf)]
+)
+def test_weight_params_refuse_non_finite(field, value):
+    with pytest.raises(DomainError):
+        WeightParams(**{field: value})
+
+
 def test_g_weight_complement_and_guards():
     for x in (0.1, 0.5, 1.0, 3.7, 42.0):
         assert abs(g_weight(x, 10.0) + g_weight(1.0 / x, 10.0) - 1.0) < 1e-12
@@ -823,6 +831,12 @@ def test_delta_fn_guards():
         delta_fn(-2.0, p)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, np.array([60.0, math.nan])])
+def test_delta_fn_refuses_non_finite_x(x):
+    with pytest.raises(DomainError):
+        delta_fn(x, WeightParams(10.0, 50.0, 60.0))
+
+
 def test_delta_fn_matches_frozen_oracle(special_values):
     # one array call at the desk parameters; at x = 1, far from the window,
     # the panels must be sized by the phase of t0, not of x
@@ -848,6 +862,27 @@ def test_delta_mellin_normalization_small_t0():
     for l2, t0 in ((50.0, 60.0), (100.0, 120.0)):
         p = WeightParams(10.0, l2, t0)
         assert abs(delta_mellin(1.0, p) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("s", [complex(1.0, math.inf), math.nan])
+def test_delta_mellin_refuses_non_finite_s(s):
+    with pytest.raises(DomainError):
+        delta_mellin(s, WeightParams(10.0, 50.0, 60.0))
+
+
+def test_delta_mellin_panels_resolve_a_wide_fast_window():
+    # at L2 = 6 the transform turns 11 radians per unit of x over a range of
+    # 151, where 15-point panels sized by the phase recover 1 to rounding;
+    # each panel's 15 abscissae go to delta_fn as one array, so the
+    # temporaries stay small
+    tracemalloc.start()
+    try:
+        err = abs(delta_mellin(1.0, WeightParams(10.0, 6.0, 60.0)) - 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err <= 1e-13
+    assert peak < 2e6
 
 
 def test_branch_error_type():

@@ -1,47 +1,51 @@
-"""Adaptive quadrature behavior: accuracy, error reporting, failure modes."""
+"""Fixed-panel Gauss-Legendre quadrature: accuracy, panel layout, refusals."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 
-from lfverify.numerics import (
-    ConvergenceError,
-    DomainError,
-    QuadratureResult,
-    integrate,
-)
+from lfverify.numerics import DomainError, integrate
 
 
 def test_polynomial_exact():
+    # 15 nodes integrate every polynomial of degree <= 29 exactly
     res = integrate(lambda x: x**3, 0.0, 1.0)
-    assert abs(res.value - 0.25) < 1e-13
-    assert res.error_estimate <= 1e-10
-    assert res.evaluations >= 22
+    assert abs(res.value - 0.25) < 1e-15
+    assert res.evaluations == 15
+    assert abs(integrate(lambda x: x**29, 0.0, 1.0).value - 1.0 / 30.0) < 1e-15
 
 
 def test_oscillatory_complex_closed_form():
     # int_0^1 e^{i pi x} dx = (e^{i pi} - 1)/(i pi) = 2i/pi
-    res = integrate(lambda x: np.exp(1j * math.pi * x), 0.0, 1.0, tol=1e-12)
-    assert abs(res.value - 2j / math.pi) < 1e-12
+    res = integrate(lambda x: np.exp(1j * math.pi * x), 0.0, 1.0)
+    assert abs(res.value - 2j / math.pi) < 1e-15
 
 
 def test_high_frequency_needs_panels():
-    res = integrate(lambda x: np.cos(200.0 * x), 0.0, 1.0, tol=1e-11)
-    assert abs(res.value - math.sin(200.0) / 200.0) < 1e-10
-    assert res.evaluations > 22
+    true = math.sin(200.0) / 200.0
+    assert abs(integrate(lambda x: np.cos(200.0 * x), 0.0, 1.0).value - true) > 1e-3
+    res = integrate(lambda x: np.cos(200.0 * x), 0.0, 1.0, panels=40)
+    assert abs(res.value - true) < 1e-13
+    assert res.evaluations == 600
 
 
-def test_error_estimate_bounds_true_error():
-    true = (cmath.exp(2.5j) - 1.0) / 2.5j
-    res = integrate(lambda x: np.exp(2.5j * x), 0.0, 1.0, tol=1e-10)
-    assert abs(res.value - true) <= max(res.error_estimate, 1e-14)
+def test_panels_are_evaluated_one_at_a_time_and_summed_in_order():
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.sin(3.0 * x)
+
+    res = integrate(f, 0.0, 3.0, panels=3)
+    assert calls == [(15,)] * 3
+    pieces = [integrate(f, lo, lo + 1.0).value for lo in (0.0, 1.0, 2.0)]
+    assert res.value == (pieces[0] + pieces[1]) + pieces[2]
 
 
 def test_scalar_only_integrand_is_tolerated():
-    res = integrate(lambda x: math.sqrt(x), 1.0, 4.0, tol=1e-10)
-    assert abs(res.value - 14.0 / 3.0) < 1e-9
+    res = integrate(lambda x: math.sqrt(x), 1.0, 4.0)
+    assert abs(res.value - 14.0 / 3.0) < 1e-13
 
 
 def test_zero_width_interval():
@@ -55,23 +59,23 @@ def test_reversed_interval_rejected():
         integrate(lambda x: x, 1.0, 0.0)
 
 
-def test_nonpositive_tolerance_rejected():
+@pytest.mark.parametrize(
+    "a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)]
+)
+def test_non_finite_bounds_rejected(a, b):
     with pytest.raises(DomainError):
-        integrate(lambda x: x, 0.0, 1.0, tol=0.0)
+        integrate(lambda x: x, a, b)
 
 
-def test_convergence_failure_carries_partial():
-    with pytest.raises(ConvergenceError) as exc:
-        integrate(lambda x: np.cos(5000.0 * x), 0.0, 1.0, tol=1e-14, max_panels=4)
-    partial = exc.value.partial
-    assert isinstance(partial, QuadratureResult)
-    assert partial.error_estimate > 1e-14
+@pytest.mark.parametrize("panels", [0, -1])
+def test_fewer_than_one_panel_rejected(panels):
+    with pytest.raises(DomainError):
+        integrate(lambda x: x, 0.0, 1.0, panels=panels)
 
 
 def test_deterministic_repeatability():
     f = lambda x: np.sin(37.0 * x) * np.exp(-x)
-    a = integrate(f, 0.0, 3.0, tol=1e-12)
-    b = integrate(f, 0.0, 3.0, tol=1e-12)
+    a = integrate(f, 0.0, 3.0, panels=12)
+    b = integrate(f, 0.0, 3.0, panels=12)
     assert a.value == b.value
     assert a.evaluations == b.evaluations
-
