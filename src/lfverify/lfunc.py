@@ -285,13 +285,6 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
 # Dirichlet L
 
 
-def _residues(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
-    """(a / q, chi(a)) over the a in 1..q with chi(a) != 0, in increasing a."""
-    c = np.array([chi(a) for a in range(1, chi.modulus + 1)], dtype=np.complex128)
-    a = np.flatnonzero(c) + 1
-    return a / chi.modulus, c[a - 1]
-
-
 def _l_values(
     chi: DirichletCharacter, s: np.ndarray, step: Optional[float] = None, ds: bool = False
 ) -> np.ndarray:
@@ -301,14 +294,15 @@ def _l_values(
     chi(a) zeta(s, a/q) in the order of a.  ``step`` marks s as a uniform
     grid on a vertical line for the kernel's product path.  With ``ds``
     the result is the 2 x len(s) array of L and dL/ds.  A nonprincipal chi
-    with every s within 1e-2 of 1 takes the pole-free expansion, whose
-    15-term series in s - 1 ends below 1e-30 there; a principal one keeps
+    with every s within 1e-1 of 1 takes the pole-free expansion, whose
+    15-term series in s - 1 ends below 1e-19 there; a principal one keeps
     its genuine pole.
     """
     q = chi.modulus
-    pole_free = not chi.is_principal and bool((np.abs(s - 1.0) < 1e-2).all())
-    a, c = _residues(chi)
-    total = np.exp(-s * math.log(q)) * _euler_maclaurin(s, a, c, ds, pole_free, step)
+    pole_free = not chi.is_principal and bool((np.abs(s - 1.0) < 1e-1).all())
+    c = np.array([chi(a) for a in range(1, q + 1)], dtype=np.complex128)
+    a = np.flatnonzero(c) + 1
+    total = np.exp(-s * math.log(q)) * _euler_maclaurin(s, a / q, c[a - 1], ds, pole_free, step)
     if not ds:
         return total[0]
     total[1] -= math.log(q) * total[0]
@@ -519,7 +513,7 @@ class ScanResult(Sequence):
 _PANEL_POINTS = 4000
 # a refined zero is returned as [x - r, x + r] with this r
 _ZERO_RADIUS = 0.5e-9
-# refinement's first step evaluates each bracket's cubic start x0 at x0 -+ this
+# a refinement pair's radius at the cubic start and after a straddle of a wider bracket
 _PROBE_RADIUS = 1e-6
 # batched line evaluations a panel's brackets may take before the scan gives up
 _REFINE_STEPS = 40
@@ -578,74 +572,42 @@ def _refine(
     """Centres of certified zero brackets, each refined from its ``start`` x0.
 
     Each bracket [lo, hi] has end values of opposite sign (fhi may be 0).
-    Every step is one line evaluation over the open brackets.  The first
-    evaluates x0 -+ ``_PROBE_RADIUS``; where the pair straddles the zero,
-    the next step closes at the root of the cubic through it, lo and hi.
-    Otherwise, and after a failed close, each step evaluates the Illinois
-    regula falsi point x, until x moves by less than 1e-11 or the bracket
-    is narrower than 2e-9; that step closes at x instead.  A close
-    evaluates x -+ r (r = ``_ZERO_RADIUS``, not clipped) and succeeds as
-    [x - r, x + r] if their signs are those of lo and hi and both |values|
-    are at least ``floor``.  A pair's points inside the bracket narrow it.
-    A bracket open after ``_REFINE_STEPS`` steps, the first included,
-    raises ConvergenceError.
+    Every step evaluates the pair x -+ r of each open bracket in one line
+    call, from x = x0 and r = ``_PROBE_RADIUS``.  A bracket closes as
+    [x - r, x + r], r not clipped, when r is ``_ZERO_RADIUS``, the pair has
+    the signs of lo and hi and both |values| are at least ``floor``.  Else
+    the pair's points inside the bracket narrow it, x moves to the root in
+    it of the cubic through lo, the pair and hi as they were, and r becomes
+    ``_ZERO_RADIUS`` after a straddle that leaves it narrower than
+    3 ``_PROBE_RADIUS``, ``_PROBE_RADIUS`` after a wider straddle, and
+    min(2 r, hi - lo) after a miss, which keeps a one-sided step from
+    stalling.  ``_REFINE_STEPS`` steps without a close raise ConvergenceError.
     """
-    lo, hi, flo, fhi = lo.copy(), hi.copy(), flo.copy(), fhi.copy()
-    x_hat = np.full(len(lo), np.nan)
-    side = np.zeros(len(lo), dtype=np.int8)
-    done = np.zeros(len(lo), dtype=bool)
-    # the x each bracket's next step closes at, NaN for an Illinois step
-    guess = start.copy()
-    for k in range(_REFINE_STEPS):
-        idx = np.flatnonzero(~done)
-        if not len(idx):
-            return x_hat
-        x = (lo[idx] * fhi[idx] - hi[idx] * flo[idx]) / (fhi[idx] - flo[idx])
-        given = ~np.isnan(guess[idx])
-        x[given] = guess[idx[given]]
-        guess[idx] = np.nan
-        close = given | (np.abs(x - x_hat[idx]) < 1e-11) | (hi[idx] - lo[idx] < 2e-9)
-        x_hat[idx] = x
-        step, xm = idx[~close], x[~close]
-        shut, xs = idx[close], x[close]
-        r = _ZERO_RADIUS if k else _PROBE_RADIUS
-        vals = _m_raw_line(psi, np.concatenate((xm, xs - r, xs + r)))
-        fx, fa, fb = np.split(vals, [len(xm), len(xm) + len(xs)])
-
-        straddle = (np.sign(fa) == np.sign(flo[shut])) & (np.sign(fb) == -np.sign(flo[shut]))
-        if not k:
-            # a probe pair that straddles the zero: the next step closes at the cubic's root
-            j, f_a, f_b = shut[straddle], fa[straddle], fb[straddle]
-            a, b = xs[straddle] - r, xs[straddle] + r
-            f = np.stack((flo[j], f_a, f_b, fhi[j]), axis=1)
-            guess[j] = _cubic_root(np.stack((lo[j], a, b, hi[j]), axis=1), f, a, b, f_a, f_b)
-        ok = straddle & (np.abs(fa) >= floor) & (np.abs(fb) >= floor) & (k > 0)
-        done[shut[ok]] = True
-        # the rest keep what the two points showed and step again
-        shut, xs, fa, fb = shut[~ok], xs[~ok], fa[~ok], fb[~ok]
-        x_hat[shut] = np.nan
-        side[shut] = 0
-        for pt, fp in ((xs - r, fa), (xs + r, fb)):
-            inside = (lo[shut] < pt) & (pt < hi[shut])
-            to_lo = inside & (np.sign(fp) == np.sign(flo[shut]))
+    lo, hi, flo, fhi, x = lo.copy(), hi.copy(), flo.copy(), fhi.copy(), start.copy()
+    r, idx = np.full(len(x), _PROBE_RADIUS), np.arange(len(x))
+    if not len(idx):
+        return x
+    for _ in range(_REFINE_STEPS):
+        a, b = x[idx] - r[idx], x[idx] + r[idx]
+        fa, fb = np.split(_m_raw_line(psi, np.concatenate((a, b))), 2)
+        straddle = (np.sign(fa) == np.sign(flo[idx])) & (np.sign(fb) == -np.sign(flo[idx]))
+        shut = straddle & (r[idx] == _ZERO_RADIUS) & (np.abs(fa) >= floor) & (np.abs(fb) >= floor)
+        if shut.all():
+            return x
+        idx, a, b, fa, fb, straddle = (v[~shut] for v in (idx, a, b, fa, fb, straddle))
+        t = np.stack((lo[idx], a, b, hi[idx]), axis=1)
+        f = np.stack((flo[idx], fa, fb, fhi[idx]), axis=1)
+        for pt, fp in ((a, fa), (b, fb)):
+            inside = (lo[idx] < pt) & (pt < hi[idx])
+            to_lo = inside & (np.sign(fp) == np.sign(flo[idx]))
             to_hi = inside & ~to_lo
-            lo[shut[to_lo]], flo[shut[to_lo]] = pt[to_lo], fp[to_lo]
-            hi[shut[to_hi]], fhi[shut[to_hi]] = pt[to_hi], fp[to_hi]
-
-        to_lo = np.sign(fx) == np.sign(flo[step])
-        j = step[to_lo]
-        lo[j], flo[j] = xm[to_lo], fx[to_lo]
-        fhi[j[side[j] == -1]] *= 0.5
-        side[j] = -1
-        j = step[~to_lo]
-        hi[j], fhi[j] = xm[~to_lo], fx[~to_lo]
-        flo[j[side[j] == 1]] *= 0.5
-        side[j] = 1
-    if not done.all():
-        raise ConvergenceError(
-            f"{int((~done).sum())} zero bracket(s) open after {_REFINE_STEPS} steps", x_hat
-        )
-    return x_hat
+            lo[idx[to_lo]], flo[idx[to_lo]] = pt[to_lo], fp[to_lo]
+            hi[idx[to_hi]], fhi[idx[to_hi]] = pt[to_hi], fp[to_hi]
+        x[idx] = _cubic_root(t, f, lo[idx], hi[idx], flo[idx], fhi[idx])
+        width = hi[idx] - lo[idx]
+        near = np.where(width < 3 * _PROBE_RADIUS, _ZERO_RADIUS, _PROBE_RADIUS)
+        r[idx] = np.where(straddle, near, np.minimum(2 * r[idx], width))
+    raise ConvergenceError(f"{len(idx)} zero bracket(s) open after {_REFINE_STEPS} steps", x)
 
 
 def find_zeros(
@@ -668,8 +630,8 @@ def find_zeros(
     every line evaluation runs at that panel's shift (see ``_refine``).
     Each starts at the root of the cubic through the 4 grid values around
     it, whose error is O(step^4), 1e-8 typically at the default step; most
-    close in two evaluations, with a floor of 1e-12 times the median
-    |value| on the grid.  Each zero is returned as gamma = x, radius 0.5e-9.
+    close in two pairs of evaluations, with a floor of 1e-12 times the
+    grid's median |value|.  Each zero is returned as gamma = x, radius 0.5e-9.
     """
     if not psi.primitive:
         raise DomainError("scan needs a primitive character")
@@ -814,6 +776,17 @@ def _u_cut(p: WeightParams) -> float:
     return math.sqrt(16.0 * math.log(10.0)) / p.L2
 
 
+# the transforms' panels grow as e^U, U = ``_u_cut(p)``: L2 = 2 at t0 = 60 needs 14,668
+_MAX_PANELS = 10_000
+
+
+def _panel_count(radians: float) -> int:
+    """One panel per 12 radians of phase and at least 8; DomainError past ``_MAX_PANELS``."""
+    if not radians / 12.0 < _MAX_PANELS:
+        raise DomainError(f"the transform needs {radians / 12.0:.3g} panels, above {_MAX_PANELS}")
+    return max(8, int(radians / 12.0) + 1)
+
+
 def delta_fn(x: Union[float, np.ndarray], p: WeightParams) -> Union[complex, np.ndarray]:
     """Oscillatory transform of the window at frequency x, for a number or an array.
 
@@ -823,7 +796,7 @@ def delta_fn(x: Union[float, np.ndarray], p: WeightParams) -> Union[complex, np.
     whose total variation over [-U, U] is 2 pi V(x) with
     V(x) = 2 t0 u* + x (2 cosh U - 2 e^u*), u* = clip(log(t0 / x), -U, U):
     one panel per 12 radians of the largest variation in the batch, and at
-    least 8.
+    least 8.  More than ``_MAX_PANELS`` panels raise DomainError.
     """
     xs = np.asarray(x, dtype=np.float64)
     if not (np.isfinite(xs) & (xs > 0)).all():
@@ -831,7 +804,7 @@ def delta_fn(x: Union[float, np.ndarray], p: WeightParams) -> Union[complex, np.
     umax = _u_cut(p)
     u_star = np.clip(np.log(p.t0 / xs), -umax, umax)
     variation = 2.0 * p.t0 * u_star + xs * (2.0 * math.cosh(umax) - 2.0 * np.exp(u_star))
-    n_panels = max(8, int(_TWO_PI * float(variation.max()) / 12.0) + 1)
+    n_panels = _panel_count(_TWO_PI * float(variation.max()))
     edges = np.linspace(-umax, umax, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -854,7 +827,8 @@ def delta_mellin(s: complex, p: WeightParams) -> complex:
     abscissae passed to delta_fn as one array.  They are sized by the
     phase: delta_fn(x) turns at most 2 pi (e^U - 1) per unit of x,
     U = ``_u_cut(p)``, and x^(s-1) adds |Im s| log(x_hi / x_lo) over the
-    range; one panel per 12 radians of the sum, and at least 8.
+    range; one panel per 12 radians of the sum, and at least 8.  More
+    than ``_MAX_PANELS`` panels raise DomainError before any evaluation.
     """
     s = complex(s)
     if not cmath.isfinite(s):
@@ -865,7 +839,7 @@ def delta_mellin(s: complex, p: WeightParams) -> complex:
     x_hi = max(p.t0 * math.exp(c), p.t0 + w_add)
     turn = _TWO_PI * math.expm1(_u_cut(p))
     variation = turn * (x_hi - x_lo) + abs(s.imag) * math.log(x_hi / x_lo)
-    n_panels = max(8, int(variation / 12.0) + 1)
+    n_panels = _panel_count(variation)
 
     def f(x):
         return delta_fn(x, p) * np.exp((s - 1.0) * np.log(x))

@@ -312,7 +312,7 @@ def test_c_star_at_a_high_zero():
     assert abs(val - 53.5582) < 1e-4
 
 
-_NEAR_ONE = (0.999, 1.0011, 1.005, 0.9905, 0.995 + 0.003j, 1.0 + 0.0099j)
+_NEAR_ONE = (0.999, 1.0011, 1.005, 0.9905, 0.995 + 0.003j, 1.0 + 0.0099j, 0.9899, 1.0101, 1.02)
 
 
 @pytest.mark.parametrize("name", ("chi3", "chi4", "chi5", "chi8", "chi5c"))
@@ -481,8 +481,8 @@ def test_find_zeros_brackets_are_certified(full_scans):
         assert min(np.abs(lo).min(), np.abs(hi).min()) >= 1e-12 * scale, q
 
 
-def test_refinement_closes_in_few_steps_per_panel(monkeypatch):
-    chi = primitive_characters(5)[0]
+def _refinement_calls_per_panel(monkeypatch, chi, t_max):
+    """(scan, refinement line calls per panel) of ``find_zeros(chi, 0.02, t_max)``."""
     steps = []
     line = lfunc._m_raw_line
 
@@ -492,18 +492,37 @@ def test_refinement_closes_in_few_steps_per_panel(monkeypatch):
         return line(psi, t, step)
 
     monkeypatch.setattr(lfunc, "_m_raw_line", counted)
-    scan = find_zeros(chi, 0.02, 200.0)
+    scan = find_zeros(chi, 0.02, t_max)
     width = (lfunc._PANEL_POINTS - 1) * 0.02
     # each batched step evaluates the brackets of one panel
-    per_panel = np.bincount(((np.array(steps) - 0.02) // width).astype(int))
+    return scan, np.bincount(((np.array(steps) - 0.02) // width).astype(int))
+
+
+def test_refinement_closes_in_few_steps_per_panel(monkeypatch):
+    scan, per_panel = _refinement_calls_per_panel(monkeypatch, primitive_characters(5)[0], 200.0)
     assert scan.panels == len(per_panel) == 3
     assert per_panel.max() <= 3
+
+
+def test_refinement_closes_in_few_steps_per_panel_to_t_1000(monkeypatch):
+    # one panel's cubic start misses a zero by 1.1e-6, just past the probe
+    # radius; the pair around the next cubic root still closes it in 3 calls
+    scan, per_panel = _refinement_calls_per_panel(monkeypatch, primitive_characters(5)[0], 1000.0)
+    assert scan.panels == len(per_panel) == 13
+    assert per_panel.max() <= 3
+
+
+def test_find_zeros_on_a_window_without_zeros():
+    # no bracket reaches the refinement, which must evaluate nothing
+    scan = find_zeros(real_primitive_character(4), 1.0, 5.0)
+    assert len(scan) == 0
+    assert (scan.flagged, scan.panels) == ((), 1)
 
 
 def test_refinement_falls_back_when_the_cubic_start_misses(monkeypatch):
     # the cubic through the grid values of this steep step misses its zero
     # by about 2e-4, far beyond the probe radius, so both probes fall on one
-    # side and the bracket must close by Illinois steps
+    # side and the bracket must close by further pairs around cubic roots
     def line(psi, t, step=None):
         if step is None:
             calls.append(len(t))
@@ -519,6 +538,30 @@ def test_refinement_falls_back_when_the_cubic_start_misses(monkeypatch):
     (zero,) = find_zeros(real_primitive_character(4), 4.0, 6.0)
     assert len(calls) > 2
     assert abs(zero.gamma - 5.005) < 1e-12
+
+
+# (shape, steepness, zero) of synthetic line values whose cubic start misses
+# the zero by far more than the probe radius
+_STEEP_STEPS = [
+    (shape, k, c)
+    for shape, k in (("tanh", 5e3), ("tanh", 5e4), ("expm1", 1e3))
+    for c in (5.0013, 5.005, 5.0187)
+] + [("expm1", 5e3, 5.0187)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape, k, c", _STEEP_STEPS)
+def test_refinement_closes_steep_steps(monkeypatch, shape, k, c):
+    # a pair that misses doubles its radius until one straddles the zero, so
+    # the refinement does not stall one-sided against the step; c >= 5 keeps
+    # most of [4.95, 5.05] below the step, so the floor of 1e-12 times the
+    # grid's median |value| stays reachable
+    def line(psi, t, step=None):
+        return np.tanh(k * (t - c)) * (1 + t) if shape == "tanh" else np.expm1(k * (t - c))
+
+    monkeypatch.setattr(lfunc, "_m_raw_line", line)
+    (zero,) = find_zeros(real_primitive_character(4), 4.95, 5.05)
+    assert abs(zero.gamma - c) <= 5e-10
 
 
 def test_cubic_root_falls_back_to_regula_falsi_without_warnings():
@@ -883,6 +926,19 @@ def test_delta_mellin_panels_resolve_a_wide_fast_window():
         tracemalloc.stop()
     assert err <= 1e-13
     assert peak < 2e6
+
+
+def test_delta_fn_refuses_too_many_panels():
+    # L2 = 0.1 puts the u-cut at 60.7, where the phase turns e^60 radians
+    with pytest.raises(DomainError, match="panels"):
+        delta_fn(60.0, WeightParams(10.0, 0.1, 60.0))
+
+
+@pytest.mark.parametrize("l2", (2.0, 1.0))
+def test_delta_mellin_refuses_too_many_panels(l2):
+    # 14,668 and 7,566,651 panels: refused before any evaluation
+    with pytest.raises(DomainError, match="panels"):
+        delta_mellin(1.0, WeightParams(10.0, l2, 60.0))
 
 
 def test_branch_error_type():
