@@ -17,12 +17,7 @@ explicitly checkable object the argument rests on:
 
 from .numerics import ConvergenceError, DomainError, QuadratureResult, integrate
 from .kernels import KernelId, LimitModel, default_model, eval_f, eval_g, eval_w, eval_y
-from .contradiction import (
-    ConstantTable,
-    VerificationRecord,
-    VerificationReport,
-    run_verification,
-)
+from .contradiction import VerificationRecord, VerificationReport, run_verification
 from .characters import DirichletCharacter, primitive_characters, real_primitive_character
 from .eulerprod import IDENTITY_CASES, LocalFactorParams, check_local_identity
 from .lfunc import (
@@ -40,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchError",
-    "ConstantTable",
     "ConvergenceError",
     "CriticalZero",
     "DirichletCharacter",

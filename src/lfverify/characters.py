@@ -373,7 +373,7 @@ def _dirichlet(a: np.ndarray, b: np.ndarray, cap: int | None = None) -> np.ndarr
 
 def _chi_array(n_max: int, chi: DirichletCharacter) -> np.ndarray:
     values = [v.real for v in chi.values] if chi.real else list(chi.values)
-    return np.resize(np.array(values), n_max + 1)
+    return np.tile(values, n_max // chi.modulus + 1)[: n_max + 1]
 
 
 def _coefficient_table(n_max: int, chi: DirichletCharacter) -> tuple[np.ndarray, ...]:
@@ -524,26 +524,25 @@ def _gap_block(ns: np.ndarray, primes: np.ndarray, chi: DirichletCharacter) -> n
     return np.abs(lhs - rhs) / np.abs(rhs)
 
 
-def check_lemma_171(
-    chi: DirichletCharacter,
-    s: float = 2.0,
-    series_cutoff: int = 100_000,
-    prime_cutoff: int = 1000,
-) -> tuple[float, float, float]:
-    """Truncated Dirichlet series of nu^2 against its Euler-product value."""
-    if s < 1.5:
-        raise DomainError("need s >= 1.5 for a convergent truncation")
+# the point s and the two truncations of ``check_lemma_171``
+LEMMA_171_S = 2.0
+LEMMA_171_SERIES_CUTOFF = 100_000
+LEMMA_171_PRIME_CUTOFF = 1000
+
+
+def check_lemma_171(chi: DirichletCharacter) -> tuple[float, float, float]:
+    """Truncated Dirichlet series of nu^2 against its Euler-product value at ``LEMMA_171_S``."""
     from . import lfunc
 
-    q = chi.modulus
-    nu_arr = _dirichlet(np.ones(series_cutoff + 1), _chi_array(series_cutoff, chi)).real
-    n_vals = np.arange(1, series_cutoff + 1, dtype=float)
+    s, cutoff, q = LEMMA_171_S, LEMMA_171_SERIES_CUTOFF, chi.modulus
+    nu_arr = _dirichlet(np.ones(cutoff + 1), _chi_array(cutoff, chi)).real
+    n_vals = np.arange(1, cutoff + 1, dtype=float)
     lhs = float(np.sum(nu_arr[1:] ** 2 / n_vals**s))
 
     zeta_s = lfunc.hurwitz_zeta(s, 1.0).real
     l_s = lfunc.l_function(s, chi).real
     rhs = zeta_s**2 * l_s**2
-    for p in primes_up_to(prime_cutoff):
+    for p in primes_up_to(LEMMA_171_PRIME_CUTOFF):
         if q % p == 0:
             rhs *= 1.0 - p ** (-s)
         else:

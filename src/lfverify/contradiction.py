@@ -27,33 +27,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .kernels import LimitModel, default_model, eval_f, eval_g, eval_w, eval_y
+from .kernels import BETA, LimitModel, _wrap, default_model, eval_f, eval_g, eval_w, eval_y
 from .numerics import DomainError, integrate
 
 _PI = math.pi
-
-
-class MissingConstantError(KeyError):
-    """A pipeline stage referenced a constant that was never computed."""
-
-
-@dataclass(frozen=True)
-class ConstantTable:
-    """Named complex constants."""
-
-    entries: Mapping[str, complex]
-
-    def value(self, name: str) -> complex:
-        try:
-            return self.entries[name]
-        except KeyError:
-            raise MissingConstantError(name) from None
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.entries)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
 
 
 @dataclass(frozen=True)
@@ -72,7 +49,6 @@ class VerificationRecord:
 class VerificationReport:
     records: tuple[VerificationRecord, ...]
     notes: tuple[str, ...]
-    metadata: Mapping[str, object]
 
     @property
     def passed(self) -> bool:
@@ -114,15 +90,15 @@ def _triple(
     def h(z):
         return sum(
             w[j - 1]
-            * eval_f((j, f_mu), z + f_shift, model)
-            * eval_g((j, g_mu), z + g_shift, model)
+            * eval_f((j, f_mu), z + f_shift)
+            * eval_g((j, g_mu), z + g_shift)
             for j in (1, 2, 3)
         )
 
     return h
 
 
-def compute_b_matrix(model: LimitModel = None) -> ConstantTable:
+def compute_b_matrix(model: LimitModel = None) -> dict[str, complex]:
     """The raw coupling integrals before Hermitian symmetrization.
 
     Diagonal entries integrate matched-rate products over their own window
@@ -136,49 +112,42 @@ def compute_b_matrix(model: LimitModel = None) -> ConstantTable:
     out["b11"] = _quad(_triple(model, 6, 6), 0.0, z1) / (z1 * z1 * _PI)
     out["b22"] = _quad(_triple(model, 7, 7), 0.0, z2) / (z2 * z2 * _PI)
     # fast rate advances by the short gap before the slow window starts
-    gap_phase = cmath.exp(model.beta_scaled[7] * sb)
+    gap_phase = cmath.exp(BETA[7] * sb)
     out["b21"] = _quad(_triple(model, 7, 6, g_shift=sa), 0.0, z2) * gap_phase / (z1 * z2 * _PI)
     out["b12"] = _quad(_triple(model, 6, 7, f_shift=sa), 0.0, z2) / (z1 * z2 * _PI)
     out["b33"] = _quad(_triple(model, 6, 6), 0.0, z3) / (z3 * z3 * _PI)
     out["b34"] = _quad(_triple(model, 7, 6, f_shift=sb), 0.0, z3) / (z3 * z2 * _PI)
     out["b43"] = _quad(_triple(model, 6, 7, g_shift=sb), 0.0, z3) / (z3 * z2 * _PI)
     out["b44"] = out["b22"]
-    return ConstantTable(out)
+    return out
 
 
-def compute_c_matrix(b: ConstantTable) -> ConstantTable:
+def compute_c_matrix(b: dict[str, complex]) -> dict[str, complex]:
     """Hermitian symmetrization of the coupling integrals."""
     pairs = {"c11": ("b11", "b11"), "c22": ("b22", "b22"),
              "c12": ("b12", "b21"), "c33": ("b33", "b33"),
              "c34": ("b34", "b43")}
-    out = {
-        name: b.value(left) + b.value(right).conjugate() for name, (left, right) in pairs.items()
-    }
+    out = {name: b[left] + b[right].conjugate() for name, (left, right) in pairs.items()}
     out["c21"] = out["c12"].conjugate()
     out["c43"] = out["c34"].conjugate()
     out["c44"] = out["c22"]
-    return ConstantTable(out)
+    return out
 
 
-def compute_c1_c2(model: LimitModel, c: ConstantTable) -> tuple[complex, complex]:
+def compute_c1_c2(model: LimitModel, c: dict[str, complex]) -> tuple[complex, complex]:
     """Mixing-weight contractions of the two symmetrized blocks."""
     i2, i3, i4 = model.iota2, model.iota3, model.iota4
-    quad1 = (
-        c.value("c11")
-        + i2 * c.value("c21")
-        + i2.conjugate() * c.value("c12")
-        + abs(i2) ** 2 * c.value("c22")
-    )
+    quad1 = c["c11"] + i2 * c["c21"] + i2.conjugate() * c["c12"] + abs(i2) ** 2 * c["c22"]
     quad2 = (
-        abs(i3) ** 2 * c.value("c33")
-        + i3 * i4.conjugate() * c.value("c34")
-        + i4 * i3.conjugate() * c.value("c43")
-        + abs(i4) ** 2 * c.value("c44")
+        abs(i3) ** 2 * c["c33"]
+        + i3 * i4.conjugate() * c["c34"]
+        + i4 * i3.conjugate() * c["c43"]
+        + abs(i4) ** 2 * c["c44"]
     )
     return quad1, quad2
 
 
-def compute_d_constants(model: LimitModel = None) -> ConstantTable:
+def compute_d_constants(model: LimitModel = None) -> dict[str, complex]:
     """Drift constants from the short-gap windows, plus their two combinations."""
     model = model or default_model()
     z1, z2, z3 = model.z1, model.z2, model.z3
@@ -186,19 +155,18 @@ def compute_d_constants(model: LimitModel = None) -> ConstantTable:
     w0 = z2 - sa
     slope = model.tilde_f_slope
     i2, i3, i4 = model.iota2, model.iota3, model.iota4
-    beta = model.beta_scaled
     out: dict[str, complex] = {}
 
     for j in (1, 2, 3):
-        f6 = lambda z: eval_f((j, 6), z, model)
-        f7 = lambda z: eval_f((j, 7), z, model)
-        g6 = lambda z: eval_g((j, 6), z, model)
-        g7 = lambda z: eval_g((j, 7), z, model)
+        f6 = lambda z: eval_f((j, 6), z)
+        f7 = lambda z: eval_f((j, 7), z)
+        g6 = lambda z: eval_g((j, 6), z)
+        g7 = lambda z: eval_g((j, 7), z)
         y1 = lambda z: eval_y(1, j, z, model)
         y2 = lambda z: eval_y(2, j, z, model)
-        bj = beta[j]
+        bj = BETA[j]
         # wrapped-index product beta_{j+1} beta_{j+2} / (i pi)^2
-        cj = float((11 - 6 * j + j * j))
+        cj = (BETA[_wrap(j + 1)] * BETA[_wrap(j + 2)] / (1j * _PI) ** 2).real
 
         main = _quad(lambda z: f6(sa + z) / z1 + i2 * f7(z) / z2, 0.0, z2)
         short = _quad(lambda z: f6(z) - f6(sb + z), 0.0, sb)
@@ -251,26 +219,25 @@ def compute_d_constants(model: LimitModel = None) -> ConstantTable:
         w[j - 1] * (out[f"d3_{j}"] + out[f"d5_{j}"] + (out[f"d4_{j}"] + out[f"d6_{j}"]).conjugate())
         for j in (1, 2, 3)
     )
-    return ConstantTable(out)
+    return out
 
 
-def compute_e_constants(model: LimitModel = None) -> ConstantTable:
+def compute_e_constants(model: LimitModel = None) -> dict[str, complex]:
     """Residue constants: window means of the f kernels and short-window integrals."""
     model = model or default_model()
     z1, z2, z3 = model.z1, model.z2, model.z3
     sa, sb = model.shift_a, model.shift_b
     w0 = z2 - sa
-    beta = model.beta_scaled
     i2, i3, i4 = model.iota2, model.iota3, model.iota4
     out: dict[str, complex] = {}
 
     for j in (1, 2, 3):
-        f6 = lambda z: eval_f((j, 6), z, model)
-        e2 = _quad(lambda z: eval_f((j, 7), z, model), 0.0, z2) / z2
+        f6 = lambda z: eval_f((j, 6), z)
+        e2 = _quad(lambda z: eval_f((j, 7), z), 0.0, z2) / z2
         e3 = _quad(f6, 0.0, z3) / z3
         e1p = _quad(f6, 0.0, z1) / z1
-        e1pp = (beta[j] / (beta[6] * z1)) * _quad(
-            lambda z: cmath.exp(beta[6] * (sa - z)) - cmath.exp(beta[6] * sa), 0.0, sa
+        e1pp = (BETA[j] / (BETA[6] * z1)) * _quad(
+            lambda z: cmath.exp(BETA[6] * (sa - z)) - cmath.exp(BETA[6] * sa), 0.0, sa
         )
         right = i3.conjugate() * e3 + i4.conjugate() * e2
         out[f"e2_{j}"], out[f"e3_{j}"], out[f"e1p_{j}"], out[f"e1pp_{j}"] = e2, e3, e1p, e1pp
@@ -280,16 +247,16 @@ def compute_e_constants(model: LimitModel = None) -> ConstantTable:
 
     # j -> 0 limit of the product factors; the fourth factor family equals
     # the second (the only reading consistent with the mixing weights)
-    out["frak_e0"] = (cmath.exp(beta[6] * z1) + i2 * cmath.exp(beta[7] * z2)) * (
-        i3.conjugate() * cmath.exp(beta[6] * z3) + i4.conjugate() * cmath.exp(beta[7] * z2)
+    out["frak_e0"] = (cmath.exp(BETA[6] * z1) + i2 * cmath.exp(BETA[7] * z2)) * (
+        i3.conjugate() * cmath.exp(BETA[6] * z3) + i4.conjugate() * cmath.exp(BETA[7] * z2)
     )
 
-    out["b_star"] = _quad(lambda z: z * cmath.exp(beta[6] * z), 0.0, sa) / z1
+    out["b_star"] = _quad(lambda z: z * cmath.exp(BETA[6] * z), 0.0, sa) / z1
 
     for j in (1, 2, 3):
         out[f"e_star_1{j}"] = _quad(
-            lambda z: i3.conjugate() * eval_f((j, 6), z3 - z, model) / z3
-            + i4.conjugate() * eval_f((j, 7), z2 - z, model) / z2,
+            lambda z: i3.conjugate() * eval_f((j, 6), z3 - z) / z3
+            + i4.conjugate() * eval_f((j, 7), z2 - z) / z2,
             0.0,
             w0,
         )
@@ -301,37 +268,23 @@ def compute_e_constants(model: LimitModel = None) -> ConstantTable:
         - 2.0 * sa * i4.conjugate()
         - 2j * _PI * i4.conjugate() * sa * sa
     )
-    return ConstantTable(out)
+    return out
 
 
-def compute_c3(e: ConstantTable) -> complex:
+def compute_c3(e: dict[str, complex]) -> complex:
     """Final negative constant, from the reduced residue combination."""
     return (
-        -1j
-        * (
-            3.0 * e.value("frak_ep_1")
-            + 3.0 * e.value("frak_ep_2")
-            + e.value("frak_ep_3")
-            + e.value("frak_e0")
-        )
-        + 2.0 * e.value("e2_star")
+        -1j * (3.0 * e["frak_ep_1"] + 3.0 * e["frak_ep_2"] + e["frak_ep_3"] + e["frak_e0"])
+        + 2.0 * e["e2_star"]
     )
 
 
-def compute_cancellation(e: ConstantTable) -> complex:
+def compute_cancellation(e: dict[str, complex]) -> complex:
     """The pair of terms dropped from the reduced combination; nearly zero."""
-    return (
-        1j
-        * (
-            3.0 * e.value("frak_epp_1")
-            + 3.0 * e.value("frak_epp_2")
-            + e.value("frak_epp_3")
-        )
-        + e.value("e1_star")
-    )
+    return 1j * (3.0 * e["frak_epp_1"] + 3.0 * e["frak_epp_2"] + e["frak_epp_3"]) + e["e1_star"]
 
 
-def short_window_checks(model: LimitModel = None) -> ConstantTable:
+def short_window_checks(model: LimitModel = None) -> dict[str, complex]:
     """Window integrals with exactly known values; they pin the sign and
     index conventions of the linear window factors."""
     model = model or default_model()
@@ -340,12 +293,12 @@ def short_window_checks(model: LimitModel = None) -> ConstantTable:
     out: dict[str, complex] = {}
     for j in (1, 2, 3):
         out[f"window6_{j}"] = _quad(
-            lambda z: eval_f((j, 6), z3 - z, model) * eval_w("plain", j, z, model), w0, z3
+            lambda z: eval_f((j, 6), z3 - z) * eval_w("plain", j, z, model), w0, z3
         )
         out[f"window7_{j}"] = _quad(
-            lambda z: eval_f((j, 7), z2 - z, model) * eval_w("plain", j, z, model), w0, z2
+            lambda z: eval_f((j, 7), z2 - z) * eval_w("plain", j, z, model), w0, z2
         )
-    return ConstantTable(out)
+    return out
 
 
 def compute_j1_bound(model: LimitModel = None) -> float:
@@ -358,11 +311,10 @@ def compute_j1_bound(model: LimitModel = None) -> float:
     model = model or default_model()
     z1, z2 = model.z1, model.z2
     sb = model.shift_b
-    beta = model.beta_scaled
     w = model.residue_weights
     total = 0j
     for j in (1, 2, 3):
-        bj = beta[j]
+        bj = BETA[j]
         lower = _quad(
             lambda z: (-1.0 - bj * (z - z2)) * (-1.0 + eval_y(1, j, z, model)), z2, z2 + sb
         )
@@ -415,8 +367,8 @@ def _coupling_stage(model: LimitModel, earlier: Mapping) -> dict:
     b = compute_b_matrix(model)
     c = compute_c_matrix(b)
     quad1, quad2 = compute_c1_c2(model, c)
-    out = {name: c.value(name) for name in ("c11", "c22", "c12", "c33", "c34")}
-    out["b44_matches_b22"] = b.value("b44") - b.value("b22")
+    out = {name: c[name] for name in ("c11", "c22", "c12", "c33", "c34")}
+    out["b44_matches_b22"] = b["b44"] - b["b22"]
     for key, quad in (("quad1", quad1), ("quad2", quad2)):
         out.update({f"{key}_upper": quad, f"{key}_value": quad.real, f"{key}_imag": quad.imag})
     return out
@@ -424,7 +376,7 @@ def _coupling_stage(model: LimitModel, earlier: Mapping) -> dict:
 
 def _drift_stage(model: LimitModel, earlier: Mapping) -> dict:
     d = compute_d_constants(model)
-    dp, dd = d.value("frak_d_prime"), d.value("frak_d")
+    dp, dd = d["frak_d_prime"], d["frak_d"]
     return {
         "drift_prime_real": dp.real,
         "drift_real_small": dd.real,
@@ -444,8 +396,7 @@ def _residue_stage(model: LimitModel, earlier: Mapping) -> dict:
 
 
 def _window_stage(model: LimitModel, earlier: Mapping) -> dict:
-    windows = short_window_checks(model)
-    return {name: windows.value(name) for name in windows.names()}
+    return short_window_checks(model)
 
 
 def _j1_stage(model: LimitModel, earlier: Mapping) -> dict:
@@ -498,8 +449,7 @@ def _phase(w: complex) -> str:
 
 def _notes(model: LimitModel, c3: VerificationRecord) -> tuple[str, ...]:
     """The report's notes, their numbers read off the model and the c3 record."""
-    beta = model.beta_scaled
-    factors = (beta[6] * model.z1, beta[7] * model.z2, beta[6] * model.z3)
+    factors = (BETA[6] * model.z1, BETA[7] * model.z2, BETA[6] * model.z3)
     gap = f"{abs(c3.computed.real - c3.claimed.real):.1e}".replace("e-0", "e-")
     bound = f"the claimed bound {c3.claimed.real:g} by {gap}"
     verdict = (
@@ -513,7 +463,7 @@ def _notes(model: LimitModel, c3: VerificationRecord) -> tuple[str, ...]:
         f"its factor values are {', '.join(_phase(w) for w in factors)}",
         "cross entries of the second block are normalized by the product of "
         "the two distinct window lengths, and the fast-slow cross entry "
-        f"carries the short-gap phase advance {_phase(beta[7] * model.shift_b)}",
+        f"carries the short-gap phase advance {_phase(BETA[7] * model.shift_b)}",
         f"the final negative constant computes to {c3.computed.real:.6g}, {verdict}",
     )
 
@@ -522,8 +472,9 @@ def run_verification(model: LimitModel = None) -> VerificationReport:
     """Recompute everything and compare against the claimed values.
 
     Never raises on a failed comparison; each claim becomes a record with its
-    pass flag, and a stage whose computation fails yields NaN-valued failing
-    records for all its claims so the rest of the report still assembles.
+    pass flag, and a stage whose computation fails (DomainError, or KeyError
+    for a constant never computed) yields NaN-valued failing records for all
+    its claims so the rest of the report still assembles.
     """
     model = model or default_model()
     computed: dict[str, complex] = {}
@@ -531,8 +482,8 @@ def run_verification(model: LimitModel = None) -> VerificationReport:
     for stage, rows in _CLAIMS:
         try:
             computed.update(stage(model, computed))
-        except (DomainError, MissingConstantError):
+        except (DomainError, KeyError):
             computed.update((row[0], complex("nan")) for row in rows)
         records.extend(_record(name, computed[name], *claim) for name, *claim in rows)
     c3 = next(r for r in records if r.name == "c3_real")
-    return VerificationReport(tuple(records), _notes(model, c3), {"build": "lfverify-0.1.0"})
+    return VerificationReport(tuple(records), _notes(model, c3))

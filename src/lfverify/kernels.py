@@ -1,9 +1,9 @@
 """Closed-form limit kernels for the oscillatory prime-sum integrals.
 
-Everything here lives in the scaled limit: the seven decay rates enter only
-through their limiting products with the log of the common prime scale
-(purely imaginary multiples of pi), and all vanishing correction factors are
-dropped.  The kernel pair (f, g) is indexed by a channel j in {1,2,3} and a
+Everything here lives in the scaled limit: the decay rates enter only
+through their limiting products with the log of the common prime scale, the
+fixed imaginary multiples of pi in ``BETA``, and all vanishing correction
+factors are dropped.  The kernel pair (f, g) is indexed by a channel j in {1,2,3} and a
 rate index mu in {6,7}; the quadratic drift terms (y) and the short-window
 factors (w) use the same parameter record.
 """
@@ -11,27 +11,22 @@ factors (w) use the same parameter record.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
-from typing import Mapping, Union
+from dataclasses import dataclass
+from typing import Union
 
 from .numerics import DomainError
 
 _PI = 3.141592653589793
 
 
-def _standard_betas() -> dict[int, complex]:
-    b = {k: _PI * 1j * k for k in (1, 2, 3)}
-    b[4], b[5] = b[1], b[2]
-    b[6] = 1.5j * _PI
-    b[7] = 2.5j * _PI
-    return b
+# the scaled rates beta_k by index; indices 4 and 5 wrap to 1 and 2 (``_wrap``)
+BETA = {1: _PI * 1j, 2: _PI * 1j * 2, 3: _PI * 1j * 3, 6: 1.5j * _PI, 7: 2.5j * _PI}
 
 
 @dataclass(frozen=True)
 class LimitModel:
     """Shared parameter record for all limit kernels."""
 
-    beta_scaled: Mapping[int, complex] = field(default_factory=_standard_betas)
     z1: float = 0.504
     z2: float = 0.5
     z3: float = 0.498
@@ -42,23 +37,6 @@ class LimitModel:
     iota3: complex = -1.00635 - 0.22789j
     iota4: complex = -0.68738 + 1.60688j
     tilde_f_slope: float = 500.0
-
-    def __post_init__(self):
-        b = self.beta_scaled
-        if set(b) != set(range(1, 8)):
-            raise DomainError("beta_scaled must cover indices 1..7")
-        checks = (
-            abs(b[1] + b[2] + b[3] - 2 * b[3]),
-            abs(4 * b[6] - b[1] - b[2] - b[3]),
-            abs(2 * (b[6] + b[7]) - (b[1] + b[2] + b[3]) - 2j * _PI),
-            abs(b[4] - b[1]),
-            abs(b[5] - b[2]),
-        )
-        if max(checks) > 1e-14:
-            raise DomainError("beta_scaled violates the limit identities")
-        for j in (1, 2, 3):
-            if _wrap(j + 1) * _wrap(j + 2) != 11 - 6 * j + j * j:
-                raise AssertionError("wrapped index product broken")
 
 
 @dataclass(frozen=True)
@@ -100,22 +78,21 @@ def _exp(z):
     return np.exp(z)
 
 
-def eval_f(kid: IdLike, z, model: LimitModel = _DEFAULT):
+def eval_f(kid: IdLike, z):
     """Oscillatory kernel f_{j,mu}(z) = (1 + (b_mu - b_j) z) e^{b_mu z}."""
     kid = _as_id(kid)
-    b = model.beta_scaled
-    return (1.0 + (b[kid.mu] - b[kid.j]) * z) * _exp(b[kid.mu] * z)
+    bm = BETA[kid.mu]
+    return (1.0 + (bm - BETA[kid.j]) * z) * _exp(bm * z)
 
 
-def eval_g(kid: IdLike, z, model: LimitModel = _DEFAULT):
+def eval_g(kid: IdLike, z):
     """Companion kernel g_{j,mu}: constant plus damped linear oscillation.
 
     g = R + (1 - R - c z) e^{-b_mu z}, with R = b_{j+1} b_{j+2} / b_mu^2 and
     c = (b_{j+1} - b_mu)(b_{j+2} - b_mu)/b_mu (wrapped indices), so g(0) = 1.
     """
     kid = _as_id(kid)
-    b = model.beta_scaled
-    b1, b2, bm = b[_wrap(kid.j + 1)], b[_wrap(kid.j + 2)], b[kid.mu]
+    b1, b2, bm = BETA[_wrap(kid.j + 1)], BETA[_wrap(kid.j + 2)], BETA[kid.mu]
     r = b1 * b2 / (bm * bm)
     c = (b1 - bm) * (b2 - bm) / bm
     return r + (1.0 - r - c * z) * _exp(-bm * z)
@@ -129,8 +106,7 @@ def eval_y(variant: int, j: int, z, model: LimitModel = _DEFAULT):
     """
     if variant not in (1, 2) or j not in (1, 2, 3):
         raise DomainError(f"invalid drift id ({variant},{j})")
-    b = model.beta_scaled
-    b1, b2 = b[_wrap(j + 1)], b[_wrap(j + 2)]
+    b1, b2 = BETA[_wrap(j + 1)], BETA[_wrap(j + 2)]
     lin, quad = b1 + b2, b1 * b2 / 2.0
     if variant == 1:
         mid = model.z2 + model.shift_b
@@ -146,10 +122,9 @@ def eval_w(variant: str, j: int, z, model: LimitModel = _DEFAULT):
     """
     if variant not in ("plain", "star") or j not in (1, 2, 3):
         raise DomainError(f"invalid window id ({variant},{j})")
-    b = model.beta_scaled
     w0 = model.z2 - model.shift_a
     if variant == "plain":
-        slope = b[_wrap(j + 1)] + b[_wrap(j + 2)] - 2 * b[6]
+        slope = BETA[_wrap(j + 1)] + BETA[_wrap(j + 2)] - 2 * BETA[6]
     else:
-        slope = 2 * b[6] - b[j]
+        slope = 2 * BETA[6] - BETA[j]
     return -1.0 + slope * (z - w0)

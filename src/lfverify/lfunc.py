@@ -412,19 +412,14 @@ def z_factor(s: complex, theta: DirichletCharacter) -> complex:
     if not theta.primitive:
         raise DomainError("z_factor needs a primitive character")
     s = complex(s)
-    q = theta.modulus
-    tau = gauss_sum(theta)
-    base = cmath.exp((s - 0.5) * math.log(math.pi) - s * math.log(q))
-    if theta.parity == 1:
-        num, den = (1.0 - s) / 2.0, s / 2.0
-        front: complex = tau
-    else:
-        num, den = (2.0 - s) / 2.0, (1.0 + s) / 2.0
-        front = -1j * tau
+    eps, _ = _root_number(theta)
+    a = 0.0 if theta.parity == 1 else 1.0
+    num, den = (1.0 - s + a) / 2.0, (s + a) / 2.0
     for pole_arg in (num, den):
         if pole_arg.imag == 0 and pole_arg.real <= 0 and pole_arg.real == int(pole_arg.real):
             raise DomainError("Gamma pole in the equation factor")
-    return front * base * cmath.exp(complex(_log_gamma(num)) - complex(_log_gamma(den)))
+    log_ratio = complex(_log_gamma(num)) - complex(_log_gamma(den))
+    return eps * cmath.exp((0.5 - s) * math.log(theta.modulus / math.pi) + log_ratio)
 
 
 def _m_line(
@@ -771,9 +766,20 @@ def omega_weight(s: complex, p: WeightParams) -> complex:
     return math.sqrt(math.pi) / p.L2 * cmath.exp(d * d / (4.0 * p.L2 * p.L2))
 
 
+# just past this U, delta_mellin's e^(1.042 U) and then delta_fn's cosh U overflow;
+# the panel counts, growing as e^U, are far past ``_MAX_PANELS`` at any desk t0
+_U_MAX = 680.0
+
+
 def _u_cut(p: WeightParams) -> float:
-    # truncate where the Gaussian factor drops below 1e-16
-    return math.sqrt(16.0 * math.log(10.0)) / p.L2
+    """U where the Gaussian factor drops below 1e-16; DomainError past ``_U_MAX``."""
+    u = math.sqrt(16.0 * math.log(10.0)) / p.L2
+    if u > _U_MAX:
+        raise DomainError(
+            f"L2 = {p.L2:.3g} puts U at {u:.4g}, past {_U_MAX:g}, where the "
+            "transform's panel count nears float range"
+        )
+    return u
 
 
 # the transforms' panels grow as e^U, U = ``_u_cut(p)``: L2 = 2 at t0 = 60 needs 14,668
@@ -833,11 +839,12 @@ def delta_mellin(s: complex, p: WeightParams) -> complex:
     s = complex(s)
     if not cmath.isfinite(s):
         raise DomainError("s must be finite")
+    umax = _u_cut(p)
     c = math.sqrt(40.0) / p.L2
     w_add = math.sqrt(40.0) * p.L2 / math.pi
     x_lo = max(1e-12, min(p.t0 * math.exp(-c), p.t0 - w_add))
     x_hi = max(p.t0 * math.exp(c), p.t0 + w_add)
-    turn = _TWO_PI * math.expm1(_u_cut(p))
+    turn = _TWO_PI * math.expm1(umax)
     variation = turn * (x_hi - x_lo) + abs(s.imag) * math.log(x_hi / x_lo)
     n_panels = _panel_count(variation)
 

@@ -17,6 +17,9 @@ import pytest
 
 from conftest import character_fingerprint, scan_alpha_hat
 from lfverify.characters import (
+    LEMMA_171_PRIME_CUTOFF,
+    LEMMA_171_S,
+    LEMMA_171_SERIES_CUTOFF,
     coefficient_bound_margin,
     check_lemma_171,
     identity_810_gaps,
@@ -49,13 +52,13 @@ def test_criterion_01_pair_constants_first_block():
     start = time.perf_counter()
     c = compute_c_matrix(compute_b_matrix())
     elapsed = time.perf_counter() - start
-    assert _components_close(c.value("c11"), 3.61226 + 0j, 1e-5)
-    assert _components_close(c.value("c22"), 1.32215 + 0j, 1e-5)
-    assert _components_close(c.value("c12"), -0.45757 - 0.18179j, 1e-5)
+    assert _components_close(c["c11"], 3.61226 + 0j, 1e-5)
+    assert _components_close(c["c22"], 1.32215 + 0j, 1e-5)
+    assert _components_close(c["c12"], -0.45757 - 0.18179j, 1e-5)
     assert elapsed < 10.0
     print(
-        f"\nPASS criterion 1: c11={c.value('c11').real:.6f} "
-        f"c22={c.value('c22').real:.6f} c12={c.value('c12'):.6f} "
+        f"\nPASS criterion 1: c11={c['c11'].real:.6f} "
+        f"c22={c['c22'].real:.6f} c12={c['c12']:.6f} "
         f"({elapsed:.2f}s < 10s)"
     )
 
@@ -143,9 +146,10 @@ def test_criterion_09_series_vs_product_and_bounds():
     worst_margin = -math.inf
     for d in (3, 4, 5, 8):
         chi = real_primitive_character(d)
-        _, _, gap = check_lemma_171(chi, s=2.0, series_cutoff=100_000, prime_cutoff=1000)
+        _, _, gap = check_lemma_171(chi)
         worst_gap = max(worst_gap, gap)
         worst_margin = max(worst_margin, coefficient_bound_margin(10_000, chi))
+    assert (LEMMA_171_S, LEMMA_171_SERIES_CUTOFF, LEMMA_171_PRIME_CUTOFF) == (2.0, 100_000, 1000)
     assert worst_gap < 1e-4
     assert worst_margin <= 1e-9
     print(

@@ -403,8 +403,6 @@ def test_lemma_171_truncation_gap():
     lhs, rhs, gap = check_lemma_171(chi)
     assert lhs > 0 and rhs > 0
     assert gap < 1e-4
-    with pytest.raises(DomainError):
-        check_lemma_171(chi, s=1.2)
 
 
 def test_frak_a_positive_and_guarded():

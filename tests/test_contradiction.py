@@ -8,7 +8,6 @@ import pytest
 from conftest import assert_close
 from lfverify import contradiction
 from lfverify.contradiction import (
-    MissingConstantError,
     compute_b_matrix,
     compute_c1_c2,
     compute_c3,
@@ -47,24 +46,24 @@ def e_table():
 
 
 def test_b_matrix_matches_independent_grid(b_table, frozen_constants):
-    for name in b_table.names():
-        assert_close(b_table.value(name), frozen_constants[name], CROSS_TOL, name)
+    for name in b_table:
+        assert_close(b_table[name], frozen_constants[name], CROSS_TOL, name)
 
 
 def test_b44_equals_b22(b_table):
-    assert b_table.value("b44") == b_table.value("b22")
+    assert b_table["b44"] == b_table["b22"]
 
 
 def test_c_matrix_matches_independent_grid(c_table, frozen_constants):
-    for name in c_table.names():
-        assert_close(c_table.value(name), frozen_constants[name], CROSS_TOL, name)
+    for name in c_table:
+        assert_close(c_table[name], frozen_constants[name], CROSS_TOL, name)
 
 
 def test_c_matrix_hermitian_pairing(c_table):
-    assert c_table.value("c21") == c_table.value("c12").conjugate()
-    assert c_table.value("c43") == c_table.value("c34").conjugate()
-    assert abs(c_table.value("c11").imag) == 0.0
-    assert abs(c_table.value("c33").imag) == 0.0
+    assert c_table["c21"] == c_table["c12"].conjugate()
+    assert c_table["c43"] == c_table["c34"].conjugate()
+    assert abs(c_table["c11"].imag) == 0.0
+    assert abs(c_table["c33"].imag) == 0.0
 
 
 def test_quadratic_forms_match_grid(c_table, frozen_constants):
@@ -77,13 +76,13 @@ def test_quadratic_forms_match_grid(c_table, frozen_constants):
 
 
 def test_d_constants_match_grid(d_table, frozen_constants):
-    for name in d_table.names():
-        assert_close(d_table.value(name), frozen_constants[name], CROSS_TOL, name)
+    for name in d_table:
+        assert_close(d_table[name], frozen_constants[name], CROSS_TOL, name)
 
 
 def test_drift_inequalities(d_table):
-    dp = d_table.value("frak_d_prime")
-    dd = d_table.value("frak_d")
+    dp = d_table["frak_d_prime"]
+    dd = d_table["frak_d"]
     assert dp.real > 5.1
     assert 0.0 < dd.real < 0.1
     assert (dp + dd).real > 5.0
@@ -124,8 +123,8 @@ def test_every_panel_goes_through_integrate(monkeypatch):
 
 
 def test_e_constants_match_grid(e_table, frozen_constants):
-    for name in e_table.names():
-        assert_close(e_table.value(name), frozen_constants[name], CROSS_TOL, name)
+    for name in e_table:
+        assert_close(e_table[name], frozen_constants[name], CROSS_TOL, name)
 
 
 def test_c3_and_cancellation_match_grid(e_table, frozen_constants):
@@ -148,14 +147,14 @@ def test_window_checks_match_grid(frozen_constants):
     w = short_window_checks()
     for j in (1, 2, 3):
         assert_close(
-            w.value(f"window6_{j}"), frozen_constants[f"w6_{j}"], CROSS_TOL, f"w6_{j}"
+            w[f"window6_{j}"], frozen_constants[f"w6_{j}"], CROSS_TOL, f"w6_{j}"
         )
         assert_close(
-            w.value(f"window7_{j}"), frozen_constants[f"w7_{j}"], CROSS_TOL, f"w7_{j}"
+            w[f"window7_{j}"], frozen_constants[f"w7_{j}"], CROSS_TOL, f"w7_{j}"
         )
-        assert abs(w.value(f"window6_{j}") - (-0.002)) < 1e-4
+        assert abs(w[f"window6_{j}"] - (-0.002)) < 1e-4
         target7 = -0.004 - 1j * math.pi / 250.0**2
-        assert abs(w.value(f"window7_{j}") - target7) < 1e-4
+        assert abs(w[f"window7_{j}"] - target7) < 1e-4
 
 
 def test_j1_bound_matches_grid(frozen_constants):
@@ -164,11 +163,35 @@ def test_j1_bound_matches_grid(frozen_constants):
     assert 0.0 < j1 < 4400.0 / math.pi
 
 
-def test_constant_table_api(b_table):
-    with pytest.raises(MissingConstantError):
-        b_table.value("b99")
-    assert "b11" in b_table
-    assert "b99" not in b_table
+DRIFT_ROWS = ["drift_prime_real", "drift_real_small", "drift_real_positive", "drift_sum_real"]
+RESIDUE_ROWS = ["c3_real", "cancellation", "chain_total"]
+
+
+def _nan_rows(report):
+    rows = [r for r in report.records if math.isnan(r.computed.real)]
+    assert not any(r.passed for r in rows)
+    return [r.name for r in rows]
+
+
+def test_a_raising_stage_gives_nan_failing_rows():
+    # w0 = z2 - shift_a < 0 reverses a window: the drift and residue stages raise DomainError
+    report = run_verification(LimitModel(shift_a=0.6))
+    assert len(report.records) == 27
+    assert _nan_rows(report) == DRIFT_ROWS + RESIDUE_ROWS
+
+
+def test_a_stage_reading_a_missing_name_gives_nan_rows(monkeypatch):
+    compute = contradiction.compute_e_constants
+
+    def without_frak_ep_1(model=None):
+        e = compute(model)
+        del e["frak_ep_1"]
+        return e
+
+    monkeypatch.setattr(contradiction, "compute_e_constants", without_frak_ep_1)
+    report = run_verification()
+    assert len(report.records) == 27
+    assert _nan_rows(report) == RESIDUE_ROWS
 
 
 def test_report_shape(report, records):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from lfverify.kernels import (
+    BETA,
     KernelId,
-    LimitModel,
     default_model,
     eval_f,
     eval_g,
@@ -21,13 +21,17 @@ ALL_IDS = [(j, mu) for j in (1, 2, 3) for mu in (6, 7)]
 
 
 def test_default_model_rates():
-    m = default_model()
-    assert m.beta_scaled[1] == math.pi * 1j
-    assert m.beta_scaled[6] == 1.5j * math.pi
-    assert m.beta_scaled[7] == 2.5j * math.pi
-    assert m.beta_scaled[4] == m.beta_scaled[1]
-    assert m.beta_scaled[5] == m.beta_scaled[2]
-    assert m.residue_weights == (0.5, 2.0, 1.5)
+    assert BETA[1] == math.pi * 1j
+    assert BETA[6] == 1.5j * math.pi
+    assert BETA[7] == 2.5j * math.pi
+    assert default_model().residue_weights == (0.5, 2.0, 1.5)
+
+
+def test_rates_satisfy_the_limit_identities():
+    b = BETA
+    assert abs(b[3] - (b[1] + b[2])) <= 1e-14
+    assert abs(4 * b[6] - (b[1] + b[2] + b[3])) <= 1e-14
+    assert abs(2 * (b[6] + b[7]) - (b[1] + b[2] + b[3] + 2j * math.pi)) <= 1e-14
 
 
 def test_model_is_frozen():
@@ -44,8 +48,7 @@ def test_f_and_g_normalized_at_origin(j, mu):
 
 @pytest.mark.parametrize("j,mu", ALL_IDS)
 def test_f_closed_form(j, mu):
-    m = default_model()
-    b = m.beta_scaled
+    b = BETA
     z = 0.3173
     expect = (1.0 + (b[mu] - b[j]) * z) * cmath.exp(b[mu] * z)
     assert abs(eval_f((j, mu), z) - expect) < 1e-15
@@ -53,8 +56,7 @@ def test_f_closed_form(j, mu):
 
 def test_g_constant_term_uses_wrapped_indices():
     # for j=3 the companion rates wrap to 1 and 2
-    m = default_model()
-    b = m.beta_scaled
+    b = BETA
     z = 0.21
     r = b[1] * b[2] / (b[6] * b[6])
     c = (b[1] - b[6]) * (b[2] - b[6]) / b[6]
@@ -65,8 +67,7 @@ def test_g_constant_term_uses_wrapped_indices():
 def test_g_large_z_approaches_constant():
     # the oscillating part of g is bounded; its mean over a full period
     # of e^{-b z} on the imaginary axis recovers the constant term
-    m = default_model()
-    b = m.beta_scaled
+    b = BETA
     r = b[2] * b[3] / (b[7] * b[7])
     period = 2.0 * math.pi / abs(b[7].imag)
     zs = np.linspace(10.0, 10.0 + period, 20001)[:-1]
@@ -98,14 +99,6 @@ def test_vectorized_matches_scalar():
         assert abs(v - eval_f((1, 6), complex(z))) < 1e-15
 
 
-def test_beta_identity_enforcement():
-    bad = {k: math.pi * 1j * k for k in range(1, 8)}
-    with pytest.raises(DomainError):
-        LimitModel(beta_scaled=bad)
-    with pytest.raises(DomainError):
-        LimitModel(beta_scaled={1: 1j})
-
-
 def test_drift_variant2_vanishes_at_top():
     m = default_model()
     for j in (1, 2, 3):
@@ -114,7 +107,7 @@ def test_drift_variant2_vanishes_at_top():
 
 def test_drift_closed_forms():
     m = default_model()
-    b = m.beta_scaled
+    b = BETA
     z = 0.502
     lin, quad = b[2] + b[3], b[2] * b[3] / 2.0
     mid = m.z2 + m.shift_b
@@ -141,7 +134,7 @@ def test_window_values_at_anchor():
 
 def test_window_slopes():
     m = default_model()
-    b = m.beta_scaled
+    b = BETA
     w0 = m.z2 - m.shift_a
     dz = 1e-3
     plain = (eval_w("plain", 2, w0 + dz) - eval_w("plain", 2, w0)) / dz

@@ -941,5 +941,15 @@ def test_delta_mellin_refuses_too_many_panels(l2):
         delta_mellin(1.0, WeightParams(10.0, l2, 60.0))
 
 
+@pytest.mark.parametrize("l2", (0.001, 0.0087))
+def test_transforms_refuse_a_window_past_float_range(l2):
+    # U = 6.07 / L2 is 6070 and 698: cosh U, e^U or the x-range's e^(1.04 U) overflow
+    p = WeightParams(10.0, l2, 60.0)
+    with pytest.raises(DomainError, match="panel"):
+        delta_fn(60.0, p)
+    with pytest.raises(DomainError, match="panel"):
+        delta_mellin(1.0, p)
+
+
 def test_branch_error_type():
     assert issubclass(BranchError, RuntimeError)
