@@ -13,54 +13,10 @@ explicitly checkable object the argument rests on:
 * ``lfunc``: small-modulus L-functions, critical-line scans, the
   triple-product ratio at zeros, and the smoothing-weight transforms;
 * ``cli``: the ``lfverify`` command with JSON/markdown/CSV reports.
+
+The package itself exports only ``__version__``; import the submodules
+directly.  Importing the package loads none of them, so each command loads
+only what it runs.
 """
 
-from .numerics import ConvergenceError, DomainError, QuadratureResult, integrate
-from .kernels import KernelId, LimitModel, default_model, eval_f, eval_g, eval_w, eval_y
-from .contradiction import VerificationRecord, VerificationReport, run_verification
-from .characters import DirichletCharacter, primitive_characters, real_primitive_character
-from .eulerprod import IDENTITY_CASES, LocalFactorParams, check_local_identity
-from .lfunc import (
-    BranchError,
-    CriticalZero,
-    ScanResult,
-    WeightParams,
-    c_star,
-    find_zeros,
-    l_function,
-    m_function,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BranchError",
-    "ConvergenceError",
-    "CriticalZero",
-    "DirichletCharacter",
-    "DomainError",
-    "IDENTITY_CASES",
-    "KernelId",
-    "LimitModel",
-    "LocalFactorParams",
-    "QuadratureResult",
-    "ScanResult",
-    "VerificationRecord",
-    "VerificationReport",
-    "WeightParams",
-    "c_star",
-    "check_local_identity",
-    "default_model",
-    "eval_f",
-    "eval_g",
-    "eval_w",
-    "eval_y",
-    "find_zeros",
-    "integrate",
-    "l_function",
-    "m_function",
-    "primitive_characters",
-    "real_primitive_character",
-    "run_verification",
-    "__version__",
-]

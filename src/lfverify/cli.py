@@ -26,18 +26,13 @@ import math
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
-from . import characters, contradiction, eulerprod, lfunc
+# each command imports the modules it runs, so that `constants` loads
+# neither numpy nor the L-function layer
 from .numerics import ConvergenceError, DomainError
 
 SCHEMA_VERSION = "1"
 _ELIGIBILITY_FACTOR = 3.0
 _C_STAR_FLOOR = -1e-9
-# the Euler-Maclaurin kernel bounds its truncation at any height, but the
-# rounding of its direct sum (relative 1e-12 on the line) is checked against
-# mpmath only up to t = 999.9, and a scan's cost grows as T^2
-_T_MAX_LIMIT = lfunc._T_LIMIT
 # primitive_characters holds all phi(q) value tables of q entries each, and
 # the scan's cost per panel grows with the q residues, so q stays desk-scale;
 # identities, which tabulates q Kronecker symbols per modulus, shares the cap
@@ -147,6 +142,8 @@ def _emit(doc: dict, fmt: str, out_path: str) -> bool:
 
 
 def cmd_verify_constants(args) -> int:
+    from . import contradiction
+
     report = contradiction.run_verification()
     doc = _document(constants=report.records, notes=report.notes)
     if not _emit(doc, args.format, args.out):
@@ -155,6 +152,10 @@ def cmd_verify_constants(args) -> int:
 
 
 def _identity_rows(max_n: int, moduli: list[int]) -> list[tuple[str, float, bool]]:
+    import numpy as np
+
+    from . import characters, eulerprod
+
     rows: list[tuple[str, float, bool]] = []
     for q in moduli:
         chi = characters.real_primitive_character(q)
@@ -231,17 +232,23 @@ def cmd_identities(args) -> int:
 
 
 def cmd_zeros(args) -> int:
+    from . import characters, lfunc
+
+    # the Euler-Maclaurin kernel bounds its truncation at any height, but the
+    # rounding of its direct sum (relative 1e-12 on the line) is checked against
+    # mpmath only up to t = 999.9, and a scan's cost grows as T^2
+    t_limit = lfunc._T_LIMIT
     if not 0 < args.modulus <= _MODULUS_LIMIT:
         print(f"error: --modulus must be between 1 and {_MODULUS_LIMIT}", file=sys.stderr)
         return 2
     if not 0 < args.step <= 0.05:
         print("error: --step must be positive and at most 0.05", file=sys.stderr)
         return 2
-    if not 0 < args.t_max <= _T_MAX_LIMIT:
-        print(f"error: --t-max must be positive and at most {_T_MAX_LIMIT:g}", file=sys.stderr)
+    if not 0 < args.t_max <= t_limit:
+        print(f"error: --t-max must be positive and at most {t_limit:g}", file=sys.stderr)
         return 2
-    if args.alpha_hat is not None and not 0 < args.alpha_hat <= _T_MAX_LIMIT:
-        print(f"error: --alpha-hat must be positive and at most {_T_MAX_LIMIT:g}", file=sys.stderr)
+    if args.alpha_hat is not None and not 0 < args.alpha_hat <= t_limit:
+        print(f"error: --alpha-hat must be positive and at most {t_limit:g}", file=sys.stderr)
         return 2
     prims = characters.primitive_characters(args.modulus)
     if not prims:

@@ -814,8 +814,8 @@ def delta_fn(x: Union[float, np.ndarray], p: WeightParams) -> Union[complex, np.
     edges = np.linspace(-umax, umax, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mids[:, None] + half * _NODES15[None, :]).ravel()
-    weights = (half * np.broadcast_to(_WEIGHTS15, (n_panels, 15))).ravel()
+    nodes = (mids[:, None] + half * np.asarray(_NODES15)[None, :]).ravel()
+    weights = (half * np.broadcast_to(np.asarray(_WEIGHTS15), (n_panels, 15))).ravel()
     base = np.exp(p.s0 * nodes - (p.L2 * nodes) ** 2) * weights
     osc = np.exp(-_TWO_PI * 1j * np.outer(np.exp(nodes) - 1.0, xs.ravel()))
     out = base @ osc
@@ -829,12 +829,13 @@ def delta_mellin(s: complex, p: WeightParams) -> complex:
     window, large t0) or where x - t0 is within a few L2 (wide window,
     decoherence of the slowly-turning phase); the x-range is the union of
     both, cut where the induced Gaussian drops below 1e-16.  The integral
-    is taken by equal 15-point Gauss-Legendre panels, each panel's
-    abscissae passed to delta_fn as one array.  They are sized by the
-    phase: delta_fn(x) turns at most 2 pi (e^U - 1) per unit of x,
-    U = ``_u_cut(p)``, and x^(s-1) adds |Im s| log(x_hi / x_lo) over the
-    range; one panel per 12 radians of the sum, and at least 8.  More
-    than ``_MAX_PANELS`` panels raise DomainError before any evaluation.
+    is taken by ``integrate``'s equal 15-point Gauss-Legendre panels, one
+    delta_fn call per abscissa.  They are sized by the phase: delta_fn(x)
+    turns at most 2 pi (e^U - 1) per unit of x, U = ``_u_cut(p)``, and
+    x^(s-1) adds |Im s| log(x_hi / x_lo) over the range; one panel per 12
+    radians of the sum, and at least 8.  More than ``_MAX_PANELS`` panels
+    raise DomainError before any evaluation, with a finite count even
+    where the count is past float range.
     """
     s = complex(s)
     if not cmath.isfinite(s):
@@ -843,8 +844,18 @@ def delta_mellin(s: complex, p: WeightParams) -> complex:
     c = math.sqrt(40.0) / p.L2
     w_add = math.sqrt(40.0) * p.L2 / math.pi
     x_lo = max(1e-12, min(p.t0 * math.exp(-c), p.t0 - w_add))
-    x_hi = max(p.t0 * math.exp(c), p.t0 + w_add)
     turn = _TWO_PI * math.expm1(umax)
+    # the phase term's panels, turn * (x_hi - x_lo) / 12, in logs: at small
+    # L2 both factors near float range and their product overflows
+    log_hi = max(math.log(p.t0) + c, math.log(p.t0 + w_add))
+    log_n = math.log(turn / 12.0) + log_hi + math.log1p(-x_lo * math.exp(-log_hi))
+    if log_n >= math.log(_MAX_PANELS):
+        exp10, frac = divmod(log_n / math.log(10.0), 1.0)
+        raise DomainError(
+            f"the transform needs at least {10.0 ** frac:.3g}e{int(exp10):+03d} panels, "
+            f"above {_MAX_PANELS}"
+        )
+    x_hi = max(p.t0 * math.exp(c), p.t0 + w_add)
     variation = turn * (x_hi - x_lo) + abs(s.imag) * math.log(x_hi / x_lo)
     n_panels = _panel_count(variation)
 

@@ -5,8 +5,9 @@ Gauss-Legendre rule on each and adds the panel sums in order.  The caller
 chooses the number of panels; there is no tolerance and no adaptivity.  For
 an integrand analytic on a Bernstein ellipse about each panel the rule's
 error has an explicit bound (Trefethen, Approximation Theory and
-Approximation Practice, Thm 19.3).  No randomness, no parallelism: identical
-inputs give identical outputs.
+Approximation Practice, Thm 19.3).  The module is plain Python, without
+numpy: the integrand sees one float abscissa per call, and every sum runs in
+a fixed order, so identical inputs give identical outputs on any CPU.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 
 class DomainError(ValueError):
@@ -28,7 +27,7 @@ class ConvergenceError(RuntimeError):
     The zero scan's current estimates are attached as ``partial``.
     """
 
-    def __init__(self, message: str, partial: np.ndarray):
+    def __init__(self, message: str, partial):
         super().__init__(message)
         self.partial = partial
 
@@ -39,26 +38,27 @@ class QuadratureResult:
     evaluations: int
 
 
-_NODES15, _WEIGHTS15 = np.polynomial.legendre.leggauss(15)
-
-
-def _eval(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array of abscissae, tolerating scalar-only handles."""
-    try:
-        y = np.asarray(f(x), dtype=complex)
-        if y.shape == x.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    return np.array([complex(f(float(t))) for t in x])
+# numpy.polynomial.legendre.leggauss(15), bit for bit
+_NODES15 = (
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+    0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+)
+_WEIGHTS15 = (
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+    0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+    0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+)
 
 
 def integrate(f: Callable, a: float, b: float, panels: int = 1) -> QuadratureResult:
     """Integrate ``f`` over [a, b] by ``panels`` equal 15-point Gauss-Legendre panels.
 
-    ``f`` may return real or complex values and may be vectorized over numpy
-    arrays; it is called on one panel's 15 abscissae at a time.  Raises
-    DomainError unless a and b are finite, a <= b and panels >= 1.
+    ``f`` takes one Python float and may return a real or complex number;
+    it is called once per abscissa, panel by panel and in node order.
+    Raises DomainError unless a and b are finite, a <= b and panels >= 1.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise DomainError(f"invalid interval [{a}, {b}]")
@@ -77,5 +77,8 @@ def integrate(f: Callable, a: float, b: float, panels: int = 1) -> QuadratureRes
         lo = a + k * width
         hi = b if k == panels - 1 else a + (k + 1) * width
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        value += half * complex(np.dot(_WEIGHTS15, _eval(f, mid + half * _NODES15)))
+        panel = complex(-0.0, -0.0)
+        for x, w in zip(_NODES15, _WEIGHTS15):
+            panel += w * complex(f(mid + half * x))
+        value += half * panel
     return QuadratureResult(value, 15 * panels)

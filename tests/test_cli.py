@@ -123,13 +123,15 @@ def test_identities_input_validation(tmp_path):
 def test_identities_modulus_limit(monkeypatch, capsys):
     # 10^9 + 7 has a real primitive character; building its 10^9-entry table
     # would not finish, so the entry is refused before any table is built
-    build = lfverify.characters.real_primitive_character
+    from lfverify import characters
+
+    build = characters.real_primitive_character
 
     def guarded(q):
         assert q <= 1000, f"built the table mod {q}"
         return build(q)
 
-    monkeypatch.setattr(lfverify.characters, "real_primitive_character", guarded)
+    monkeypatch.setattr(characters, "real_primitive_character", guarded)
     assert main(["identities", "--max-n", "10", "--moduli", "3,1000000007"]) == 2
     assert "at most 1000" in capsys.readouterr().err
     assert main(["identities", "--max-n", "10", "--moduli", "1001"]) == 2
@@ -276,6 +278,55 @@ def test_no_command_loads_scipy(tmp_path):
         "identities": [0, []],
         "zeros": [0, []],
     }
+
+
+_ONE_COMMAND = textwrap.dedent(
+    """
+    import json, sys
+
+    argv, block_numpy = json.loads(sys.argv[1])
+    if block_numpy:
+        sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+
+    from lfverify.cli import main
+
+    code = main(argv)
+    print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("lfverify."))]))
+    """
+)
+
+
+def _run_fresh(argv, block_numpy=False):
+    """Exit code and loaded lfverify submodules of one command in a fresh interpreter."""
+    src = str(Path(lfverify.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_COMMAND, json.dumps([argv, block_numpy])],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return code, {m.split(".")[1] for m in loaded}
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    # constants runs without numpy: the quadrature is plain Python
+    out = tmp_path / "c.json"
+    code, loaded = _run_fresh(["constants", "--out", str(out)], block_numpy=True)
+    assert code == 1
+    failed = [r["name"] for r in json.loads(out.read_text())["constants"] if not r["pass"]]
+    assert failed == ["c3_real"]
+    assert loaded == {"cli", "contradiction", "kernels", "numerics"}
+
+    _, loaded = _run_fresh(["identities", "--max-n", "100", "--out", str(tmp_path / "i.json")])
+    assert not loaded & {"contradiction", "kernels"}
+
+    argv = ["zeros", "--modulus", "5", "--t-max", "20", "--csv", str(tmp_path / "z.csv")]
+    _, loaded = _run_fresh(argv)
+    assert not loaded & {"contradiction", "eulerprod"}
 
 
 def test_zeros_unaudited_eligible_zero_fails(tmp_path, monkeypatch, capsys):

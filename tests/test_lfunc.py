@@ -3,6 +3,7 @@
 import cmath
 import csv
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -916,8 +917,7 @@ def test_delta_mellin_refuses_non_finite_s(s):
 def test_delta_mellin_panels_resolve_a_wide_fast_window():
     # at L2 = 6 the transform turns 11 radians per unit of x over a range of
     # 151, where 15-point panels sized by the phase recover 1 to rounding;
-    # each panel's 15 abscissae go to delta_fn as one array, so the
-    # temporaries stay small
+    # delta_fn takes one abscissa per call, so the temporaries stay small
     tracemalloc.start()
     try:
         err = abs(delta_mellin(1.0, WeightParams(10.0, 6.0, 60.0)) - 1.0)
@@ -938,6 +938,14 @@ def test_delta_fn_refuses_too_many_panels():
 def test_delta_mellin_refuses_too_many_panels(l2):
     # 14,668 and 7,566,651 panels: refused before any evaluation
     with pytest.raises(DomainError, match="panels"):
+        delta_mellin(1.0, WeightParams(10.0, l2, 60.0))
+
+
+@pytest.mark.parametrize("l2, count", ((0.009, "3.82e+599"), (0.01, "5.93e+539")))
+def test_delta_mellin_names_a_finite_count_past_float_range(l2, count):
+    # U = 674 and 607 pass the u-cut, but the phase term's e^U (x_hi - x_lo)
+    # overflows a float, so the count is formed in logs
+    with pytest.raises(DomainError, match=rf"needs at least {re.escape(count)} panels"):
         delta_mellin(1.0, WeightParams(10.0, l2, 60.0))
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lfverify.numerics import DomainError, integrate
+from lfverify.numerics import _NODES15, _WEIGHTS15, DomainError, integrate
 
 
 def test_polynomial_exact():
@@ -34,13 +34,24 @@ def test_panels_are_evaluated_one_at_a_time_and_summed_in_order():
     calls = []
 
     def f(x):
-        calls.append(x.shape)
-        return np.sin(3.0 * x)
+        calls.append(x)
+        return math.sin(3.0 * x)
 
     res = integrate(f, 0.0, 3.0, panels=3)
-    assert calls == [(15,)] * 3
+    assert len(calls) == 45
+    assert all(type(x) is float for x in calls)
+    # panel by panel, and within a panel in node order
+    expected = [lo + 0.5 + 0.5 * t for lo in (0.0, 1.0, 2.0) for t in _NODES15]
+    assert calls == expected
     pieces = [integrate(f, lo, lo + 1.0).value for lo in (0.0, 1.0, 2.0)]
     assert res.value == (pieces[0] + pieces[1]) + pieces[2]
+
+
+def test_nodes_and_weights_are_leggauss_15_bit_for_bit():
+    # hex strings, so that a signed zero must match too
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    assert [t.hex() for t in _NODES15] == [float(t).hex() for t in nodes]
+    assert [w.hex() for w in _WEIGHTS15] == [float(w).hex() for w in weights]
 
 
 def test_scalar_only_integrand_is_tolerated():
