@@ -136,7 +136,8 @@ def check_local_identity(
     lam_b = lam(u, v, b)
 
     def bracket(mob_r: complex) -> complex:
-        return 1.0 + lam_b * ((g - mob_r * w_pow[1:]) @ c)
+        # summed in index order: a BLAS dot's order, and so its rounding, varies by CPU
+        return 1.0 + lam_b * sum(((g - mob_r * w_pow[1:]) * c).tolist())
 
     if prefactor is None:  # L162
         lhs = bracket(0.0) / bracket(mob)

@@ -1,12 +1,12 @@
 """Small-modulus L-function engine.
 
-One vectorized Euler-Maclaurin kernel evaluates sum_a c_a zeta(s, a) over
-an array of s, with its s-derivative on request and a pole-free mode that
-keeps a nonprincipal character sum finite at s = 1.  Each call takes the
-least shift N, and then the fewest of up to 40 Bernoulli terms, at which
-the explicit remainder bound is below 1e-17; it takes the residues in
-blocks under a fixed memory budget.  Every value, zeta(s, a) or L(s, chi) =
-q^(-s) sum_a chi(a) zeta(s, a/q) and its derivative, is one kernel call.
+One vectorized Euler-Maclaurin kernel evaluates sum_a c_a zeta(s, a) at
+s = rows[i] + i cols[j], with its s-derivative on request and a pole-free
+mode that keeps a nonprincipal character sum finite at s = 1.  Each call
+takes the least shift N, and then the fewest of up to 40 Bernoulli terms,
+at which the explicit remainder bound is below 1e-17; it takes the residues
+in blocks under a fixed memory budget.  Every value, zeta(s, a) or L(s, chi)
+= q^(-s) sum_a chi(a) zeta(s, a/q) and its derivative, is one kernel call.
 Around it sit the reflection and functional-equation factors, a
 real-valued rotation of the L-function on the critical line, sign-change
 zero scanning, the signed triple-product ratio at a zero, and the
@@ -90,10 +90,13 @@ _EM_TARGET = 1e-17
 # complex elements in one block of the Euler-Maclaurin kernel's residues (4 MB)
 _BLOCK_ELEMENTS = 1 << 18
 
-# R x K arrays a block holds beside its R x N x K exponents: up to 12 at once
-# in _em_block's ds path, and the 4 of the previous block's rows and weighted
+# R x I J arrays a block holds beside its exponents: up to 12 at once in
+# _em_block's ds path, and the 4 of the previous block's rows and weighted
 # terms that the loop still holds
 _BLOCK_ROWS = 16
+
+# the one column of a kernel call at the points rows alone
+_ZERO_COL = np.zeros(1)
 
 
 class BranchError(RuntimeError):
@@ -134,10 +137,9 @@ def _em_shift(s_abs: int, sigma: float) -> tuple[int, int]:
 
 
 def _euler_maclaurin(
-    s: np.ndarray, a, weights: np.ndarray, ds: bool = False, pole_free: bool = False,
-    step: Optional[float] = None,
+    rows: np.ndarray, cols, a, weights: np.ndarray, ds: bool = False, pole_free: bool = False
 ) -> np.ndarray:
-    """sum_a c_a zeta(s, a) over an array of s and a 1-d array of a, common shift N.
+    """sum_a c_a zeta(s, a) at s = rows[i] + i cols[j] and a 1-d array of a, common shift N.
 
     N and the number M of Bernoulli terms come from ``_em_shift`` at the
     largest |s| and the least re s of the call, so the remainder is at most
@@ -147,66 +149,58 @@ def _euler_maclaurin(
     zeta(s, a) = sum_{n<N} (n+a)^-s + w^(1-s)/(s-1) + w^-s/2 + tail,
     w = N + a, with the tail
     w^-s sum_{k<=M} c_k [(s)_(2k-1) / N^(2k-1)] (N / w)^(2k-1),
-    c_k = B_2k / (2k)! (``_EM_COEFFS``).  The bracketed rows depend on s
+    c_k = B_2k / (2k)! (``_EM_COEFFS``).  Each residue's direct sum is one
+    product P @ C, P[i, n] = (n+a)^-rows_i and C[n, j] = (n+a)^-(i cols_j):
+    N (I + J) exps, not N I J (Odlyzko and Schoenhage, Trans. AMS 309,
+    1988); its d/ds is -(P log(n+a)) @ C.  The bracketed rows depend on s
     alone and are built once per call as a running product (with ``ds``,
     also its s-derivative by the product rule, which stays finite where a
     row vanishes at s = 0, -1, -2, ...); each residue meets them in one
-    (1 x M) @ (M x K) product of its own ratios.
+    (1 x M) @ (M x I J) product of its own ratios.
     Scaled by N, every factor stays finite at |s| = 1000 and M = 40.
     With ``pole_free`` the 1/(s-1) part of w^(1-s)/(s-1) is dropped and
     the rest summed as a series in s - 1; the dropped parts cancel across
     a nonprincipal character sum, which keeps s = 1 finite.
 
     ``a`` is one residue or a 1-d array of R of them, with one weight c_a
-    each.  The result has shape (1, K) over the K values of s, or (2, K)
-    with ``ds``, [1] holding d/ds.  A running sum (np.add.accumulate) adds
-    the weighted rows in the order of a, so no row outlives its block.
-
-    The residues go in blocks of at most _BLOCK_ELEMENTS / ((N + 16) K),
-    and at least one: a residue takes N K exponents on the elementwise
-    path and up to 16 rows of K (``_BLOCK_ROWS``), so a block stays near
-    4 MB whatever q is.  Without the budget, ``zeros --modulus 997
-    --t-max 60`` peaked at 515 MB, against 47 MB with it.
+    each.  The result has shape (1, I J) over the points s row by row, or
+    (2, I J) with ``ds``, [1] holding d/ds.  A running sum
+    (np.add.accumulate) adds the weighted rows in the order of a, so no row
+    outlives its block.  A residue takes N (I + J) (1 + ds) elements in P,
+    C and P log(n+a), and up to ``_BLOCK_ROWS`` rows of I J; the residues
+    go in blocks of at most ``_BLOCK_ELEMENTS`` of these, and at least one,
+    which keeps a block near 4 MB whatever q is.  Without the budget,
+    ``zeros --modulus 997 --t-max 60`` peaked at 515 MB, against 47 MB.
     Each row takes the floating-point operations of a one-residue call:
     - log w by math.log per residue: np.log rounds about one double in
       10^4 differently;
-    - s as a 1 x K row before any complex product with a residue's
+    - s as a 1 x I J row before any complex product with a residue's
       values: numpy rounds a complex product differently when a
       broadcast of arrays of unequal rank yields one element;
-    - the d/ds direct sum and the tail as one stacked product, (1 x N) @
-      (N x K) and (1 x M) @ (M x K) per residue: a shared (R x M) @ (M x K)
-      product rounds differently with the block's shape.
-
-    Given ``step`` (values only, not ``ds``), s is a scan's uniform grid
-    s_k = s_0 + i k step, k < K, and each residue's direct sum is one
-    complex product P @ C: with k = B j + r and B = ceil(sqrt(K)),
-    P[r, n] = (n+a)^-(s_0 + i r step) is B x N,
-    C[n, j] = (n+a)^-(i B j step) is N x ceil(K/B), and entry (r, j) is the
-    sum at s_k.  That takes N (B + K/B) exps in place of N K.  A block
-    takes a stack of these per-residue products, never one product over
-    all residues: such a shared product, of inner dimension R N, was no
-    faster at q = 5 or 101, and it rounds differently.  A last point more
-    than 1e-9 step off the progression, the t_max a scan appends off the
-    step, is summed directly.
+    - a stack of per-residue products, never one product over all
+      residues: a shared product, of inner dimension R N or over an
+      (R x M) tail, was no faster at q = 5 or 101, and it rounds
+      differently with the block's shape.
     """
     a = np.array(a, dtype=np.float64, ndmin=1)
     if not ((0.0 < a) & (a <= 1.0)).all():
         raise DomainError("a must lie in (0, 1]")
+    s = (rows[:, None] + 1j * cols).ravel()
     if not pole_free and (s == 1.0).any():
         raise DomainError("pole at s = 1")
     s_abs = max(1, math.ceil(float(np.max(np.abs(s)))))
     n_shift, n_terms = _em_shift(s_abs, float(np.min(s.real)))
     # row k - 1 is c_k (s)_(2k-1) / N^(2k-1): x = s / N times the running product
     # of (s + 2j - 1)(s + 2j) / N^2 = x (x + (4j - 1) / N) + 2j (2j - 1) / N^2,
-    # built in place in ``tail``, since each fresh M x K temporary page-faults
+    # built in place in ``tail``, since each fresh M x I J temporary page-faults
     j = np.arange(n_terms)[:, None]
     x = s / n_shift
     tail = np.empty((1 + ds, n_terms, len(s)), dtype=np.complex128)
-    rows = tail[0]
-    np.add(x, (4 * j - 1) / n_shift, out=rows)
-    rows *= x
-    rows += 2 * j * (2 * j - 1) / n_shift**2
-    rows[0] = x
+    t_rows = tail[0]
+    np.add(x, (4 * j - 1) / n_shift, out=t_rows)
+    t_rows *= x
+    t_rows += 2 * j * (2 * j - 1) / n_shift**2
+    t_rows[0] = x
     if ds:
         # d/ds by the product rule as the product grows, factor k having derivative
         # (2x + (4k - 1) / N) / N; a log-derivative is 0 * inf at s = 0, -1, ...
@@ -214,37 +208,31 @@ def _euler_maclaurin(
         d_rows[0] = 1.0 / n_shift
         prod = x
         for k in range(1, n_terms):
-            d_rows[k] = d_rows[k - 1] * rows[k] + prod * (2 * x + (4 * k - 1) / n_shift) / n_shift
-            prod = prod * rows[k]
-    np.cumprod(rows, axis=0, out=rows)
+            d_rows[k] = d_rows[k - 1] * t_rows[k] + prod * (2 * x + (4 * k - 1) / n_shift) / n_shift
+            prod = prod * t_rows[k]
+    np.cumprod(t_rows, axis=0, out=t_rows)
     tail *= _EM_COEFFS[:n_terms, None]
-    per_block = max(1, _BLOCK_ELEMENTS // ((n_shift + _BLOCK_ROWS) * len(s)))
+    per_residue = n_shift * (len(rows) + len(cols)) * (1 + ds) + _BLOCK_ROWS * len(s)
+    per_block = max(1, _BLOCK_ELEMENTS // per_residue)
     total = np.zeros((1 + ds, len(s)), dtype=np.complex128)
     for i in range(0, len(a), per_block):
-        block = _em_block(s, a[i : i + per_block], n_shift, tail, ds, pole_free, step)
+        block = _em_block(s, rows, cols, a[i : i + per_block], n_shift, tail, ds, pole_free)
         terms = weights[i : i + per_block, None, None] * block.swapaxes(0, 1)
         total = np.add.accumulate(np.concatenate((total[None], terms)), axis=0)[-1]
     return total
 
 
-def _em_block(s, a, n_shift, tail, ds, pole_free, step) -> np.ndarray:
-    """``_euler_maclaurin``'s (1 or 2, R, K) rows for one block of residues."""
+def _em_block(s, rows, cols, a, n_shift, tail, ds, pole_free) -> np.ndarray:
+    """``_euler_maclaurin``'s (1 or 2, R, I J) rows for one block of residues."""
     ln = np.log(np.arange(n_shift, dtype=np.float64) + a[:, None])
-    if step is None:
-        # exponentiated in place: each fresh R x N x K temporary page-faults
-        e = ln[:, :, None] * -s
-        np.exp(e, out=e)
-        head = e.sum(axis=1)
-    else:
-        k_len = len(s)
-        if k_len > 1 and abs(s[-1].imag - s[0].imag - (k_len - 1) * step) > 1e-9 * step:
-            k_len -= 1
-        b = math.isqrt(k_len - 1) + 1
-        p_mat = np.exp(-((s[0] + 1j * step * np.arange(b))[:, None] * ln[:, None, :]))
-        c_mat = np.exp(ln[:, :, None] * (-1j * b * step * np.arange(-(-k_len // b))))
-        head = (p_mat @ c_mat).transpose(0, 2, 1).reshape(len(a), -1)[:, :k_len]
-        if k_len < len(s):
-            head = np.append(head, np.exp(-ln * s[-1]).sum(axis=1)[:, None], axis=1)
+    # exponentiated in place: each fresh R x I x N temporary page-faults
+    p_mat = rows[:, None] * -ln[:, None, :]
+    np.exp(p_mat, out=p_mat)
+    # zero columns are a stride-0 broadcast of 1, which numpy's matmul sums in index
+    # order, not by BLAS: values at rows alone, a point's too, are the same on every CPU
+    ones = np.broadcast_to(np.complex128(1.0), (len(a), n_shift, len(cols)))
+    c_mat = np.exp(ln[:, :, None] * (-1j * cols)) if cols.any() else ones
+    head = (p_mat @ c_mat).reshape(len(a), -1)
     s = s[None]
     w = n_shift + a[:, None]
     lws = [math.log(v) for v in w[:, 0]]
@@ -264,7 +252,8 @@ def _em_block(s, a, n_shift, tail, ds, pole_free, step) -> np.ndarray:
     out = head + pole + 0.5 * w_pow + bern[0]
     if not ds:
         return out[None]
-    out_ds = -(ln[:, None, :] @ e)[:, 0] + pole_ds - 0.5 * lw * w_pow
+    p_mat *= ln[:, None, :]
+    out_ds = -(p_mat @ c_mat).reshape(len(a), -1) + pole_ds - 0.5 * lw * w_pow
     return np.stack((out, out_ds + bern[1] - lw * bern[0]))
 
 
@@ -278,7 +267,7 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
     the zeros of zeta(s, a) on the negative real axis (9e-9 at s = -2.997,
     a = 0.235).
     """
-    return _euler_maclaurin(np.array([s], dtype=complex), a, np.ones(1)).item()
+    return _euler_maclaurin(np.array([s], dtype=complex), _ZERO_COL, a, np.ones(1)).item()
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +275,22 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
 
 
 def _l_values(
-    chi: DirichletCharacter, s: np.ndarray, step: Optional[float] = None, ds: bool = False
+    chi: DirichletCharacter, rows: np.ndarray, cols: np.ndarray = _ZERO_COL, ds: bool = False
 ) -> np.ndarray:
-    """L(s, chi) = q^(-s) sum_a chi(a) zeta(s, a/q) over an array of s.
+    """L(s, chi) = q^(-s) sum_a chi(a) zeta(s, a/q) at s = rows[i] + i cols[j], row by row.
 
     One kernel call over the residues a with chi(a) != 0 sums
-    chi(a) zeta(s, a/q) in the order of a.  ``step`` marks s as a uniform
-    grid on a vertical line for the kernel's product path.  With ``ds``
-    the result is the 2 x len(s) array of L and dL/ds.  A nonprincipal chi
-    with every s within 1e-1 of 1 takes the pole-free expansion, whose
-    15-term series in s - 1 ends below 1e-19 there; a principal one keeps
-    its genuine pole.
+    chi(a) zeta(s, a/q) in the order of a.  With ``ds`` the result is the
+    2 x I J array of L and dL/ds.  A nonprincipal chi with every s within
+    1e-1 of 1 takes the pole-free expansion, whose 15-term series in s - 1
+    ends below 1e-19 there; a principal one keeps its genuine pole.
     """
     q = chi.modulus
+    s = (rows[:, None] + 1j * cols).ravel()
     pole_free = not chi.is_principal and bool((np.abs(s - 1.0) < 1e-1).all())
     c = np.array([chi(a) for a in range(1, q + 1)], dtype=np.complex128)
     a = np.flatnonzero(c) + 1
-    total = np.exp(-s * math.log(q)) * _euler_maclaurin(s, a / q, c[a - 1], ds, pole_free, step)
+    total = np.exp(-s * math.log(q)) * _euler_maclaurin(rows, cols, a / q, c[a - 1], ds, pole_free)
     if not ds:
         return total[0]
     total[1] -= math.log(q) * total[0]
@@ -423,9 +411,9 @@ def z_factor(s: complex, theta: DirichletCharacter) -> complex:
 
 
 def _m_line(
-    theta: DirichletCharacter, t: np.ndarray, step: Optional[float] = None, ds: bool = False
+    theta: DirichletCharacter, t: np.ndarray, cols: np.ndarray = _ZERO_COL, ds: bool = False
 ) -> Union[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Rotated line values M = exp(-i arg Z / 2) L(1/2+it), complex, over a t-grid.
+    """Rotated line values M = exp(-i arg Z / 2) L(1/2+it), complex, at t[i] + cols[j].
 
     arg Z(1/2 + it) = arg eps + t log(pi / q) - 2 im log Gamma(h + it/2) is
     continuous, with (eps, h) the root number and its half-argument.
@@ -435,13 +423,14 @@ def _m_line(
     M' = exp(-i arg Z / 2) (dL/ds - (arg Z)' L / 2).
     """
     eps, half_arg = _root_number(theta)
-    lg = _log_gamma(half_arg + 0.5j * t)
-    arg_z = cmath.phase(eps) + t * math.log(math.pi / theta.modulus) - 2.0 * np.imag(lg)
+    pts = (t[:, None] + cols).ravel()
+    lg = _log_gamma(half_arg + 0.5j * pts)
+    arg_z = cmath.phase(eps) + pts * math.log(math.pi / theta.modulus) - 2.0 * np.imag(lg)
     rot = np.exp(-0.5j * arg_z)
     if not ds:
-        return rot * _l_values(theta, 0.5 + 1j * t, step)
-    l_val, l_ds = _l_values(theta, 0.5 + 1j * t, ds=True)
-    arg_ds = math.log(math.pi / theta.modulus) - _digamma(half_arg + 0.5j * t).real
+        return rot * _l_values(theta, 0.5 + 1j * t, cols)
+    l_val, l_ds = _l_values(theta, 0.5 + 1j * t, cols, ds=True)
+    arg_ds = math.log(math.pi / theta.modulus) - _digamma(half_arg + 0.5j * pts).real
     return rot * l_val, rot * (l_ds - 0.5 * arg_ds * l_val)
 
 
@@ -453,11 +442,24 @@ def _m_raw_line(
     arg Z is continuous along the whole line, so this is one continuous
     real function of t: its sign changes are the zeros on the line.
     """
-    vals = _m_line(theta, t, step)
+    vals = _m_line(theta, t) if step is None else _m_grid(theta, t, step)
     worst = float(np.max(np.abs(vals.imag))) if len(vals) else 0.0
     if worst > 1e-8:
         raise BranchError(f"rotation left imaginary residue {worst:.3e}")
     return vals.real
+
+
+def _m_grid(theta: DirichletCharacter, t: np.ndarray, step: float) -> np.ndarray:
+    """``_m_line`` over a scan grid t_0 + k step, k < K, and an appended off-step t_max.
+
+    The grid is one call of giant steps t_0 + B j step by baby steps r step,
+    B = ceil(sqrt(K)); a last point more than 1e-9 step off it is one more.
+    """
+    off_step = len(t) > 1 and abs(t[-1] - t[0] - (len(t) - 1) * step) > 1e-9 * step
+    k_len = len(t) - off_step
+    b = math.isqrt(k_len - 1) + 1
+    vals = _m_line(theta, t[0] + b * step * np.arange(-(-k_len // b)), step * np.arange(b))[:k_len]
+    return np.append(vals, _m_line(theta, t[k_len:])) if off_step else vals
 
 
 def m_function(t: float, psi: DirichletCharacter) -> float:
@@ -611,11 +613,10 @@ def find_zeros(
     """Sign-change scan of the rotated line value, refined to certified brackets.
 
     The grid is split into panels of ``_PANEL_POINTS`` points, each
-    evaluated at its own Euler-Maclaurin shift.  A panel of K points takes
-    each residue's direct sum as one product of a B x N by an
-    N x ceil(K/B) matrix, B = ceil(sqrt(K)) (see ``_euler_maclaurin``);
-    when t_max is not on the step the grid appends it, and the kernel sums
-    that off-step endpoint directly.  Consecutive panels share
+    evaluated at its own Euler-Maclaurin shift.  A panel of K points is
+    one kernel call over ceil(K/B) giant steps by B = ceil(sqrt(K)) baby
+    steps (see ``_m_grid``); when t_max is not on the step the grid
+    appends it as one more point.  Consecutive panels share
     one ordinate, which takes the later panel's value; the two evaluations
     must agree or the scan raises BranchError.  A grid point where the value
     dips near zero without a sign change is flagged as a suspected double
@@ -682,8 +683,8 @@ def _c_star_batch(
     """(c*, |M'|, |imaginary residue|) at every ordinate of ``gammas``.
 
     The ordinates, sorted as a scan gives them, go in runs that share a
-    chunk of t no wider than ``_AUDIT_CHUNK_T``.  Per run, one ``_m_line``
-    call with ``ds`` gives M' at the zeros and M at the 3 shifted points.
+    chunk of t no wider than ``_AUDIT_CHUNK_T``.  Per run, one ``_m_line`` call,
+    zeros by shifts j alpha_hat, j < 4, gives M' at the zeros and M at the shifts.
     c* is NaN where |M'| < 1e-10 (a degenerate zero) or where
     -i M1 M2 M3 / M' has an imaginary residue above 1e-6.
     """
@@ -695,11 +696,9 @@ def _c_star_batch(
     chunk = np.floor(g / _AUDIT_CHUNK_T)
     runs = np.split(np.arange(len(g)), np.flatnonzero(np.diff(chunk)) + 1) if len(g) else []
     for idx in runs:
-        # row j of pts is the run's zeros shifted by j alpha_hat
-        pts = g[idx] + alpha_hat * np.arange(4)[:, None]
-        m, m_ds = _m_line(psi, pts.ravel(), ds=True)
-        m_prime[idx] = m_ds[: len(idx)]
-        triple[idx] = m[len(idx) :].reshape(3, -1).prod(axis=0)
+        m, m_ds = _m_line(psi, g[idx], alpha_hat * np.arange(4), ds=True)
+        m_prime[idx] = m_ds[::4]
+        triple[idx] = m.reshape(-1, 4)[:, 1:].prod(axis=1)
     m_abs = np.abs(m_prime)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = -1j * triple / m_prime

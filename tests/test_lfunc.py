@@ -656,7 +656,7 @@ def test_sign_changes_match_the_scan_loop():
 
 
 # (start, points) on the scan step 0.02, plus grids that append an off-step
-# t_max as find_zeros does: the kernel must sum that endpoint directly
+# t_max as find_zeros does: the grid must evaluate that endpoint apart
 _GRID_PANELS = tuple(
     0.02 * np.arange(n) + t0 for t0 in (0.02, 7.0, 480.0) for n in (1, 2, 4000, 4001)
 ) + (
@@ -669,7 +669,7 @@ _GRID_PANELS = tuple(
 def test_grid_line_values_match_pointwise(q):
     chi = primitive_characters(q)[-1]
     for t in _GRID_PANELS:
-        grid = lfunc._m_line(chi, t, step=0.02)
+        grid = lfunc._m_grid(chi, t, 0.02)
         pointwise = lfunc._m_line(chi, t)
         err = np.abs(grid - pointwise) / np.abs(pointwise).max()
         assert err.max() <= 1e-11, (t[0], len(t), float(err.max()))
@@ -683,16 +683,16 @@ _RESIDUES = np.arange(1, 12) / 11
 _WEIGHTS = np.exp(0.2j * np.pi * np.arange(11))
 
 
-def _assert_weighted_call_is_one_residue_sum(s, **kw):
+def _assert_weighted_call_is_one_residue_sum(s, cols=np.zeros(1), **kw):
     """One weighted residue-axis kernel call equals the in-order sum of one-residue calls.
 
     The sum is built as ``ref += c * one`` over the residues in order, bit for bit.
     """
-    total = lfunc._euler_maclaurin(s, _RESIDUES, _WEIGHTS, **kw)
-    assert total.shape == (1 + kw.get("ds", False), len(s))
+    total = lfunc._euler_maclaurin(s, cols, _RESIDUES, _WEIGHTS, **kw)
+    assert total.shape == (1 + kw.get("ds", False), len(s) * len(cols))
     ref = np.zeros_like(total)
     for a, c in zip(_RESIDUES, _WEIGHTS):
-        ref += c * lfunc._euler_maclaurin(s, a, np.ones(1), **kw)
+        ref += c * lfunc._euler_maclaurin(s, cols, a, np.ones(1), **kw)
     assert total.tobytes() == ref.tobytes(), (len(s), kw)
 
 
@@ -705,12 +705,14 @@ def test_residue_axis_rows_match_one_residue_calls(t, ds):
 
 @pytest.mark.parametrize("t0", (0.02, 480.0))
 def test_residue_axis_grid_rows_match_one_residue_calls(t0):
+    # a scan panel's giant steps (rows) by its baby steps (columns)
     for n in (501, 4000):
-        t = t0 + 0.02 * np.arange(n)
-        _assert_weighted_call_is_one_residue_sum(0.5 + 1j * t, step=0.02)
-    # 4001 points: the 4000-point progression and an off-step endpoint
+        b = math.isqrt(n - 1) + 1
+        t = t0 + b * 0.02 * np.arange(-(-n // b))
+        _assert_weighted_call_is_one_residue_sum(0.5 + 1j * t, 0.02 * np.arange(b))
+    # 4001 points: the 4000-point giant steps and an off-step row
     t = np.append(t, t[-1] + 0.013)
-    _assert_weighted_call_is_one_residue_sum(0.5 + 1j * t, step=0.02)
+    _assert_weighted_call_is_one_residue_sum(0.5 + 1j * t, 0.02 * np.arange(b))
 
 
 @pytest.mark.parametrize("ds", (False, True))
@@ -722,12 +724,14 @@ def test_residue_axis_pole_free_rows_match_one_residue_calls(ds):
 def test_residue_block_budget_leaves_every_bit(monkeypatch):
     chi = primitive_characters(11)[3]
     t = np.linspace(0.5, 900.0, 40)
-    grid = 480.0 + 0.02 * np.arange(4000)
+    # a 4000-point scan panel: 63 giant steps by 64 baby steps
+    giant, baby = 480.0 + 1.28 * np.arange(63), 0.02 * np.arange(64)
 
     def values():
         out = [lfunc._l_values(chi, 0.5 + 1j * t), lfunc._l_values(chi, 0.5 + 1j * t[:1])]
-        out += [lfunc._l_values(chi, 0.5 + 1j * grid, step=0.02)]
+        out += [lfunc._l_values(chi, 0.5 + 1j * giant, baby)]
         out += lfunc._m_line(chi, t, ds=True) + lfunc._m_line(chi, t[-1:], ds=True)
+        out += lfunc._m_line(chi, t, 0.3 * np.arange(4), ds=True)
         out += [np.array([l_function(s, chi) for s in (1.0, 1.0005, 0.5 + 10j, 0.3 + 899j)])]
         return [np.asarray(v).tobytes() for v in out]
 
@@ -741,23 +745,54 @@ def test_residue_blocks_keep_to_the_budget(monkeypatch):
     blocks = []
     em_block = lfunc._em_block
 
-    def spy(s, a, n_shift, *args):
-        blocks.append((len(a), n_shift, len(s)))
-        return em_block(s, a, n_shift, *args)
+    def spy(s, rows, cols, a, n_shift, tail, ds, *args):
+        blocks.append((len(a), n_shift, len(rows), len(cols), ds))
+        return em_block(s, rows, cols, a, n_shift, tail, ds, *args)
 
     monkeypatch.setattr(lfunc, "_em_block", spy)
     chi = primitive_characters(101)[5]
-    # a refinement-sized call, an audit-sized call and a whole scan panel
+    # a refinement-sized call, audit-sized calls and a whole scan panel of 63 x 64
+    panel = 0.5 + 1j * (0.02 + 1.28 * np.arange(63)), 0.02 * np.arange(64)
     for call in (
         lambda: lfunc._m_line(chi, np.linspace(500.0, 501.0, 20), ds=True),
         lambda: lfunc._m_line(chi, np.linspace(0.5, 80.0, 400), ds=True),
-        lambda: lfunc._l_values(chi, 0.5 + 1j * (0.02 + 0.02 * np.arange(4000)), step=0.02),
+        lambda: lfunc._m_line(chi, np.linspace(0.5, 80.0, 100), 0.3 * np.arange(4), ds=True),
+        lambda: lfunc._l_values(chi, *panel),
     ):
         blocks.clear()
         call()
-        assert sum(r for r, _, _ in blocks) == 100 and len(blocks) > 1, blocks
-        for r, n, k in blocks:
-            assert r == 1 or r * n * k <= lfunc._BLOCK_ELEMENTS, (r, n, k)
+        assert sum(r for r, *_ in blocks) == 100 and len(blocks) > 1, blocks
+        for r, n, i, j, ds in blocks:
+            per_residue = n * (i + j) * (1 + ds) + lfunc._BLOCK_ROWS * i * j
+            assert r == 1 or r * per_residue <= lfunc._BLOCK_ELEMENTS, (r, n, i, j, ds)
+
+
+def _assert_call_matches_one_point_calls(chi, rows, cols):
+    """An I x J call equals its I J one-point calls within 1e-11 of the largest |value|."""
+    got = lfunc._l_values(chi, 0.5 + 1j * rows, cols, ds=True)
+    s = (0.5 + 1j * rows[:, None] + 1j * cols).ravel()
+    assert got.shape == (2, len(s))
+    ref = np.stack([lfunc._l_values(chi, np.array([p]), ds=True)[:, 0] for p in s], axis=1)
+    for k in (0, 1):
+        err = np.abs(got[k] - ref[k]) / np.abs(ref[k]).max()
+        assert err.max() <= 1e-11, (chi.modulus, k, float(err.max()))
+
+
+@pytest.mark.parametrize(
+    "q, t_lo, t_hi, alpha_hat", ((5, 990.0, 999.0, 0.55), (997, 57.0, 59.0, 0.38))
+)
+def test_audit_shaped_call_matches_one_point_calls(q, t_lo, t_hi, alpha_hat):
+    # the audit's shape: a window's zeros by the 4 shifts j alpha_hat
+    chi = primitive_characters(q)[-1]
+    gammas = np.array([z.gamma for z in find_zeros(chi, t_lo, t_hi)])
+    assert len(gammas) >= 2
+    _assert_call_matches_one_point_calls(chi, gammas, alpha_hat * np.arange(4))
+
+
+@pytest.mark.parametrize("q, t", ((5, (3.0, 499.99, 500.01, 999.0)), (997, (59.5,))))
+def test_rows_alone_call_matches_one_point_calls(q, t):
+    # rows with one zero column, as the refinement and a single point call
+    _assert_call_matches_one_point_calls(primitive_characters(q)[-1], np.array(t), np.zeros(1))
 
 
 def test_audit_sized_call_keeps_to_the_block_budget():
