@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
-from numpy.polynomial import polynomial as _poly
 
 from .characters import DirichletCharacter, gauss_sum
 from .numerics import _NODES15, _WEIGHTS15, ConvergenceError, DomainError, integrate
@@ -152,11 +151,11 @@ def _euler_maclaurin(
     c_k = B_2k / (2k)! (``_EM_COEFFS``).  Each residue's direct sum is one
     product P @ C, P[i, n] = (n+a)^-rows_i and C[n, j] = (n+a)^-(i cols_j):
     N (I + J) exps, not N I J (Odlyzko and Schoenhage, Trans. AMS 309,
-    1988); its d/ds is -(P log(n+a)) @ C.  The bracketed rows depend on s
-    alone and are built once per call as a running product (with ``ds``,
-    also its s-derivative by the product rule, which stays finite where a
-    row vanishes at s = 0, -1, -2, ...); each residue meets them in one
-    (1 x M) @ (M x I J) product of its own ratios.
+    1988); its d/ds is -(P log(n+a)) @ C, and w^-s is w^-rows_i w^-(i cols_j).
+    The bracketed rows depend on s alone and are built once per call as a
+    running product (with ``ds``, also its s-derivative by the product rule,
+    which stays finite where a row vanishes at s = 0, -1, -2, ...); each
+    residue meets them in one (1 x M) @ (M x I J) product of its own ratios.
     Scaled by N, every factor stays finite at |s| = 1000 and M = 40.
     With ``pole_free`` the 1/(s-1) part of w^(1-s)/(s-1) is dropped and
     the rest summed as a series in s - 1; the dropped parts cancel across
@@ -237,12 +236,15 @@ def _em_block(s, rows, cols, a, n_shift, tail, ds, pole_free) -> np.ndarray:
     w = n_shift + a[:, None]
     lws = [math.log(v) for v in w[:, 0]]
     lw = np.array(lws)[:, None]
-    w_pow = np.exp(-s * lw)
+    w_pow = (np.exp(-rows * lw)[..., None] * np.exp(-1j * cols * lw)[:, None]).reshape(len(a), -1)
     x = s - 1.0
     if pole_free:
-        # e^(-x lw)/x - 1/x = sum over m >= 1 of (-lw)^m x^(m-1)/m!
+        # e^(-x lw)/x - 1/x = sum_{m>=1} (-lw)^m x^(m-1)/m! and d/dx, Horner in polyval's order
         series = np.array([[[(-v) ** m / math.factorial(m)] for v in lws] for m in range(1, 16)])
-        pole, pole_ds = (_poly.polyval(x, c, tensor=False) for c in (series, _poly.polyder(series)))
+        pole = pole_ds = 0.0 * x
+        for m in range(14, -1, -1):
+            pole = series[m] + pole * x
+            pole_ds = m * series[m] + pole_ds * x if m else pole_ds
     else:
         pole = w * w_pow / x
         pole_ds = -pole * (lw + 1.0 / x) if ds else None
@@ -510,7 +512,7 @@ class ScanResult(Sequence):
 _PANEL_POINTS = 4000
 # a refined zero is returned as [x - r, x + r] with this r
 _ZERO_RADIUS = 0.5e-9
-# a refinement pair's radius at the cubic start and after a straddle of a wider bracket
+# a refinement pair's least radius after a miss
 _PROBE_RADIUS = 1e-6
 # batched line evaluations a panel's brackets may take before the scan gives up
 _REFINE_STEPS = 40
@@ -570,18 +572,17 @@ def _refine(
 
     Each bracket [lo, hi] has end values of opposite sign (fhi may be 0).
     Every step evaluates the pair x -+ r of each open bracket in one line
-    call, from x = x0 and r = ``_PROBE_RADIUS``.  A bracket closes as
-    [x - r, x + r], r not clipped, when r is ``_ZERO_RADIUS``, the pair has
-    the signs of lo and hi and both |values| are at least ``floor``.  Else
-    the pair's points inside the bracket narrow it, x moves to the root in
-    it of the cubic through lo, the pair and hi as they were, and r becomes
-    ``_ZERO_RADIUS`` after a straddle that leaves it narrower than
-    3 ``_PROBE_RADIUS``, ``_PROBE_RADIUS`` after a wider straddle, and
-    min(2 r, hi - lo) after a miss, which keeps a one-sided step from
-    stalling.  ``_REFINE_STEPS`` steps without a close raise ConvergenceError.
+    call, from x = x0 and r = ``_ZERO_RADIUS``.  A bracket closes as
+    [x - r, x + r] when r is ``_ZERO_RADIUS``, the pair has the signs of lo
+    and hi and both |values| are at least ``floor``.  Else the pair's points
+    inside the bracket narrow it, x moves to the root in it of the cubic
+    through lo, the pair and hi as they were, and r becomes ``_ZERO_RADIUS``
+    after a straddle and 2 r, clipped to [``_PROBE_RADIUS``, hi - lo], after
+    a miss, so a one-sided step does not stall.  ``_REFINE_STEPS`` steps
+    without a close raise ConvergenceError.
     """
     lo, hi, flo, fhi, x = lo.copy(), hi.copy(), flo.copy(), fhi.copy(), start.copy()
-    r, idx = np.full(len(x), _PROBE_RADIUS), np.arange(len(x))
+    r, idx = np.full(len(x), _ZERO_RADIUS), np.arange(len(x))
     if not len(idx):
         return x
     for _ in range(_REFINE_STEPS):
@@ -601,9 +602,7 @@ def _refine(
             lo[idx[to_lo]], flo[idx[to_lo]] = pt[to_lo], fp[to_lo]
             hi[idx[to_hi]], fhi[idx[to_hi]] = pt[to_hi], fp[to_hi]
         x[idx] = _cubic_root(t, f, lo[idx], hi[idx], flo[idx], fhi[idx])
-        width = hi[idx] - lo[idx]
-        near = np.where(width < 3 * _PROBE_RADIUS, _ZERO_RADIUS, _PROBE_RADIUS)
-        r[idx] = np.where(straddle, near, np.minimum(2 * r[idx], width))
+        r[idx] = np.where(straddle, _ZERO_RADIUS, np.clip(2 * r, _PROBE_RADIUS, hi - lo)[idx])
     raise ConvergenceError(f"{len(idx)} zero bracket(s) open after {_REFINE_STEPS} steps", x)
 
 
@@ -624,10 +623,11 @@ def find_zeros(
 
     The sign-change brackets of each panel are then refined together, so
     every line evaluation runs at that panel's shift (see ``_refine``).
-    Each starts at the root of the cubic through the 4 grid values around
-    it, whose error is O(step^4), 1e-8 typically at the default step; most
-    close in two pairs of evaluations, with a floor of 1e-12 times the
-    grid's median |value|.  Each zero is returned as gamma = x, radius 0.5e-9.
+    Each starts at the root of the polynomial through the 10 grid values
+    around it, within rounding of the zero at the default step (the cubic
+    through 4 was 1e-8 off), so a panel's brackets close in one pair of
+    evaluations, with a floor of 1e-12 times the grid's median |value|.
+    Each zero is returned as gamma = x, radius 0.5e-9.
     """
     if not psi.primitive:
         raise DomainError("scan needs a primitive character")
@@ -656,8 +656,8 @@ def find_zeros(
     starts, flo, dips = _sign_changes(vals, scale)
     flagged = tuple((float(grid[i - 1]), float(grid[i + 1])) for i in dips)
 
-    # the 4 grid points around each bracket, kept inside the grid at its ends
-    near = np.clip(starts - 1, 0, max(len(grid) - 4, 0))[:, None] + np.arange(min(len(grid), 4))
+    # the 10 grid points around each bracket, kept inside the grid; 8 were 4.4e-12 off at q = 997
+    near = np.clip(starts - 4, 0, max(len(grid) - 10, 0))[:, None] + np.arange(min(len(grid), 10))
     x0 = _cubic_root(grid[near], vals[near], grid[starts], grid[starts + 1], flo, vals[starts + 1])
     panel = starts // (_PANEL_POINTS - 1)
     floor = 1e-12 * scale

@@ -500,17 +500,39 @@ def _refinement_calls_per_panel(monkeypatch, chi, t_max):
 
 
 def test_refinement_closes_in_few_steps_per_panel(monkeypatch):
-    scan, per_panel = _refinement_calls_per_panel(monkeypatch, primitive_characters(5)[0], 200.0)
-    assert scan.panels == len(per_panel) == 3
-    assert per_panel.max() <= 3
+    # each start, the root of the 10-point grid interpolant, lies within the
+    # closing radius of its zero, so every panel of a character and of its
+    # conjugate closes in one line call
+    for index in (0, 2):
+        with monkeypatch.context() as m:
+            scan, per_panel = _refinement_calls_per_panel(m, primitive_characters(5)[index], 200.0)
+        assert scan.panels == len(per_panel) == 3
+        assert (per_panel == 1).all(), index
 
 
 def test_refinement_closes_in_few_steps_per_panel_to_t_1000(monkeypatch):
-    # one panel's cubic start misses a zero by 1.1e-6, just past the probe
-    # radius; the pair around the next cubic root still closes it in 3 calls
-    scan, per_panel = _refinement_calls_per_panel(monkeypatch, primitive_characters(5)[0], 1000.0)
-    assert scan.panels == len(per_panel) == 13
-    assert per_panel.max() <= 3
+    for index in (0, 2):
+        with monkeypatch.context() as m:
+            scan, per_panel = _refinement_calls_per_panel(m, primitive_characters(5)[index], 1000.0)
+        assert scan.panels == len(per_panel) == 13
+        assert (per_panel == 1).all(), index
+
+
+def test_refinement_takes_one_call_on_sampled_wide_windows(monkeypatch):
+    # one 10-unit window of (0, 100] per primitive character of modulus 3..12,
+    # the windows taken in turn: a window with zeros refines them in one call
+    edges = (0.02,) + tuple(10.0 * k for k in range(1, 11))
+    chars = [chi for q in (3, 4, 5, 7, 8, 9, 11, 12) for chi in primitive_characters(q)]
+    calls = []
+    line = lfunc._m_raw_line
+    monkeypatch.setattr(
+        lfunc, "_m_raw_line", lambda psi, t, step=None: calls.append(step) or line(psi, t, step)
+    )
+    for k, chi in enumerate(chars):
+        calls.clear()
+        scan = find_zeros(chi, edges[k % 10], edges[k % 10 + 1])
+        assert len(scan) > 0
+        assert calls.count(None) == 1, (chi.modulus, k)
 
 
 def test_find_zeros_on_a_window_without_zeros():
@@ -521,9 +543,10 @@ def test_find_zeros_on_a_window_without_zeros():
 
 
 def test_refinement_falls_back_when_the_cubic_start_misses(monkeypatch):
-    # the cubic through the grid values of this steep step misses its zero
-    # by about 2e-4, far beyond the probe radius, so both probes fall on one
-    # side and the bracket must close by further pairs around cubic roots
+    # the polynomial through the 10 grid values around this steep step misses
+    # its zero by about 1.1e-4, far beyond the probe radius, so the first pair
+    # falls on one side and the bracket must close by further pairs around
+    # cubic roots
     def line(psi, t, step=None):
         if step is None:
             calls.append(len(t))
@@ -531,8 +554,9 @@ def test_refinement_falls_back_when_the_cubic_start_misses(monkeypatch):
 
     calls = []
     monkeypatch.setattr(lfunc, "_m_raw_line", line)
-    grid = np.array([[4.98, 5.0, 5.02, 5.04]])
-    lo, hi = grid[:, 1], grid[:, 2]
+    # the scan's grid points 46..55 on [4, 6], around the bracket [5.0, 5.02]
+    grid = (4.0 + 0.02 * np.arange(46, 56))[None]
+    lo, hi = grid[:, 4], grid[:, 5]
     start = lfunc._cubic_root(grid, line(None, grid), lo, hi, line(None, lo), line(None, hi))
     assert abs(start[0] - 5.005) > 10 * lfunc._PROBE_RADIUS
     calls.clear()
@@ -589,10 +613,12 @@ def test_find_zeros_gammas_match_a_fine_secant(full_scans):
 def test_refinement_gives_up_after_its_step_cap(monkeypatch):
     chi = real_primitive_character(4)
     with monkeypatch.context() as m:
-        # the probe step counts against the cap, and it closes no bracket
+        # the first pair counts against the cap, and around the steep step's
+        # start, 1.1e-4 from its zero, it closes no bracket
         m.setattr(lfunc, "_REFINE_STEPS", 1)
-        with pytest.raises(ConvergenceError):
-            find_zeros(chi, 5.0, 14.0)
+        m.setattr(lfunc, "_m_raw_line", lambda psi, t, step=None: np.tanh(40.0 * (t - 5.005)))
+        with pytest.raises(ConvergenceError, match="1 zero bracket"):
+            find_zeros(chi, 4.0, 6.0)
     # a triple zero is below the certification floor at every radius the
     # refinement can reach, so it must end at the cap rather than loop
     monkeypatch.setattr(lfunc, "_m_raw_line", lambda psi, t, step=None: (t - 5.01) ** 3)
