@@ -11,14 +11,21 @@ Dirichlet inverses) and brute-force checks of the identities they satisfy.
 The divisor-pair identity is checked for a whole array of n in one numpy
 pass, in blocks of a fixed number of divisor pairs, with the float
 operations of the term-by-term composition in ascending prime order.
+
+Work free of the character is done once: each block's primes, phi(n) and
+divisor pairs serve every character passed to ``identity_810_gaps``
+together, and 1, mu and tau_2 are kept, read-only, for the last n_max of
+``_coefficient_table``.  No value changes from its character's own run.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
+from typing import Sequence
 
 import numpy as np
 
@@ -376,24 +383,33 @@ def _chi_array(n_max: int, chi: DirichletCharacter) -> np.ndarray:
     return np.tile(values, n_max // chi.modulus + 1)[: n_max + 1]
 
 
+@functools.lru_cache(maxsize=1)
+def _chi_free_tables(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """1, mu and tau_2 = 1 * 1 over 0..n_max, read-only; kept for the last n_max."""
+    one = np.ones(n_max + 1)
+    mu = np.ones(n_max + 1)
+    for p in primes_up_to(n_max):
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    tables = one, mu, _dirichlet(one, one)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _coefficient_table(n_max: int, chi: DirichletCharacter) -> tuple[np.ndarray, ...]:
     """nu, upsilon, varsigma and tau_2 over 0..n_max.
 
     nu = 1 * chi, upsilon = mu * (mu chi), varsigma = nu * upsilon with both
     factors <= D^4, tau_2 = 1 * 1.  For a real chi every entry is an integer
-    far below 2^53, so the float sums are exact.
+    far below 2^53, so the float sums are exact.  tau_2 is shared and read-only.
     """
     if n_max < 1:
         raise DomainError(f"coefficients start at n = 1, not {n_max}")
-    one = np.ones(n_max + 1)
+    one, mu, tau2 = _chi_free_tables(n_max)
     chi_arr = _chi_array(n_max, chi)
-    mu = np.ones(n_max + 1)
-    for p in primes_up_to(n_max):
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
     nu_arr = _dirichlet(one, chi_arr)
     ups = _dirichlet(mu, mu * chi_arr)
-    tau2 = _dirichlet(one, one)
     return nu_arr, ups, _dirichlet(nu_arr, ups, cap=chi.modulus**4), tau2
 
 
@@ -437,8 +453,12 @@ def identity_810_gap(n: int, chi: DirichletCharacter) -> float:
     return float(identity_810_gaps([n], chi)[0])
 
 
-def identity_810_gaps(ns, chi: DirichletCharacter) -> np.ndarray:
+def identity_810_gaps(ns, chi: DirichletCharacter | Sequence[DirichletCharacter]) -> np.ndarray:
     """``identity_810_gap`` at every n of ``ns`` in one numpy pass.
+
+    ``chi`` is one character, or a sequence of characters whose gaps come
+    back as the rows of a 2-d array; each row equals that character's gaps
+    on its own.
 
     Each n's distinct primes come from the sieve in ascending order, as
     rows padded with 1, and give phi(n).  Subset doubling over the rows
@@ -453,14 +473,16 @@ def identity_810_gaps(ns, chi: DirichletCharacter) -> np.ndarray:
     The n are factored _PAIR_ELEMENTS // 8 at a time, so their prime rows
     (at most 8 primes below 10^7) fit the budget, and split into blocks of
     at most _PAIR_ELEMENTS pairs (n, r), and at least one n, so the pair
-    arrays stay near 512 KB each whatever the length of ``ns``.
+    arrays stay near 512 KB each whatever the length of ``ns``.  Every
+    character reuses a block's primes and pairs.
     """
+    chis = [chi] if isinstance(chi, DirichletCharacter) else list(chi)
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size:
         if not 1 <= ns.min() <= ns.max() < _SIEVE_LIMIT:
             raise DomainError(f"the identity is checked at 1 <= n < {_SIEVE_LIMIT}")
         _ensure_sieve(int(ns.max()))
-    gaps = np.empty(len(ns))
+    gaps = np.empty((len(chis), len(ns)))
     step = _PAIR_ELEMENTS // 8
     for lo in range(0, len(ns), step):
         chunk = ns[lo : lo + step]
@@ -470,9 +492,9 @@ def identity_810_gaps(ns, chi: DirichletCharacter) -> np.ndarray:
         while i < len(chunk):
             base = ends[i - 1] if i else 0
             j = max(i + 1, int(np.searchsorted(ends, base + _PAIR_ELEMENTS, side="right")))
-            gaps[lo + i : lo + j] = _gap_block(chunk[i:j], primes[:, i:j], chi)
+            gaps[:, lo + i : lo + j] = _gap_block(chunk[i:j], primes[:, i:j], chis)
             i = j
-    return gaps
+    return gaps[0] if isinstance(chi, DirichletCharacter) else gaps
 
 
 def _prime_rows(ns: np.ndarray) -> np.ndarray:
@@ -489,17 +511,13 @@ def _prime_rows(ns: np.ndarray) -> np.ndarray:
             live = live[rest[live] % p[live] == 0]
 
 
-def _gap_block(ns: np.ndarray, primes: np.ndarray, chi: DirichletCharacter) -> np.ndarray:
-    """Gaps at ns, whose distinct primes are the columns of ``primes``."""
+def _gap_block(ns: np.ndarray, primes: np.ndarray, chis: Sequence[DirichletCharacter]) -> np.ndarray:
+    """Gaps at ns, whose distinct primes are the columns of ``primes``, one row per character."""
     phi_n = ns.copy()
     for p in primes:
         phi_n = phi_n // p * np.maximum(p - 1, 1)
-    # Pi's factors per prime, exactly 1.0 at the padding
     pad = primes == 1
     inv = 1.0 / primes
-    c_over_p = np.array([v.real for v in chi.values])[primes % chi.modulus] / primes
-    local = np.where(pad, 1.0, 1.0 - c_over_p)
-    unramified = np.divide(1.0 - inv - c_over_p, 1.0 - inv, out=np.ones_like(inv), where=~pad)
 
     # pair s of n takes the primes at the set bits of s, and doubles the
     # pair without its top bit; then the pairs go in ascending r per n
@@ -514,14 +532,22 @@ def _gap_block(ns: np.ndarray, primes: np.ndarray, chi: DirichletCharacter) -> n
         phi_r[top] = phi_r[top - (1 << k)] * (pk - 1)
     order = np.argsort(idx * _SIEVE_LIMIT + r, kind="stable")  # r <= n < _SIEVE_LIMIT
     bits, phi_r = bits[order], phi_r[order]  # idx is already in order
-
-    pi = np.ones(len(idx))
-    for k in range(len(primes)):
-        pi /= local[k, idx]
-        pi *= np.where(bits >> k & 1, 1.0, unramified[k, idx])
-    lhs = np.bincount(idx, weights=pi / phi_r, minlength=len(ns))
+    in_r = [(bits >> k & 1).astype(bool) for k in range(len(primes))]
     rhs = ns / phi_n
-    return np.abs(lhs - rhs) / np.abs(rhs)
+
+    gaps = np.empty((len(chis), len(ns)))
+    for row, chi in zip(gaps, chis):
+        # Pi's factors per prime, exactly 1.0 at the padding
+        c_over_p = np.array([v.real for v in chi.values])[primes % chi.modulus] / primes
+        local = np.where(pad, 1.0, 1.0 - c_over_p)
+        unramified = np.divide(1.0 - inv - c_over_p, 1.0 - inv, out=np.ones_like(inv), where=~pad)
+        pi = np.ones(len(idx))
+        for k, mask in enumerate(in_r):
+            pi /= local[k, idx]
+            pi *= np.where(mask, 1.0, unramified[k, idx])
+        lhs = np.bincount(idx, weights=pi / phi_r, minlength=len(ns))
+        row[:] = np.abs(lhs - rhs) / np.abs(rhs)
+    return gaps
 
 
 # the point s and the two truncations of ``check_lemma_171``

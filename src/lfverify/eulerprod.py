@@ -15,6 +15,11 @@ coefficients, where g_m = sum_{1<=r<=m} w^r wt^{m-r} is the convolution
 of (0, w, w^2, ...) with (1, wt, wt^2, ...), and g_m = w^m with no open
 tail.
 
+The coefficients are cached on the ratios q^{-beta_j}, so at zero shifts,
+where each ratio is exactly 1, every prime shares the same three series;
+the weights are cached on (w, wt).  Both caches are bounded and their
+arrays read-only.
+
 ``_CASES`` is the one table of the cases.  With all shifts zero the two
 sides of each case agree to rounding; with small nonzero shifts the gap
 obeys an explicit decay envelope in the prime.  The module also holds the
@@ -23,6 +28,7 @@ rational product Pi(d, r) of the divisor-pair identity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -100,12 +106,34 @@ class LocalFactorParams:
 
 
 def _coeffs(k: int, betas: Sequence[complex], q: float) -> np.ndarray:
-    """c_0 .. c_{_SERIES_LEN - 1} of (1 - x) / prod_{j<=k} (1 - q^{-beta_j} x):
-    (1, -1) convolved in turn with each truncated geometric series of q^{-beta_j}."""
+    """c_0 .. c_{_SERIES_LEN - 1} of (1 - x) / prod_{j<=k} (1 - q^{-beta_j} x), read-only."""
+    return _series(*(q ** -b for b in betas[:k]))
+
+
+# typed: a float ratio or weight and an equal complex one give different
+# arrays, so they are kept apart; 64 entries hold every series and weight
+# pair of an ``identities`` run's zero-shift cases
+@functools.lru_cache(maxsize=64, typed=True)
+def _series(*ratios: complex) -> np.ndarray:
+    """(1, -1) convolved in turn with the truncated geometric series of each
+    ratio; each prefix of ``ratios`` is a cached series of its own."""
     c = np.array([1.0, -1.0], dtype=complex)
-    for b in betas[:k]:
-        c = np.convolve(c, (q ** -b) ** np.arange(_SERIES_LEN))[:_SERIES_LEN]
+    if ratios:
+        c = np.convolve(_series(*ratios[:-1]), ratios[-1] ** np.arange(_SERIES_LEN))[:_SERIES_LEN]
+    c.setflags(write=False)
     return c
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _weights(w: complex, wt: complex) -> tuple[np.ndarray, np.ndarray]:
+    """w^1 .. w^_SERIES_LEN and g_0 .. g_{_SERIES_LEN - 1}, read-only."""
+    powers = np.arange(_SERIES_LEN + 1)
+    w_pow = w**powers
+    w_pow[0] = 0.0  # both sums start at w^1
+    g = np.convolve(w_pow[:-1], wt ** powers[:-1])[:_SERIES_LEN]
+    for arr in (w_pow, g):
+        arr.setflags(write=False)
+    return w_pow[1:], g
 
 
 def check_local_identity(
@@ -129,15 +157,12 @@ def check_local_identity(
         wt, mob, w = u ** (1.0 - b[0]), u ** b[0] / (1.0 - u), v * u
     else:
         wt, mob, w = v * u, v / (1.0 - u), u
-    powers = np.arange(_SERIES_LEN + 1)
-    w_pow = w**powers
-    w_pow[0] = 0.0  # both sums start at w^1
-    g = np.convolve(w_pow[:-1], (wt if open_tail else 0.0) ** powers[:-1])[:_SERIES_LEN]
+    w_pow, g = _weights(w, wt if open_tail else 0.0)
     lam_b = lam(u, v, b)
 
     def bracket(mob_r: complex) -> complex:
         # summed in index order: a BLAS dot's order, and so its rounding, varies by CPU
-        return 1.0 + lam_b * sum(((g - mob_r * w_pow[1:]) * c).tolist())
+        return 1.0 + lam_b * sum(((g - mob_r * w_pow) * c).tolist())
 
     if prefactor is None:  # L162
         lhs = bracket(0.0) / bracket(mob)

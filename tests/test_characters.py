@@ -271,6 +271,33 @@ def test_coefficient_bounds_hold_with_exact_margin():
         assert coefficient_bound_margin(2000, chi) <= 1e-9
 
 
+def test_coefficient_tables_do_not_depend_on_the_last_length_asked():
+    # the character-free tables are kept for one n_max at a time
+    chis = [real_primitive_character(q) for q in (3, 4, 5, 8)]
+    alone = {}
+    for n_max in (2000, 10_000):
+        for chi in chis:
+            characters._chi_free_tables.cache_clear()
+            alone[n_max, chi.modulus] = (
+                coefficient_bound_margin(n_max, chi),
+                _coefficient_table(n_max, chi),
+            )
+    for n_max in (2000, 10_000, 2000):
+        for chi in chis:
+            margin, tables = alone[n_max, chi.modulus]
+            assert coefficient_bound_margin(n_max, chi) == margin
+            for got, want in zip(_coefficient_table(n_max, chi), tables):
+                assert np.array_equal(got, want)
+
+
+def test_shared_coefficient_tables_are_read_only():
+    chi = real_primitive_character(5)
+    shared = [*characters._chi_free_tables(300), _coefficient_table(300, chi)[3]]
+    for table in shared:
+        with pytest.raises(ValueError):
+            table[7] = 2.0
+
+
 def test_identity_810_spot_values():
     chi = real_primitive_character(3)
     for n in (1, 2, 7, 12, 36, 97, 360, 1024, 9973):
@@ -340,6 +367,25 @@ def test_identity_810_blocks_keep_to_the_budget(monkeypatch):
     for block in blocks:
         pairs = sum(2 ** len(factorize(n)) for n in block)
         assert pairs <= budget, (block, pairs)
+
+
+def test_identity_810_characters_together_match_each_alone(monkeypatch):
+    # the characters share each block's primes and pairs, over several blocks
+    chis = [real_primitive_character(q) for q in (3, 4, 5, 8)]
+    chis.append(next(c for c in primitive_characters(5) if not c.real))
+    ns = np.arange(1, 40_001)
+    blocks = []
+    gap_block = characters._gap_block
+
+    def spy(block, primes, chis):
+        blocks.append(len(block))
+        return gap_block(block, primes, chis)
+
+    monkeypatch.setattr(characters, "_gap_block", spy)
+    together = identity_810_gaps(ns, chis)
+    assert together.shape == (len(chis), len(ns)) and len(blocks) >= 2
+    for row, chi in zip(together, chis):
+        assert np.array_equal(row, identity_810_gaps(ns, chi))
 
 
 def test_identity_810_scalar_matches_array():

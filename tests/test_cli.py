@@ -166,6 +166,18 @@ def test_identities_checks_coefficient_bounds_up_to_max_n(monkeypatch):
     assert rows["coefficient_bounds_mod3"]
 
 
+def test_identity_rows_of_a_joint_run_equal_each_modulus_run_alone():
+    # the moduli of one run share their character-free tables; no value moves
+    from lfverify import cli
+
+    moduli = [3, 4, 5, 8]
+    joint = cli._identity_rows(20_000, moduli)
+    alone = [cli._identity_rows(20_000, [q]) for q in moduli]
+    assert joint[: 3 * len(moduli)] == [row for rows in alone for row in rows[:3]]
+    for rows in alone:
+        assert joint[3 * len(moduli) :] == rows[3:]
+
+
 def test_zeros_happy_path(tmp_path, capsys):
     csv_path = tmp_path / "z3.csv"
     code = main(["zeros", "--modulus", "3", "--t-max", "12", "--csv", str(csv_path)])

@@ -208,6 +208,49 @@ def test_bracket_matches_the_double_loop(case):
                 assert abs(lhs - ref) <= 1e-14 * max(abs(ref), 1.0), (case, p, v, betas, lhs, ref)
 
 
+def test_cached_series_keep_shifts_apart():
+    # one u, two shift sets: the cached series and weights give each its own value
+    u, p = 1.0 / 101, 101
+    for case in ("A1", "A3", "L152", "L161"):
+        values = {}
+        for betas in _SHIFT_SETS + _SHIFT_SETS[:1]:
+            lhs = check_local_identity(case, LocalFactorParams(u=u, v=1, betas=betas))[0]
+            ref = _double_loop_lhs(case, p, 1, betas)
+            assert abs(lhs - ref) <= 1e-14 * abs(ref), (case, betas)
+            assert values.setdefault(betas, lhs) == lhs
+        assert values[_SHIFT_SETS[0]] != values[_SHIFT_SETS[1]], case
+
+
+def test_local_identities_do_not_depend_on_call_order():
+    # an equal float and complex weight, or an equal ratio from another prime,
+    # must not hand one call's cached arrays to another with different bits
+    calls = [
+        (case, LocalFactorParams(1.0 / p, v, betas))
+        for betas in (ZERO,) + _SHIFT_SETS
+        for case in IDENTITY_CASES
+        for p in (2, 3, 5, 7, 1009)
+        for v in (-1, 0, 1)
+        if (case, v) != ("A6", 0) and (case, v, p) != ("L162", 1, 2)
+    ]
+
+    def bits(result):
+        return [x.hex() for z in result[:2] for x in (z.real, z.imag)] + [result[2].hex()]
+
+    alone = []
+    for call in calls:
+        eulerprod._series.cache_clear()
+        eulerprod._weights.cache_clear()
+        alone.append(bits(check_local_identity(*call)))
+    assert [bits(check_local_identity(*call)) for call in calls] == alone
+    assert [bits(check_local_identity(*call)) for call in calls[::-1]] == alone[::-1]
+
+
+def test_cached_series_and_weights_are_read_only():
+    for arr in (eulerprod._coeffs(3, _SHIFT_SETS[0], 7.0), *eulerprod._weights(0.5, 0.25 + 0j)):
+        with pytest.raises(ValueError):
+            arr[3] = 1.0
+
+
 def test_cap_pi_basics():
     chi = real_primitive_character(3)
     assert cap_pi(1, 1, chi) == 1.0

@@ -989,6 +989,13 @@ def test_delta_mellin_panels_resolve_a_wide_fast_window():
     assert peak < 2e6
 
 
+def test_delta_fn_panel_layout_is_read_only():
+    # the layout is kept between calls with the same panel count
+    for arr in lfunc._panel_layout(8, WeightParams(10.0, 6.0, 60.0)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_delta_fn_refuses_too_many_panels():
     # L2 = 0.1 puts the u-cut at 60.7, where the phase turns e^60 radians
     with pytest.raises(DomainError, match="panels"):
