@@ -98,14 +98,13 @@ def _triple(
     return h
 
 
-def compute_b_matrix(model: LimitModel = None) -> dict[str, complex]:
+def compute_b_matrix(model: LimitModel = default_model()) -> dict[str, complex]:
     """The raw coupling integrals before Hermitian symmetrization.
 
     Diagonal entries integrate matched-rate products over their own window
     and divide by (window length)^2 * pi; cross entries mix the two windows
     and divide by the product of both lengths.
     """
-    model = model or default_model()
     z1, z2, z3 = model.z1, model.z2, model.z3
     sa, sb = model.shift_a, model.shift_b
     out: dict[str, complex] = {}
@@ -147,9 +146,8 @@ def compute_c1_c2(model: LimitModel, c: dict[str, complex]) -> tuple[complex, co
     return quad1, quad2
 
 
-def compute_d_constants(model: LimitModel = None) -> dict[str, complex]:
+def compute_d_constants(model: LimitModel = default_model()) -> dict[str, complex]:
     """Drift constants from the short-gap windows, plus their two combinations."""
-    model = model or default_model()
     z1, z2, z3 = model.z1, model.z2, model.z3
     sa, sb = model.shift_a, model.shift_b
     w0 = z2 - sa
@@ -222,9 +220,8 @@ def compute_d_constants(model: LimitModel = None) -> dict[str, complex]:
     return out
 
 
-def compute_e_constants(model: LimitModel = None) -> dict[str, complex]:
+def compute_e_constants(model: LimitModel = default_model()) -> dict[str, complex]:
     """Residue constants: window means of the f kernels and short-window integrals."""
-    model = model or default_model()
     z1, z2, z3 = model.z1, model.z2, model.z3
     sa, sb = model.shift_a, model.shift_b
     w0 = z2 - sa
@@ -284,10 +281,9 @@ def compute_cancellation(e: dict[str, complex]) -> complex:
     return 1j * (3.0 * e["frak_epp_1"] + 3.0 * e["frak_epp_2"] + e["frak_epp_3"]) + e["e1_star"]
 
 
-def short_window_checks(model: LimitModel = None) -> dict[str, complex]:
+def short_window_checks(model: LimitModel = default_model()) -> dict[str, complex]:
     """Window integrals with exactly known values; they pin the sign and
     index conventions of the linear window factors."""
-    model = model or default_model()
     z2, z3 = model.z2, model.z3
     w0 = z2 - model.shift_a
     out: dict[str, complex] = {}
@@ -301,14 +297,13 @@ def short_window_checks(model: LimitModel = None) -> dict[str, complex]:
     return out
 
 
-def compute_j1_bound(model: LimitModel = None) -> float:
+def compute_j1_bound(model: LimitModel = default_model()) -> float:
     """Limit value of the localized quadratic form, in normalized units.
 
     Integrates the product of the linear ramp and the drifted indicator over
     both halves of the top window, weights by the residue weights, and scales
     by slope^2 / pi.  Positive and comfortably below 4400/pi.
     """
-    model = model or default_model()
     z1, z2 = model.z1, model.z2
     sb = model.shift_b
     w = model.residue_weights
@@ -468,7 +463,7 @@ def _notes(model: LimitModel, c3: VerificationRecord) -> tuple[str, ...]:
     )
 
 
-def run_verification(model: LimitModel = None) -> VerificationReport:
+def run_verification(model: LimitModel = default_model()) -> VerificationReport:
     """Recompute everything and compare against the claimed values.
 
     Never raises on a failed comparison; each claim becomes a record with its
@@ -476,7 +471,6 @@ def run_verification(model: LimitModel = None) -> VerificationReport:
     for a constant never computed) yields NaN-valued failing records for all
     its claims so the rest of the report still assembles.
     """
-    model = model or default_model()
     computed: dict[str, complex] = {}
     records: list[VerificationRecord] = []
     for stage, rows in _CLAIMS:

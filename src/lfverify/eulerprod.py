@@ -172,12 +172,10 @@ def check_local_identity(
     return complex(lhs), complex(rhs), float(abs(lhs - rhs))
 
 
-def cap_pi(d: int, r: int, chi: DirichletCharacter, strict: bool = True) -> float:
-    """Rational product Pi(d, r) over the primes of d and r."""
+def cap_pi(d: int, r: int, chi: DirichletCharacter) -> float:
+    """Rational product Pi(d, r) over the primes of d, r >= 1; a prime of the modulus adds 1."""
     if d < 1 or r < 1:
         raise DomainError("d and r must be positive")
-    if strict and math.gcd(d * r, chi.modulus) > 1:
-        raise DomainError("arguments must be coprime to the character modulus")
     return _pi_over_primes(set(factorize(d)), set(factorize(r)), chi)
 
 

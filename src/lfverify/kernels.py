@@ -3,16 +3,17 @@
 Everything here lives in the scaled limit: the decay rates enter only
 through their limiting products with the log of the common prime scale, the
 fixed imaginary multiples of pi in ``BETA``, and all vanishing correction
-factors are dropped.  The kernel pair (f, g) is indexed by a channel j in {1,2,3} and a
-rate index mu in {6,7}; the quadratic drift terms (y) and the short-window
-factors (w) use the same parameter record.
+factors are dropped.  The kernel pair (f, g) is indexed by a tuple (j, mu)
+of a channel j in {1,2,3} and a rate index mu in {6,7}; the quadratic drift
+terms (y) and the short-window factors (w) use the same parameter record.
+Every kernel takes one abscissa z per call and evaluates it with ``cmath``;
+nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Union
 
 from .numerics import DomainError
 
@@ -39,27 +40,15 @@ class LimitModel:
     tilde_f_slope: float = 500.0
 
 
-@dataclass(frozen=True)
-class KernelId:
-    j: int
-    mu: int
-
-    def __post_init__(self):
-        if self.j not in (1, 2, 3) or self.mu not in (6, 7):
-            raise DomainError(f"invalid kernel id ({self.j},{self.mu})")
-
-
-IdLike = Union[KernelId, tuple]
-
-
 def _wrap(k: int) -> int:
     return k - 3 if k > 3 else k
 
 
-def _as_id(kid: IdLike) -> KernelId:
-    if isinstance(kid, KernelId):
-        return kid
-    return KernelId(*kid)
+def _checked_id(kid: tuple[int, int]) -> tuple[int, int]:
+    j, mu = kid
+    if j not in (1, 2, 3) or mu not in (6, 7):
+        raise DomainError(f"invalid kernel id ({j},{mu})")
+    return j, mu
 
 
 _DEFAULT = LimitModel()
@@ -69,33 +58,24 @@ def default_model() -> LimitModel:
     return _DEFAULT
 
 
-def _exp(z):
-    # cmath for scalars, numpy broadcasting otherwise
-    if isinstance(z, complex):
-        return cmath.exp(z)
-    import numpy as np
-
-    return np.exp(z)
-
-
-def eval_f(kid: IdLike, z):
+def eval_f(kid: tuple[int, int], z: float) -> complex:
     """Oscillatory kernel f_{j,mu}(z) = (1 + (b_mu - b_j) z) e^{b_mu z}."""
-    kid = _as_id(kid)
-    bm = BETA[kid.mu]
-    return (1.0 + (bm - BETA[kid.j]) * z) * _exp(bm * z)
+    j, mu = _checked_id(kid)
+    bm = BETA[mu]
+    return (1.0 + (bm - BETA[j]) * z) * cmath.exp(bm * z)
 
 
-def eval_g(kid: IdLike, z):
+def eval_g(kid: tuple[int, int], z: float) -> complex:
     """Companion kernel g_{j,mu}: constant plus damped linear oscillation.
 
     g = R + (1 - R - c z) e^{-b_mu z}, with R = b_{j+1} b_{j+2} / b_mu^2 and
     c = (b_{j+1} - b_mu)(b_{j+2} - b_mu)/b_mu (wrapped indices), so g(0) = 1.
     """
-    kid = _as_id(kid)
-    b1, b2, bm = BETA[_wrap(kid.j + 1)], BETA[_wrap(kid.j + 2)], BETA[kid.mu]
+    j, mu = _checked_id(kid)
+    b1, b2, bm = BETA[_wrap(j + 1)], BETA[_wrap(j + 2)], BETA[mu]
     r = b1 * b2 / (bm * bm)
     c = (b1 - bm) * (b2 - bm) / bm
-    return r + (1.0 - r - c * z) * _exp(-bm * z)
+    return r + (1.0 - r - c * z) * cmath.exp(-bm * z)
 
 
 def eval_y(variant: int, j: int, z, model: LimitModel = _DEFAULT):

@@ -160,7 +160,9 @@ def test_identities_checks_coefficient_bounds_up_to_max_n(monkeypatch):
         return margin(n_max, chi)
 
     monkeypatch.setattr(characters, "coefficient_bound_margin", spy)
-    monkeypatch.setattr(characters, "identity_810_gap", lambda n, chi: 0.0)
+    monkeypatch.setattr(
+        characters, "identity_810_gaps", lambda ns, chis: np.zeros((len(chis), len(ns)))
+    )
     rows = {name: ok for name, _, ok in cli._identity_rows(20_000, [3])}
     assert checked == [20_000]
     assert rows["coefficient_bounds_mod3"]

@@ -259,6 +259,4 @@ def test_cap_pi_basics():
     assert abs(cap_pi(10, 1, chi) - a) < 1e-14
     with pytest.raises(DomainError):
         cap_pi(0, 1, chi)
-    with pytest.raises(DomainError):
-        cap_pi(3, 1, chi)  # shares a prime with the modulus under strict mode
-    assert cap_pi(3, 1, chi, strict=False) > 0
+    assert cap_pi(3, 1, chi) > 0
