@@ -1,13 +1,15 @@
 """Dirichlet characters at small moduli and the arithmetic coefficient layer.
 
-Real primitive characters come from the quadratic (Kronecker) symbol.  A
-full character group is indexed by exponent vectors on the unit-group
+Every character is built from its exponent vector on the unit-group
 generators: a primitive root for each odd prime-power factor, and -1 and 5
 at powers of 2.  The vector gives each character's values from one table of
 roots of unity at exact integer phases, and its conductor, parity and
-realness exactly.  On top of the tables sit the multiplicative coefficients
-used by the verification (divisor-sum transforms of a character and their
-Dirichlet inverses) and brute-force checks of the identities they satisfy.
+realness exactly.  The full group takes every vector; the real primitive
+character takes only the real ones, whose exponents are 0 or half the
+generator's order, and keeps the primitive one.  On top of the tables sit
+the multiplicative coefficients used by the verification (divisor-sum
+transforms of a character and their Dirichlet inverses) and brute-force
+checks of the identities they satisfy.
 The divisor-pair identity is checked for a whole array of n in one numpy
 pass, in blocks of a fixed number of divisor pairs, with the float
 operations of the term-by-term composition in ascending prime order.
@@ -35,7 +37,7 @@ from .numerics import DomainError
 # elementary arithmetic helpers
 
 _SPF = np.arange(2, dtype=np.int32)  # smallest prime factor of each index
-# factorize sieves below this and trial-divides above it
+# factorize and identity_810_gaps take n below this, from the sieve
 _SIEVE_LIMIT = 10**7
 # pairs (n, r) per identity_810_gaps block: 512 KB per int64 or float array
 _PAIR_ELEMENTS = 1 << 16
@@ -56,28 +58,18 @@ def _ensure_sieve(n: int) -> None:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: exponent} of n >= 1."""
-    if n < 1:
-        raise DomainError(f"cannot factor {n}")
+    """Prime factorization {p: exponent} of 1 <= n < _SIEVE_LIMIT."""
+    if not 1 <= n < _SIEVE_LIMIT:
+        raise DomainError(f"factorize takes 1 <= n < {_SIEVE_LIMIT}, not {n}")
+    _ensure_sieve(n)
     out: dict[int, int] = {}
-    if n < _SIEVE_LIMIT:
-        _ensure_sieve(n)
-        while n > 1:
-            p = _SPF.item(n)
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
-        return out
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    while n > 1:
+        p = _SPF.item(n)
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out[p] = e
     return out
 
 
@@ -116,58 +108,6 @@ def tau_k(n: int, k: int = 2) -> int:
 def primes_up_to(n: int) -> list[int]:
     _ensure_sieve(n)
     return np.flatnonzero(_SPF[: n + 1] == np.arange(n + 1, dtype=np.int32))[2:].tolist()
-
-
-# ---------------------------------------------------------------------------
-# quadratic symbol
-
-def _jacobi(a: int, n: int) -> int:
-    # n odd positive
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def kronecker_symbol(d: int, n: int) -> int:
-    """Kronecker symbol (d/n), fully general."""
-    if n == 0:
-        return 1 if d in (1, -1) else 0
-    result = 1
-    if n < 0:
-        n = -n
-        if d < 0:
-            result = -result
-    twos = 0
-    while n % 2 == 0:
-        n //= 2
-        twos += 1
-    if twos:
-        if d % 2 == 0:
-            return 0
-        if twos % 2 == 1 and abs(d) % 8 in (3, 5):
-            result = -result
-    return result * _jacobi(d, n)
-
-
-def _is_fundamental(d: int) -> bool:
-    if d == 1 or d == 0:
-        return False
-    if d % 4 == 1:
-        return all(e == 1 for e in factorize(abs(d)).values())
-    if d % 4 == 0:
-        m = d // 4
-        if m % 4 in (2, 3):
-            return all(e == 1 for e in factorize(abs(m)).values())
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -230,24 +170,6 @@ class DirichletCharacter:
                 raise AssertionError(f"support wrong at {n} mod {q}")
 
 
-def real_primitive_character(big_d: int) -> DirichletCharacter:
-    """The real primitive character mod D, when one exists.
-
-    Prefers the even character when both signs give a fundamental
-    discriminant of absolute value D (which happens only at D=8).
-    """
-    if big_d < 3:
-        raise DomainError(f"no real primitive character mod {big_d}")
-    if _is_fundamental(big_d):
-        d = big_d
-    elif _is_fundamental(-big_d):
-        d = -big_d
-    else:
-        raise DomainError(f"no real primitive character mod {big_d}")
-    values = tuple(complex(kronecker_symbol(d, n)) for n in range(big_d))
-    return DirichletCharacter(big_d, values, 1 if d > 0 else -1, True, True, big_d)
-
-
 def _primitive_root(p: int, e: int) -> int:
     # smallest primitive root mod p, adjusted to stay primitive mod p^e
     order_factors = list(factorize(p - 1))
@@ -298,6 +220,12 @@ def character_group(q: int) -> list[DirichletCharacter]:
     """
     if q < 1:
         raise DomainError("modulus must be positive")
+    return _characters(q, real_only=False)
+
+
+def _characters(q: int, real_only: bool) -> list[DirichletCharacter]:
+    """The characters mod q >= 1 of every exponent vector, or of the real
+    ones alone, whose exponents are 0 or half the generator's order."""
     residues = np.arange(q)
     orders: list[int] = []
     logs: list[np.ndarray] = []  # discrete log of each residue, per generator
@@ -321,7 +249,8 @@ def character_group(q: int) -> list[DirichletCharacter]:
     lcm = math.lcm(*orders)
     roots = [_snap(cmath.exp(2j * cmath.pi * (k / lcm))) for k in range(lcm)]
     roots = np.array(roots + [0j], dtype=object)
-    choices = np.array(list(_iproduct(*map(range, orders))), dtype=np.int64)
+    options = [(0, order // 2) if real_only else range(order) for order in orders]
+    choices = np.array(list(_iproduct(*options)), dtype=np.int64)
     scale = lcm // np.array(orders, dtype=np.int64)
     phases = (choices * scale) @ np.array(logs, dtype=np.int64).reshape(len(orders), q)
     phases %= lcm
@@ -338,6 +267,19 @@ def character_group(q: int) -> list[DirichletCharacter]:
 
 def primitive_characters(q: int) -> list[DirichletCharacter]:
     return [c for c in character_group(q) if c.primitive]
+
+
+def real_primitive_character(big_d: int) -> DirichletCharacter:
+    """The real primitive character mod D, when one exists.
+
+    Only the 2^g real characters are built, g the number of generators.
+    Prefers the even character when two are primitive (only at D=8).
+    """
+    if big_d >= 3:
+        found = [c for c in _characters(big_d, real_only=True) if c.primitive]
+        if found:
+            return max(found, key=lambda c: c.parity)
+    raise DomainError(f"no real primitive character mod {big_d}")
 
 
 def principal_character(q: int) -> DirichletCharacter:

@@ -35,7 +35,7 @@ _ELIGIBILITY_FACTOR = 3.0
 _C_STAR_FLOOR = -1e-9
 # primitive_characters holds all phi(q) value tables of q entries each, and
 # the scan's cost per panel grows with the q residues, so q stays desk-scale;
-# identities, which tabulates q Kronecker symbols per modulus, shares the cap
+# identities, which builds a discrete-log table of q residues per modulus, shares the cap
 _MODULUS_LIMIT = 1000
 
 

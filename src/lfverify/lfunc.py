@@ -603,7 +603,7 @@ def _refine(
             hi[idx[to_hi]], fhi[idx[to_hi]] = pt[to_hi], fp[to_hi]
         x[idx] = _cubic_root(t, f, lo[idx], hi[idx], flo[idx], fhi[idx])
         r[idx] = np.where(straddle, _ZERO_RADIUS, np.clip(2 * r, _PROBE_RADIUS, hi - lo)[idx])
-    raise ConvergenceError(f"{len(idx)} zero bracket(s) open after {_REFINE_STEPS} steps", x)
+    raise ConvergenceError(f"{len(idx)} zero bracket(s) open after {_REFINE_STEPS} steps")
 
 
 def find_zeros(

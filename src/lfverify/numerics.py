@@ -22,14 +22,7 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration failed to converge within its budget.
-
-    The zero scan's current estimates are attached as ``partial``.
-    """
-
-    def __init__(self, message: str, partial):
-        super().__init__(message)
-        self.partial = partial
+    """An iteration failed to converge within its budget."""
 
 
 @dataclass(frozen=True)

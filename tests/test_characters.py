@@ -20,7 +20,6 @@ from lfverify.characters import (
     gauss_sum,
     identity_810_gap,
     identity_810_gaps,
-    kronecker_symbol,
     mobius,
     nu,
     primes_up_to,
@@ -40,6 +39,8 @@ def test_factorize_and_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert factorize(1) == {}
     assert divisors(1) == [1]
+    with pytest.raises(DomainError):
+        factorize(characters._SIEVE_LIMIT)
 
 
 def test_mobius_phi_tau():
@@ -56,13 +57,16 @@ def test_primes_up_to():
     assert ps == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-def test_kronecker_symbol_values():
+def test_real_primitive_character_hand_values():
     # chi_{-4}: 1, 0, -1, 0 pattern
-    assert [kronecker_symbol(-4, n) for n in range(1, 9)] == [1, 0, -1, 0, 1, 0, -1, 0]
+    chi4 = real_primitive_character(4)
+    assert [chi4(n) for n in range(1, 9)] == [1, 0, -1, 0, 1, 0, -1, 0]
     # chi_5 is the Legendre symbol mod 5
-    assert [kronecker_symbol(5, n) for n in range(1, 6)] == [1, -1, -1, 1, 0]
-    assert kronecker_symbol(8, 3) == -1
-    assert kronecker_symbol(8, 7) == 1
+    assert [real_primitive_character(5)(n) for n in range(1, 6)] == [1, -1, -1, 1, 0]
+    # chi_8, the even one of the two mod 8
+    chi8 = real_primitive_character(8)
+    assert chi8(3) == -1
+    assert chi8(7) == 1
 
 
 def test_group_sizes():
@@ -190,6 +194,21 @@ def test_real_primitive_character_is_the_group_member():
         assert member.values == chi.values, big_d
         checked += 1
     assert checked == 111
+
+
+def test_real_primitive_characters_up_to_the_cli_cap():
+    checked = 0
+    for big_d in range(3, 1001):
+        signs = [s for s in (1, -1) if _fundamental(s * big_d)]
+        if not signs:
+            with pytest.raises(DomainError):
+                real_primitive_character(big_d)
+            continue
+        chi = real_primitive_character(big_d)
+        assert _brute_force_facts(chi) == (signs[0], True, True, big_d), big_d
+        chi.validate()
+        checked += 1
+    assert checked == 556
 
 
 def test_nu_upsilon_varsigma_small_values():
