@@ -37,6 +37,8 @@ _C_STAR_FLOOR = -1e-9
 # the scan's cost per panel grows with the q residues, so q stays desk-scale;
 # identities, which builds a discrete-log table of q residues per modulus, shares the cap
 _MODULUS_LIMIT = 1000
+# the divisor-pair pass holds at most this many gaps (moduli x n) at once
+_GAP_ELEMENTS = 1 << 20
 
 
 def _num(x):
@@ -158,8 +160,13 @@ def _identity_rows(max_n: int, moduli: list[int]) -> list[tuple[str, float, bool
 
     rows: list[tuple[str, float, bool]] = []
     chis = [characters.real_primitive_character(q) for q in moduli]
-    # one pass for every modulus, sharing the character-free divisor pairs
-    worst_gaps = characters.identity_810_gaps(np.arange(1, max_n + 1), chis).max(axis=1)
+    # one pass for every modulus, sharing the character-free divisor pairs,
+    # over chunks of n, keeping each modulus's running maximum
+    step = max(1, _GAP_ELEMENTS // len(chis))
+    worst_gaps = np.full(len(chis), -np.inf)
+    for lo in range(1, max_n + 1, step):
+        ns = np.arange(lo, min(lo + step, max_n + 1))
+        worst_gaps = np.maximum(worst_gaps, characters.identity_810_gaps(ns, chis).max(axis=1))
     for q, chi, worst in zip(moduli, chis, worst_gaps.tolist()):
         rows.append((f"divisor_sum_mod{q}", worst, worst <= 1e-12))
         _, _, gap = characters.check_lemma_171(chi)

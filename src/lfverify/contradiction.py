@@ -27,7 +27,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .kernels import BETA, LimitModel, _wrap, default_model, eval_f, eval_g, eval_w, eval_y
+from .kernels import (
+    BETA, IOTA2, IOTA3, IOTA4, RESIDUE_WEIGHTS, SHIFT_A, SHIFT_B, TILDE_F_SLOPE, Z1, Z2, Z3,
+    _wrap, eval_f, eval_g, eval_w, eval_y,
+)
 from .numerics import DomainError, integrate
 
 _PI = math.pi
@@ -67,7 +70,7 @@ class VerificationReport:
 # times its maximum on the window and |e^(cz)| at most e^(|c| h (rho - 1/rho) / 4).
 # At n = 15, h = 0.504, |c| = 2.5 pi and rho = 29 the bound is 1.2e-30 times
 # the sum over c of max |p_c| on the window.  With M sampled on E_rho, the 80
-# panels of run_verification at the default model err by at most 2.3e-33.
+# panels of run_verification err by at most 2.3e-33.
 def _quad(f: Callable, a: float, b: float) -> complex:
     """One 15-point Gauss-Legendre panel over [a, b].
 
@@ -77,19 +80,12 @@ def _quad(f: Callable, a: float, b: float) -> complex:
     return integrate(f, a, b).value
 
 
-def _triple(
-    model: LimitModel,
-    f_mu: int,
-    g_mu: int,
-    f_shift: float = 0.0,
-    g_shift: float = 0.0,
-) -> Callable:
+def _triple(f_mu: int, g_mu: int, f_shift: float = 0.0, g_shift: float = 0.0) -> Callable:
     """Residue-weighted sum of f/g kernel products, with argument shifts."""
-    w = model.residue_weights
 
     def h(z):
         return sum(
-            w[j - 1]
+            RESIDUE_WEIGHTS[j - 1]
             * eval_f((j, f_mu), z + f_shift)
             * eval_g((j, g_mu), z + g_shift)
             for j in (1, 2, 3)
@@ -98,25 +94,23 @@ def _triple(
     return h
 
 
-def compute_b_matrix(model: LimitModel = default_model()) -> dict[str, complex]:
+def compute_b_matrix() -> dict[str, complex]:
     """The raw coupling integrals before Hermitian symmetrization.
 
     Diagonal entries integrate matched-rate products over their own window
     and divide by (window length)^2 * pi; cross entries mix the two windows
     and divide by the product of both lengths.
     """
-    z1, z2, z3 = model.z1, model.z2, model.z3
-    sa, sb = model.shift_a, model.shift_b
     out: dict[str, complex] = {}
-    out["b11"] = _quad(_triple(model, 6, 6), 0.0, z1) / (z1 * z1 * _PI)
-    out["b22"] = _quad(_triple(model, 7, 7), 0.0, z2) / (z2 * z2 * _PI)
+    out["b11"] = _quad(_triple(6, 6), 0.0, Z1) / (Z1 * Z1 * _PI)
+    out["b22"] = _quad(_triple(7, 7), 0.0, Z2) / (Z2 * Z2 * _PI)
     # fast rate advances by the short gap before the slow window starts
-    gap_phase = cmath.exp(BETA[7] * sb)
-    out["b21"] = _quad(_triple(model, 7, 6, g_shift=sa), 0.0, z2) * gap_phase / (z1 * z2 * _PI)
-    out["b12"] = _quad(_triple(model, 6, 7, f_shift=sa), 0.0, z2) / (z1 * z2 * _PI)
-    out["b33"] = _quad(_triple(model, 6, 6), 0.0, z3) / (z3 * z3 * _PI)
-    out["b34"] = _quad(_triple(model, 7, 6, f_shift=sb), 0.0, z3) / (z3 * z2 * _PI)
-    out["b43"] = _quad(_triple(model, 6, 7, g_shift=sb), 0.0, z3) / (z3 * z2 * _PI)
+    gap_phase = cmath.exp(BETA[7] * SHIFT_B)
+    out["b21"] = _quad(_triple(7, 6, g_shift=SHIFT_A), 0.0, Z2) * gap_phase / (Z1 * Z2 * _PI)
+    out["b12"] = _quad(_triple(6, 7, f_shift=SHIFT_A), 0.0, Z2) / (Z1 * Z2 * _PI)
+    out["b33"] = _quad(_triple(6, 6), 0.0, Z3) / (Z3 * Z3 * _PI)
+    out["b34"] = _quad(_triple(7, 6, f_shift=SHIFT_B), 0.0, Z3) / (Z3 * Z2 * _PI)
+    out["b43"] = _quad(_triple(6, 7, g_shift=SHIFT_B), 0.0, Z3) / (Z3 * Z2 * _PI)
     out["b44"] = out["b22"]
     return out
 
@@ -133,9 +127,9 @@ def compute_c_matrix(b: dict[str, complex]) -> dict[str, complex]:
     return out
 
 
-def compute_c1_c2(model: LimitModel, c: dict[str, complex]) -> tuple[complex, complex]:
+def compute_c1_c2(c: dict[str, complex]) -> tuple[complex, complex]:
     """Mixing-weight contractions of the two symmetrized blocks."""
-    i2, i3, i4 = model.iota2, model.iota3, model.iota4
+    i2, i3, i4 = IOTA2, IOTA3, IOTA4
     quad1 = c["c11"] + i2 * c["c21"] + i2.conjugate() * c["c12"] + abs(i2) ** 2 * c["c22"]
     quad2 = (
         abs(i3) ** 2 * c["c33"]
@@ -146,13 +140,11 @@ def compute_c1_c2(model: LimitModel, c: dict[str, complex]) -> tuple[complex, co
     return quad1, quad2
 
 
-def compute_d_constants(model: LimitModel = default_model()) -> dict[str, complex]:
+def compute_d_constants() -> dict[str, complex]:
     """Drift constants from the short-gap windows, plus their two combinations."""
-    z1, z2, z3 = model.z1, model.z2, model.z3
-    sa, sb = model.shift_a, model.shift_b
-    w0 = z2 - sa
-    slope = model.tilde_f_slope
-    i2, i3, i4 = model.iota2, model.iota3, model.iota4
+    z1, z2, z3, sa, sb = Z1, Z2, Z3, SHIFT_A, SHIFT_B
+    w0, slope = z2 - sa, TILDE_F_SLOPE
+    i2, i3, i4 = IOTA2, IOTA3, IOTA4
     out: dict[str, complex] = {}
 
     for j in (1, 2, 3):
@@ -160,8 +152,8 @@ def compute_d_constants(model: LimitModel = default_model()) -> dict[str, comple
         f7 = lambda z: eval_f((j, 7), z)
         g6 = lambda z: eval_g((j, 6), z)
         g7 = lambda z: eval_g((j, 7), z)
-        y1 = lambda z: eval_y(1, j, z, model)
-        y2 = lambda z: eval_y(2, j, z, model)
+        y1 = lambda z: eval_y(1, j, z)
+        y2 = lambda z: eval_y(2, j, z)
         bj = BETA[j]
         # wrapped-index product beta_{j+1} beta_{j+2} / (i pi)^2
         cj = (BETA[_wrap(j + 1)] * BETA[_wrap(j + 2)] / (1j * _PI) ** 2).real
@@ -209,7 +201,7 @@ def compute_d_constants(model: LimitModel = default_model()) -> dict[str, comple
             + (slope / (z2 * _PI)) * i4.conjugate() * mix2
         )
 
-    w = model.residue_weights
+    w = RESIDUE_WEIGHTS
     out["frak_d_prime"] = sum(
         w[j - 1] * (out[f"d5p_{j}"] + out[f"d6p_{j}"].conjugate()) for j in (1, 2, 3)
     )
@@ -220,12 +212,11 @@ def compute_d_constants(model: LimitModel = default_model()) -> dict[str, comple
     return out
 
 
-def compute_e_constants(model: LimitModel = default_model()) -> dict[str, complex]:
+def compute_e_constants() -> dict[str, complex]:
     """Residue constants: window means of the f kernels and short-window integrals."""
-    z1, z2, z3 = model.z1, model.z2, model.z3
-    sa, sb = model.shift_a, model.shift_b
+    z1, z2, z3, sa, sb = Z1, Z2, Z3, SHIFT_A, SHIFT_B
     w0 = z2 - sa
-    i2, i3, i4 = model.iota2, model.iota3, model.iota4
+    i2, i3, i4 = IOTA2, IOTA3, IOTA4
     out: dict[str, complex] = {}
 
     for j in (1, 2, 3):
@@ -281,43 +272,32 @@ def compute_cancellation(e: dict[str, complex]) -> complex:
     return 1j * (3.0 * e["frak_epp_1"] + 3.0 * e["frak_epp_2"] + e["frak_epp_3"]) + e["e1_star"]
 
 
-def short_window_checks(model: LimitModel = default_model()) -> dict[str, complex]:
+def short_window_checks() -> dict[str, complex]:
     """Window integrals with exactly known values; they pin the sign and
     index conventions of the linear window factors."""
-    z2, z3 = model.z2, model.z3
-    w0 = z2 - model.shift_a
+    w0 = Z2 - SHIFT_A
     out: dict[str, complex] = {}
     for j in (1, 2, 3):
-        out[f"window6_{j}"] = _quad(
-            lambda z: eval_f((j, 6), z3 - z) * eval_w("plain", j, z, model), w0, z3
-        )
-        out[f"window7_{j}"] = _quad(
-            lambda z: eval_f((j, 7), z2 - z) * eval_w("plain", j, z, model), w0, z2
-        )
+        out[f"window6_{j}"] = _quad(lambda z: eval_f((j, 6), Z3 - z) * eval_w(j, z), w0, Z3)
+        out[f"window7_{j}"] = _quad(lambda z: eval_f((j, 7), Z2 - z) * eval_w(j, z), w0, Z2)
     return out
 
 
-def compute_j1_bound(model: LimitModel = default_model()) -> float:
+def compute_j1_bound() -> float:
     """Limit value of the localized quadratic form, in normalized units.
 
     Integrates the product of the linear ramp and the drifted indicator over
     both halves of the top window, weights by the residue weights, and scales
     by slope^2 / pi.  Positive and comfortably below 4400/pi.
     """
-    z1, z2 = model.z1, model.z2
-    sb = model.shift_b
-    w = model.residue_weights
+    mid = Z2 + SHIFT_B
     total = 0j
     for j in (1, 2, 3):
         bj = BETA[j]
-        lower = _quad(
-            lambda z: (-1.0 - bj * (z - z2)) * (-1.0 + eval_y(1, j, z, model)), z2, z2 + sb
-        )
-        upper = _quad(
-            lambda z: (1.0 - bj * (z1 - z)) * (1.0 + eval_y(2, j, z, model)), z2 + sb, z1
-        )
-        total += w[j - 1] * (lower + upper)
-    return (model.tilde_f_slope**2 / _PI) * complex(total).real
+        lower = _quad(lambda z: (-1.0 - bj * (z - Z2)) * (-1.0 + eval_y(1, j, z)), Z2, mid)
+        upper = _quad(lambda z: (1.0 - bj * (Z1 - z)) * (1.0 + eval_y(2, j, z)), mid, Z1)
+        total += RESIDUE_WEIGHTS[j - 1] * (lower + upper)
+    return (TILDE_F_SLOPE**2 / _PI) * complex(total).real
 
 
 def _record(
@@ -358,10 +338,10 @@ def _bound(name: str, kind: str, claimed: float) -> tuple[str, str, complex, flo
 # a stage runs, so a wrapper installed on the module is seen.
 
 
-def _coupling_stage(model: LimitModel, earlier: Mapping) -> dict:
-    b = compute_b_matrix(model)
+def _coupling_stage(earlier: Mapping) -> dict:
+    b = compute_b_matrix()
     c = compute_c_matrix(b)
-    quad1, quad2 = compute_c1_c2(model, c)
+    quad1, quad2 = compute_c1_c2(c)
     out = {name: c[name] for name in ("c11", "c22", "c12", "c33", "c34")}
     out["b44_matches_b22"] = b["b44"] - b["b22"]
     for key, quad in (("quad1", quad1), ("quad2", quad2)):
@@ -369,8 +349,8 @@ def _coupling_stage(model: LimitModel, earlier: Mapping) -> dict:
     return out
 
 
-def _drift_stage(model: LimitModel, earlier: Mapping) -> dict:
-    d = compute_d_constants(model)
+def _drift_stage(earlier: Mapping) -> dict:
+    d = compute_d_constants()
     dp, dd = d["frak_d_prime"], d["frak_d"]
     return {
         "drift_prime_real": dp.real,
@@ -380,8 +360,8 @@ def _drift_stage(model: LimitModel, earlier: Mapping) -> dict:
     }
 
 
-def _residue_stage(model: LimitModel, earlier: Mapping) -> dict:
-    e = compute_e_constants(model)
+def _residue_stage(earlier: Mapping) -> dict:
+    e = compute_e_constants()
     c3 = compute_c3(e)
     return {
         "c3_real": c3.real,
@@ -390,12 +370,12 @@ def _residue_stage(model: LimitModel, earlier: Mapping) -> dict:
     }
 
 
-def _window_stage(model: LimitModel, earlier: Mapping) -> dict:
-    return short_window_checks(model)
+def _window_stage(earlier: Mapping) -> dict:
+    return short_window_checks()
 
 
-def _j1_stage(model: LimitModel, earlier: Mapping) -> dict:
-    jb = compute_j1_bound(model)
+def _j1_stage(earlier: Mapping) -> dict:
+    jb = compute_j1_bound()
     return {"j1_upper": jb, "j1_positive": jb}
 
 
@@ -442,9 +422,10 @@ def _phase(w: complex) -> str:
     return f"exp({(w / (1j * _PI)).real:.3g}*pi*i)"
 
 
-def _notes(model: LimitModel, c3: VerificationRecord) -> tuple[str, ...]:
-    """The report's notes, their numbers read off the model and the c3 record."""
-    factors = (BETA[6] * model.z1, BETA[7] * model.z2, BETA[6] * model.z3)
+def _notes(c3: VerificationRecord) -> tuple[str, ...]:
+    """The report's notes, their numbers read off the windows, the short gap
+    and the c3 record, which may clear its bound if a formula changes."""
+    factors = (BETA[6] * Z1, BETA[7] * Z2, BETA[6] * Z3)
     gap = f"{abs(c3.computed.real - c3.claimed.real):.1e}".replace("e-0", "e-")
     bound = f"the claimed bound {c3.claimed.real:g} by {gap}"
     verdict = (
@@ -458,12 +439,12 @@ def _notes(model: LimitModel, c3: VerificationRecord) -> tuple[str, ...]:
         f"its factor values are {', '.join(_phase(w) for w in factors)}",
         "cross entries of the second block are normalized by the product of "
         "the two distinct window lengths, and the fast-slow cross entry "
-        f"carries the short-gap phase advance {_phase(BETA[7] * model.shift_b)}",
+        f"carries the short-gap phase advance {_phase(BETA[7] * SHIFT_B)}",
         f"the final negative constant computes to {c3.computed.real:.6g}, {verdict}",
     )
 
 
-def run_verification(model: LimitModel = default_model()) -> VerificationReport:
+def run_verification() -> VerificationReport:
     """Recompute everything and compare against the claimed values.
 
     Never raises on a failed comparison; each claim becomes a record with its
@@ -475,9 +456,9 @@ def run_verification(model: LimitModel = default_model()) -> VerificationReport:
     records: list[VerificationRecord] = []
     for stage, rows in _CLAIMS:
         try:
-            computed.update(stage(model, computed))
+            computed.update(stage(computed))
         except (DomainError, KeyError):
             computed.update((row[0], complex("nan")) for row in rows)
         records.extend(_record(name, computed[name], *claim) for name, *claim in rows)
     c3 = next(r for r in records if r.name == "c3_real")
-    return VerificationReport(tuple(records), _notes(model, c3))
+    return VerificationReport(tuple(records), _notes(c3))

@@ -5,15 +5,15 @@ through their limiting products with the log of the common prime scale, the
 fixed imaginary multiples of pi in ``BETA``, and all vanishing correction
 factors are dropped.  The kernel pair (f, g) is indexed by a tuple (j, mu)
 of a channel j in {1,2,3} and a rate index mu in {6,7}; the quadratic drift
-terms (y) and the short-window factors (w) use the same parameter record.
-Every kernel takes one abscissa z per call and evaluates it with ``cmath``;
-nothing here imports numpy.
+terms (y) and the short-window factor (w) read the windows and gaps below,
+the one choice for which the paper states its constants.  Every kernel
+takes one abscissa z per call and evaluates it with ``cmath``; nothing here
+imports numpy.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from .numerics import DomainError
 
@@ -24,20 +24,15 @@ _PI = 3.141592653589793
 BETA = {1: _PI * 1j, 2: _PI * 1j * 2, 3: _PI * 1j * 3, 6: 1.5j * _PI, 7: 2.5j * _PI}
 
 
-@dataclass(frozen=True)
-class LimitModel:
-    """Shared parameter record for all limit kernels."""
-
-    z1: float = 0.504
-    z2: float = 0.5
-    z3: float = 0.498
-    shift_a: float = 0.004
-    shift_b: float = 0.002
-    residue_weights: tuple[float, float, float] = (0.5, 2.0, 1.5)
-    iota2: complex = 0.94977 - 1.38995j
-    iota3: complex = -1.00635 - 0.22789j
-    iota4: complex = -0.68738 + 1.60688j
-    tilde_f_slope: float = 500.0
+# the windows z1 > z2 > z3, the short gaps, the residue weights of channels
+# 1-3, the mixing weights iota_2..4 and the slope of the ramp tilde f
+Z1, Z2, Z3 = 0.504, 0.5, 0.498
+SHIFT_A, SHIFT_B = 0.004, 0.002
+RESIDUE_WEIGHTS = (0.5, 2.0, 1.5)
+IOTA2 = 0.94977 - 1.38995j
+IOTA3 = -1.00635 - 0.22789j
+IOTA4 = -0.68738 + 1.60688j
+TILDE_F_SLOPE = 500.0
 
 
 def _wrap(k: int) -> int:
@@ -49,13 +44,6 @@ def _checked_id(kid: tuple[int, int]) -> tuple[int, int]:
     if j not in (1, 2, 3) or mu not in (6, 7):
         raise DomainError(f"invalid kernel id ({j},{mu})")
     return j, mu
-
-
-_DEFAULT = LimitModel()
-
-
-def default_model() -> LimitModel:
-    return _DEFAULT
 
 
 def eval_f(kid: tuple[int, int], z: float) -> complex:
@@ -78,7 +66,7 @@ def eval_g(kid: tuple[int, int], z: float) -> complex:
     return r + (1.0 - r - c * z) * cmath.exp(-bm * z)
 
 
-def eval_y(variant: int, j: int, z, model: LimitModel = _DEFAULT):
+def eval_y(variant: int, j: int, z):
     """Quadratic drift terms for the two tail-window integrals.
 
     Variant 1 lives on [z2, z1], variant 2 on the same window measured from
@@ -89,22 +77,14 @@ def eval_y(variant: int, j: int, z, model: LimitModel = _DEFAULT):
     b1, b2 = BETA[_wrap(j + 1)], BETA[_wrap(j + 2)]
     lin, quad = b1 + b2, b1 * b2 / 2.0
     if variant == 1:
-        mid = model.z2 + model.shift_b
-        return lin * (z - model.z2) + quad * ((model.z1 - z) ** 2 - 2.0 * (mid - z) ** 2)
-    return lin * (model.z1 - z) + quad * (model.z1 - z) ** 2
+        return lin * (z - Z2) + quad * ((Z1 - z) ** 2 - 2.0 * (Z2 + SHIFT_B - z) ** 2)
+    return lin * (Z1 - z) + quad * (Z1 - z) ** 2
 
 
-def eval_w(variant: str, j: int, z, model: LimitModel = _DEFAULT):
-    """Short-window linear factors; window is [z2 - shift_a, z2].
-
-    plain: -1 + (b_{j+1} + b_{j+2} - 2 b_6)(z - w0)
-    star:  -1 + (2 b_6 - b_j)(z - w0)
-    """
-    if variant not in ("plain", "star") or j not in (1, 2, 3):
-        raise DomainError(f"invalid window id ({variant},{j})")
-    w0 = model.z2 - model.shift_a
-    if variant == "plain":
-        slope = BETA[_wrap(j + 1)] + BETA[_wrap(j + 2)] - 2 * BETA[6]
-    else:
-        slope = 2 * BETA[6] - BETA[j]
-    return -1.0 + slope * (z - w0)
+def eval_w(j: int, z):
+    """Short-window linear factor -1 + (b_{j+1} + b_{j+2} - 2 b_6)(z - w0)
+    on the window [w0, z2], w0 = z2 - shift_a."""
+    if j not in (1, 2, 3):
+        raise DomainError(f"invalid window channel {j}")
+    slope = BETA[_wrap(j + 1)] + BETA[_wrap(j + 2)] - 2 * BETA[6]
+    return -1.0 + slope * (z - (Z2 - SHIFT_A))

@@ -180,6 +180,27 @@ def test_identity_rows_of_a_joint_run_equal_each_modulus_run_alone():
         assert joint[3 * len(moduli) :] == rows[3:]
 
 
+def test_identity_rows_hold_the_gaps_in_chunks_of_n(monkeypatch):
+    # 9000 gaps over 3 moduli: chunks of 3000 n, the seventh 2000 long
+    from lfverify import characters, cli
+
+    def hexed(rows):
+        return [(name, value.hex(), ok) for name, value, ok in rows]
+
+    whole = hexed(cli._identity_rows(20_000, [3, 4, 5]))
+    sizes = []
+    gaps = characters.identity_810_gaps
+
+    def spy(ns, chis):
+        sizes.append(len(ns))
+        return gaps(ns, chis)
+
+    monkeypatch.setattr(characters, "identity_810_gaps", spy)
+    monkeypatch.setattr(cli, "_GAP_ELEMENTS", 9_000)
+    assert hexed(cli._identity_rows(20_000, [3, 4, 5])) == whole
+    assert sizes == [3_000] * 6 + [2_000]
+
+
 def test_zeros_happy_path(tmp_path, capsys):
     csv_path = tmp_path / "z3.csv"
     code = main(["zeros", "--modulus", "3", "--t-max", "12", "--csv", str(csv_path)])
@@ -254,7 +275,9 @@ _COLD_START = textwrap.dedent(
 
     def slow_modules():
         return sorted(
-            m for m in sys.modules if m in ("scipy", "numpy.ma") or m.startswith("scipy.")
+            m
+            for m in sys.modules
+            if m in ("scipy", "numpy.ma", "numpy.polynomial") or m.startswith("scipy.")
         )
 
     from lfverify.cli import main
@@ -269,7 +292,7 @@ _COLD_START = textwrap.dedent(
 
 
 def test_no_command_loads_scipy(tmp_path):
-    """A fresh interpreter runs every command without importing scipy or numpy.ma."""
+    """A fresh interpreter runs every command without importing scipy, numpy.ma or numpy.polynomial."""
     commands = [
         ["constants", "--out", str(tmp_path / "c.json")],
         ["identities", "--max-n", "100", "--out", str(tmp_path / "i.json")],
