@@ -95,16 +95,6 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def tau_k(n: int, k: int = 2) -> int:
-    """Number of ordered factorizations of n into k parts."""
-    if k < 1:
-        raise DomainError("k must be positive")
-    out = 1
-    for e in factorize(n).values():
-        out *= math.comb(e + k - 1, k - 1)
-    return out
-
-
 def primes_up_to(n: int) -> list[int]:
     _ensure_sieve(n)
     return np.flatnonzero(_SPF[: n + 1] == np.arange(n + 1, dtype=np.int32))[2:].tolist()
@@ -130,7 +120,6 @@ class DirichletCharacter:
     modulus: int
     values: tuple[complex, ...]
     parity: int          # chi(-1): +1 even, -1 odd
-    primitive: bool
     real: bool
     conductor: int
 
@@ -142,6 +131,10 @@ class DirichletCharacter:
         return self.values[n % self.modulus]
 
     @property
+    def primitive(self) -> bool:
+        return self.conductor == self.modulus
+
+    @property
     def is_principal(self) -> bool:
         return self.conductor == 1
 
@@ -150,7 +143,6 @@ class DirichletCharacter:
             self.modulus,
             tuple(_snap(v.conjugate()) for v in self.values),
             self.parity,
-            self.primitive,
             self.real,
             self.conductor,
         )
@@ -211,7 +203,7 @@ def _local_conductor(p: int, e: int, exps: list[int]) -> int:
 
 
 def character_group(q: int) -> list[DirichletCharacter]:
-    """All phi(q) characters mod q, deterministic order.
+    """All phi(q) characters mod q, deterministic order, the principal one first.
 
     A character is its vector of exponents k_i on the unit-group generators,
     chi(g_i) = e(k_i / order_i), and every fact about it is exact: the
@@ -261,7 +253,7 @@ def _characters(q: int, real_only: bool) -> list[DirichletCharacter]:
         real = all(2 * k % order == 0 for k, order in zip(choice, orders))
         parity = 1 if phase[q - 1] == 0 else -1
         values = tuple(roots[phase].tolist())
-        chars.append(DirichletCharacter(q, values, parity, conductor == q, real, conductor))
+        chars.append(DirichletCharacter(q, values, parity, real, conductor))
     return chars
 
 
@@ -280,11 +272,6 @@ def real_primitive_character(big_d: int) -> DirichletCharacter:
         if found:
             return max(found, key=lambda c: c.parity)
     raise DomainError(f"no real primitive character mod {big_d}")
-
-
-def principal_character(q: int) -> DirichletCharacter:
-    values = tuple(complex(math.gcd(n, q) == 1) for n in range(q))
-    return DirichletCharacter(q, values, 1, q == 1, True, 1)
 
 
 def gauss_sum(theta: DirichletCharacter) -> complex:
@@ -365,11 +352,6 @@ def upsilon(n: int, chi: DirichletCharacter) -> complex:
     return complex(_coefficient_table(n, chi)[1][n])
 
 
-def varsigma(n: int, chi: DirichletCharacter) -> complex:
-    """Truncated convolution of nu and upsilon with both factors <= D^4."""
-    return complex(_coefficient_table(n, chi)[2][n])
-
-
 # ---------------------------------------------------------------------------
 # derived constant and identity checks
 
@@ -390,17 +372,15 @@ def identity_810_gap(n: int, chi: DirichletCharacter) -> float:
     """Relative gap in the divisor-pair identity
     sum over n=dr of |mu(r)|/phi(r) * Pi(d,r) = n/phi(n).
 
-    The scalar entry point: one n through ``identity_810_gaps``.
+    The scalar entry point: one n and one character through ``identity_810_gaps``.
     """
-    return float(identity_810_gaps([n], chi)[0])
+    return float(identity_810_gaps([n], [chi])[0, 0])
 
 
-def identity_810_gaps(ns, chi: DirichletCharacter | Sequence[DirichletCharacter]) -> np.ndarray:
-    """``identity_810_gap`` at every n of ``ns`` in one numpy pass.
-
-    ``chi`` is one character, or a sequence of characters whose gaps come
-    back as the rows of a 2-d array; each row equals that character's gaps
-    on its own.
+def identity_810_gaps(ns, chis: Sequence[DirichletCharacter]) -> np.ndarray:
+    """``identity_810_gap`` at every n of ``ns`` for every character of
+    ``chis`` in one numpy pass: a (characters x n) array, each row equal to
+    that character's gaps on its own.
 
     Each n's distinct primes come from the sieve in ascending order, as
     rows padded with 1, and give phi(n).  Subset doubling over the rows
@@ -418,7 +398,6 @@ def identity_810_gaps(ns, chi: DirichletCharacter | Sequence[DirichletCharacter]
     arrays stay near 512 KB each whatever the length of ``ns``.  Every
     character reuses a block's primes and pairs.
     """
-    chis = [chi] if isinstance(chi, DirichletCharacter) else list(chi)
     ns = np.asarray(ns, dtype=np.int64)
     if ns.size:
         if not 1 <= ns.min() <= ns.max() < _SIEVE_LIMIT:
@@ -436,7 +415,7 @@ def identity_810_gaps(ns, chi: DirichletCharacter | Sequence[DirichletCharacter]
             j = max(i + 1, int(np.searchsorted(ends, base + _PAIR_ELEMENTS, side="right")))
             gaps[:, lo + i : lo + j] = _gap_block(chunk[i:j], primes[:, i:j], chis)
             i = j
-    return gaps[0] if isinstance(chi, DirichletCharacter) else gaps
+    return gaps
 
 
 def _prime_rows(ns: np.ndarray) -> np.ndarray:

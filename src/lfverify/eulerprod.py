@@ -173,21 +173,17 @@ def check_local_identity(
 
 
 def cap_pi(d: int, r: int, chi: DirichletCharacter) -> float:
-    """Rational product Pi(d, r) over the primes of d, r >= 1; a prime of the modulus adds 1."""
+    """Rational product Pi(d, r) over the primes of d, r >= 1; a prime of the modulus adds 1.
+
+    The primes are multiplied in ascending order, not in the order their set
+    iterates, so the product's rounding is fixed, and
+    ``characters.identity_810_gaps`` repeats the same float operations.
+    """
     if d < 1 or r < 1:
         raise DomainError("d and r must be positive")
-    return _pi_over_primes(set(factorize(d)), set(factorize(r)), chi)
-
-
-def _pi_over_primes(d_primes: set[int], r_primes: set[int], chi: DirichletCharacter) -> float:
-    """Pi(d, r) from the prime sets of d and r, multiplied in ascending prime order.
-
-    The order is fixed, so the product's rounding does not depend on how the
-    caller built its sets, and ``characters.identity_810_gaps`` repeats the
-    same float operations.
-    """
+    d_primes, r_primes = factorize(d), factorize(r)
     out = 1.0
-    for q in sorted(d_primes | r_primes):
+    for q in sorted(d_primes.keys() | r_primes.keys()):
         c = chi(q).real
         out /= 1.0 - c / q
         if q in d_primes and q not in r_primes:

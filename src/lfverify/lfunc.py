@@ -792,27 +792,25 @@ def _panel_count(radians: float) -> int:
     return max(8, int(radians / 12.0) + 1)
 
 
-def delta_fn(x: Union[float, np.ndarray], p: WeightParams) -> Union[complex, np.ndarray]:
-    """Oscillatory transform of the window at frequency x, for a number or an array.
+def delta_fn(x: float, p: WeightParams) -> complex:
+    """Oscillatory transform of the window at frequency x.
 
     The integral of exp(s0 u - L2^2 u^2 - 2 pi i x (e^u - 1)) over
     [-U, U], U = ``_u_cut(p)``, by one fixed 15-point Gauss-Legendre rule.
     Its equal panels are sized by the phase 2 pi (t0 u - x (e^u - 1)),
     whose total variation over [-U, U] is 2 pi V(x) with
     V(x) = 2 t0 u* + x (2 cosh U - 2 e^u*), u* = clip(log(t0 / x), -U, U):
-    one panel per 12 radians of the largest variation in the batch, and at
-    least 8.  More than ``_MAX_PANELS`` panels raise DomainError.
+    one panel per 12 radians and at least 8.  More than ``_MAX_PANELS``
+    panels raise DomainError.
     """
-    xs = np.asarray(x, dtype=np.float64)
-    if not (np.isfinite(xs) & (xs > 0)).all():
+    x = float(x)
+    if not (math.isfinite(x) and x > 0):
         raise DomainError("x must be positive and finite")
     umax = _u_cut(p)
-    u_star = np.clip(np.log(p.t0 / xs), -umax, umax)
-    variation = 2.0 * p.t0 * u_star + xs * (2.0 * math.cosh(umax) - 2.0 * np.exp(u_star))
-    growth, base = _panel_layout(_panel_count(_TWO_PI * float(variation.max())), p)
-    osc = np.exp(-_TWO_PI * 1j * np.outer(growth, xs.ravel()))
-    out = base @ osc
-    return complex(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+    u_star = min(max(math.log(p.t0 / x), -umax), umax)
+    variation = 2.0 * p.t0 * u_star + x * (2.0 * math.cosh(umax) - 2.0 * math.exp(u_star))
+    growth, base = _panel_layout(_panel_count(_TWO_PI * variation), p)
+    return complex(base @ np.exp(-_TWO_PI * 1j * (growth * x)))
 
 
 # one layout: delta_mellin's abscissae rise in order, so its calls take each

@@ -134,7 +134,7 @@ def test_criterion_08_divisor_pair_identity():
     worst = 0.0
     for q in (3, 4, 5):
         chi = real_primitive_character(q)
-        worst = max(worst, float(identity_810_gaps(np.arange(1, 10_001), chi).max()))
+        worst = max(worst, float(identity_810_gaps(np.arange(1, 10_001), [chi]).max()))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12
     assert elapsed < 5.0

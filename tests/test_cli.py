@@ -201,6 +201,49 @@ def test_identity_rows_hold_the_gaps_in_chunks_of_n(monkeypatch):
     assert sizes == [3_000] * 6 + [2_000]
 
 
+def test_identities_mod7_fails_on_the_euler_product_alone(tmp_path):
+    # the Euler-product gate has no tail estimate: at its n <= 10^5 cutoff
+    # the gap is 1.13e-4 against 1e-4, a known shortfall kept as a failing row
+    out = tmp_path / "id7.json"
+    assert main(["identities", "--moduli", "7", "--out", str(out)]) == 1
+    rows = json.loads(out.read_text())["identities"]
+    assert [row["name"] for row in rows if not row["pass"]] == ["euler_product_mod7"]
+
+
+@pytest.mark.parametrize(
+    "residue, value, verdicts",
+    [
+        (None, None, (True, True, True)),
+        (2, 1.0, (True, False, True)),
+        (2, 0.0, (True, False, True)),
+        (1, -1.0, (True, False, False)),
+    ],
+    ids=["honest", "chi(2)=1", "chi(2)=0", "chi(1)=-1"],
+)
+def test_identity_rows_under_a_corrupted_character(monkeypatch, residue, value, verdicts):
+    # one value of the real character mod 5 is corrupted; the divisor-pair
+    # row passes under every corruption, because its identity holds for
+    # arbitrary real values at the residues: it checks Pi and the divisor
+    # enumeration, not the character
+    from lfverify import characters, cli
+
+    honest = characters.real_primitive_character
+
+    def corrupted(q):
+        chi = honest(q)
+        if q != 5 or residue is None:
+            return chi
+        values = list(chi.values)
+        values[residue] = complex(value)
+        return characters.DirichletCharacter(q, tuple(values), chi.parity, chi.real, chi.conductor)
+
+    monkeypatch.setattr(characters, "real_primitive_character", corrupted)
+    rows = {name: ok for name, _, ok in cli._identity_rows(10_000, [5])}
+    names = ("divisor_sum_mod5", "euler_product_mod5", "coefficient_bounds_mod5")
+    assert tuple(rows[name] for name in names) == verdicts
+    assert all(ok for name, ok in rows.items() if name not in names)
+
+
 def test_zeros_happy_path(tmp_path, capsys):
     csv_path = tmp_path / "z3.csv"
     code = main(["zeros", "--modulus", "3", "--t-max", "12", "--csv", str(csv_path)])
@@ -239,6 +282,14 @@ def test_zeros_empty_segment(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("0 zeros")
     with open(csv_path, newline="") as fh:
         assert list(csv.DictReader(fh)) == []
+
+
+def test_zeros_window_without_zeros(tmp_path, capsys):
+    # the first zero of L(s, chi_4) is at 6.02, so the scan has no bracket
+    # to refine and the run reports 0 zeros with exit 0
+    csv_path = tmp_path / "z4.csv"
+    assert main(["zeros", "--modulus", "4", "--t-max", "5", "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().out.startswith("0 zeros")
 
 
 def test_zeros_input_validation(tmp_path):
@@ -387,3 +438,31 @@ def test_zeros_unaudited_eligible_zero_fails(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "error: 1 eligible zero(s) without a computable ratio" in captured.err
     assert captured.out.startswith("27 zeros")
+
+
+_INSTALL_TRACER = textwrap.dedent(
+    """
+    import sys
+
+    sys.path.insert(0, sys.argv[1])
+    import tracing
+
+    tracing.install(tracing.Tracer())
+    """
+)
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # the traced benchmark wraps package names found by getattr; a deleted
+    # or renamed name would break only its traced runs
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    src = str(Path(lfverify.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _INSTALL_TRACER, bench],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
