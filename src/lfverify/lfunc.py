@@ -21,7 +21,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -282,8 +282,9 @@ def _l_values(
     """L(s, chi) = q^(-s) sum_a chi(a) zeta(s, a/q) at s = rows[i] + i cols[j], row by row.
 
     One kernel call over the residues a with chi(a) != 0 sums
-    chi(a) zeta(s, a/q) in the order of a.  With ``ds`` the result is the
-    2 x I J array of L and dL/ds.  A nonprincipal chi with every s within
+    chi(a) zeta(s, a/q) in the order of a.  The result is the kernel's
+    (1 + ds) x I J array: row 0 holds L and, with ``ds``, row 1 dL/ds.
+    A nonprincipal chi with every s within
     1e-1 of 1 takes the pole-free expansion, whose 15-term series in s - 1
     ends below 1e-19 there; a principal one keeps its genuine pole.
     """
@@ -293,9 +294,8 @@ def _l_values(
     c = np.array([chi(a) for a in range(1, q + 1)], dtype=np.complex128)
     a = np.flatnonzero(c) + 1
     total = np.exp(-s * math.log(q)) * _euler_maclaurin(rows, cols, a / q, c[a - 1], ds, pole_free)
-    if not ds:
-        return total[0]
-    total[1] -= math.log(q) * total[0]
+    if ds:
+        total[1] -= math.log(q) * total[0]
     return total
 
 
@@ -305,7 +305,7 @@ def l_function(s: complex, chi: DirichletCharacter) -> complex:
     At s = 1 a nonprincipal character is evaluated by the pole-free
     expansion; a principal one is a genuine pole.
     """
-    return complex(_l_values(chi, np.array([complex(s)]))[0])
+    return complex(_l_values(chi, np.array([complex(s)]))[0, 0])
 
 
 def l_function_ds(s: complex, chi: DirichletCharacter) -> complex:
@@ -317,63 +317,44 @@ def l_function_ds(s: complex, chi: DirichletCharacter) -> complex:
 # reflection and functional-equation factors
 
 
-def _shift_small(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """(flat z, mask of the shifted elements, w, N) for the Stirling series.
+def _log_gamma(z, ds: bool = False) -> np.ndarray:
+    """Principal log Gamma(z) over an array, cut on the negative real axis; with ``ds`` psi(z) too.
 
-    The elements with |z| < 10 or re z < 0 are shifted to w = z + N with
-    N = ceil(10 - min re z) over those elements alone; the others keep
-    w = z.  Then re w >= 10, or |w| >= 10 and re w >= 0.
+    The elements with |z| < 10 or re z < 0 are shifted to w = z + N,
+    N = ceil(10 - min re z) over those elements alone, so re w >= 10, or
+    |w| >= 10 and re w >= 0.  There the 8-term Stirling series is accurate
+    to about 1e-16, and psi's log w - 1/(2w) - sum_k B_2k / (2k w^2k) to
+    about 1e-17.  The shifted elements then lose sum_{k<N} log(z + k), in
+    principal logs, since each z + k stays in the half-plane of z, and
+    sum_{k<N} 1/(z + k).  The result has shape (1 + ds,) + shape(z).
     """
     # 1-d, so the shifted elements can be assigned into
     flat = np.asarray(z, dtype=np.complex128).ravel()
     small = (np.abs(flat) < 10.0) | (flat.real < 0.0)
     w = flat.copy()
-    n = 0
-    if small.any():
-        n = math.ceil(10.0 - float(flat.real[small].min()))
-        w[small] += n
-    return flat, small, w, n
-
-
-def _log_gamma(z) -> np.ndarray:
-    """Principal log Gamma(z) over an array, cut on the negative real axis.
-
-    The small elements are shifted by ``_shift_small`` and
-    sum_{k<N} log(z + k) in principal logs is subtracted from them: each
-    z + k stays in the half-plane of z, so the sum follows the principal
-    branch.  The 8-term Stirling series is accurate to about 1e-16 at the
-    shifted w.  A 0-d input gives a 0-d array.
-    """
-    flat, small, w, n = _shift_small(z)
+    n = math.ceil(10.0 - float(flat.real[small].min())) if small.any() else 0
+    w[small] += n
+    log_w = np.log(w)
     r = 1.0 / w
     r2 = r * r
     # Horner by hand: polyval's overhead is most of a short array's cost
     series = _STIRLING[-1]
     for c in _STIRLING[-2::-1]:
         series = c + series * r2
-    out = (w - 0.5) * np.log(w) - w + 0.5 * math.log(_TWO_PI) + r * series
+    out = np.empty((1 + ds, len(flat)), dtype=np.complex128)
+    out[0] = (w - 0.5) * log_w - w + 0.5 * math.log(_TWO_PI) + r * series
+    if ds:
+        r2 = 1.0 / (w * w)
+        series = _DIGAMMA[-1]
+        for c in _DIGAMMA[-2::-1]:
+            series = c + series * r2
+        out[1] = log_w - 0.5 / w - r2 * series
     if n:
-        out[small] -= np.log(flat[small][:, None] + np.arange(n)).sum(axis=-1)
-    return out.reshape(np.shape(z))
-
-
-def _digamma(z) -> np.ndarray:
-    """psi(z) = d/dz log Gamma(z) over an array, the twin of ``_log_gamma``.
-
-    The small elements are shifted by ``_shift_small`` and
-    sum_{k<N} 1/(z + k) is subtracted from them; at the shifted w the
-    series log w - 1/(2w) - sum_k B_2k / (2k w^2k), k = 1..8, is accurate
-    to about 1e-17.  A 0-d input gives a 0-d array.
-    """
-    flat, small, w, n = _shift_small(z)
-    r2 = 1.0 / (w * w)
-    series = _DIGAMMA[-1]
-    for c in _DIGAMMA[-2::-1]:
-        series = c + series * r2
-    out = np.log(w) - 0.5 / w - r2 * series
-    if n:
-        out[small] -= (1.0 / (flat[small][:, None] + np.arange(n))).sum(axis=-1)
-    return out.reshape(np.shape(z))
+        z_k = flat[small][:, None] + np.arange(n)
+        out[0, small] -= np.log(z_k).sum(axis=-1)
+        if ds:
+            out[1, small] -= (1.0 / z_k).sum(axis=-1)
+    return out.reshape((1 + ds,) + np.shape(z))
 
 
 def vartheta(s: complex) -> complex:
@@ -382,19 +363,19 @@ def vartheta(s: complex) -> complex:
     if s.imag == 0 and s.real >= 1 and s.real == int(s.real):
         raise DomainError("Gamma pole")
     # log-space to survive |im s| up to a few hundred
-    lg = complex(_log_gamma(1.0 - s))
+    lg = complex(_log_gamma(1.0 - s)[0])
     return 2.0 * cmath.exp((s - 1.0) * math.log(_TWO_PI) + lg) * cmath.sin(
         math.pi * s / 2.0
     )
 
 
 def _root_number(theta: DirichletCharacter) -> tuple[complex, float]:
-    """(epsilon, half_arg) for the completed-equation phase on the line."""
+    """(epsilon, a): the root number and the parity, a = 0.0 for even theta and 1.0 for odd."""
     q = theta.modulus
     tau = gauss_sum(theta)
     if theta.parity == 1:
-        return tau / math.sqrt(q), 0.25
-    return -1j * tau / math.sqrt(q), 0.75
+        return tau / math.sqrt(q), 0.0
+    return -1j * tau / math.sqrt(q), 1.0
 
 
 def z_factor(s: complex, theta: DirichletCharacter) -> complex:
@@ -402,38 +383,39 @@ def z_factor(s: complex, theta: DirichletCharacter) -> complex:
     if not theta.primitive:
         raise DomainError("z_factor needs a primitive character")
     s = complex(s)
-    eps, _ = _root_number(theta)
-    a = 0.0 if theta.parity == 1 else 1.0
+    eps, a = _root_number(theta)
     num, den = (1.0 - s + a) / 2.0, (s + a) / 2.0
     for pole_arg in (num, den):
         if pole_arg.imag == 0 and pole_arg.real <= 0 and pole_arg.real == int(pole_arg.real):
             raise DomainError("Gamma pole in the equation factor")
-    log_ratio = complex(_log_gamma(num)) - complex(_log_gamma(den))
+    log_ratio = complex(_log_gamma(num)[0]) - complex(_log_gamma(den)[0])
     return eps * cmath.exp((0.5 - s) * math.log(theta.modulus / math.pi) + log_ratio)
 
 
 def _m_line(
     theta: DirichletCharacter, t: np.ndarray, cols: np.ndarray = _ZERO_COL, ds: bool = False
-) -> Union[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+) -> np.ndarray:
     """Rotated line values M = exp(-i arg Z / 2) L(1/2+it), complex, at t[i] + cols[j].
 
     arg Z(1/2 + it) = arg eps + t log(pi / q) - 2 im log Gamma(h + it/2) is
-    continuous, with (eps, h) the root number and its half-argument.
-    With ``ds`` it returns (M, M'), M' = -i dM/dt analytically:
+    continuous, with eps the root number and h = (1/2 + a) / 2 for the
+    parity a.  The result is ``_l_values``' (1 + ds) x I J array rotated:
+    row 0 holds M and, with ``ds``, row 1 M' = -i dM/dt analytically:
     dM/dt = exp(-i arg Z / 2) (-i (arg Z)' L / 2 + i dL/ds), where
     (arg Z)'(t) = log(pi / q) - re psi(h + it/2); so
     M' = exp(-i arg Z / 2) (dL/ds - (arg Z)' L / 2).
     """
-    eps, half_arg = _root_number(theta)
+    eps, a = _root_number(theta)
     pts = (t[:, None] + cols).ravel()
-    lg = _log_gamma(half_arg + 0.5j * pts)
-    arg_z = cmath.phase(eps) + pts * math.log(math.pi / theta.modulus) - 2.0 * np.imag(lg)
-    rot = np.exp(-0.5j * arg_z)
-    if not ds:
-        return rot * _l_values(theta, 0.5 + 1j * t, cols)
-    l_val, l_ds = _l_values(theta, 0.5 + 1j * t, cols, ds=True)
-    arg_ds = math.log(math.pi / theta.modulus) - _digamma(half_arg + 0.5j * pts).real
-    return rot * l_val, rot * (l_ds - 0.5 * arg_ds * l_val)
+    lg = _log_gamma((0.5 + a) / 2 + 0.5j * pts, ds)
+    log_ratio = math.log(math.pi / theta.modulus)
+    arg_z = cmath.phase(eps) + pts * log_ratio - 2.0 * lg[0].imag
+    # of rank 2, as out: numpy rounds a lone complex product of unequal ranks differently
+    rot = np.exp(-0.5j * arg_z)[None]
+    out = _l_values(theta, 0.5 + 1j * t, cols, ds)
+    if ds:
+        out[1] -= 0.5 * (log_ratio - lg[1].real) * out[0]
+    return rot * out
 
 
 def _m_raw_line(
@@ -442,26 +424,25 @@ def _m_raw_line(
     """Real part of the rotated line values, after checking the rotation.
 
     arg Z is continuous along the whole line, so this is one continuous
-    real function of t: its sign changes are the zeros on the line.
+    real function of t: its sign changes are the zeros on the line.  With
+    ``step``, t is a scan grid t_0 + k step, k < K: one call of giant steps
+    t_0 + B j step by baby steps r step, B = ceil(sqrt(K)), and one more
+    for an appended last point more than 1e-9 step off it.
     """
-    vals = _m_line(theta, t) if step is None else _m_grid(theta, t, step)
+    if step is None:
+        vals = _m_line(theta, t)[0]
+    else:
+        off_step = len(t) > 1 and abs(t[-1] - t[0] - (len(t) - 1) * step) > 1e-9 * step
+        k_len = len(t) - off_step
+        b = math.isqrt(k_len - 1) + 1
+        giant = t[0] + b * step * np.arange(-(-k_len // b))
+        vals = _m_line(theta, giant, step * np.arange(b))[0, :k_len]
+        if off_step:
+            vals = np.append(vals, _m_line(theta, t[k_len:])[0])
     worst = float(np.max(np.abs(vals.imag))) if len(vals) else 0.0
     if worst > 1e-8:
         raise BranchError(f"rotation left imaginary residue {worst:.3e}")
     return vals.real
-
-
-def _m_grid(theta: DirichletCharacter, t: np.ndarray, step: float) -> np.ndarray:
-    """``_m_line`` over a scan grid t_0 + k step, k < K, and an appended off-step t_max.
-
-    The grid is one call of giant steps t_0 + B j step by baby steps r step,
-    B = ceil(sqrt(K)); a last point more than 1e-9 step off it is one more.
-    """
-    off_step = len(t) > 1 and abs(t[-1] - t[0] - (len(t) - 1) * step) > 1e-9 * step
-    k_len = len(t) - off_step
-    b = math.isqrt(k_len - 1) + 1
-    vals = _m_line(theta, t[0] + b * step * np.arange(-(-k_len // b)), step * np.arange(b))[:k_len]
-    return np.append(vals, _m_line(theta, t[k_len:])) if off_step else vals
 
 
 def m_function(t: float, psi: DirichletCharacter) -> float:
@@ -516,6 +497,8 @@ _ZERO_RADIUS = 0.5e-9
 _PROBE_RADIUS = 1e-6
 # batched line evaluations a panel's brackets may take before the scan gives up
 _REFINE_STEPS = 40
+# a scan takes at most this many grid steps: 20 times the default grid to T = 1000
+_MAX_GRID_STEPS = 10**6
 
 
 def _sign_changes(vals: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -614,7 +597,7 @@ def find_zeros(
     The grid is split into panels of ``_PANEL_POINTS`` points, each
     evaluated at its own Euler-Maclaurin shift.  A panel of K points is
     one kernel call over ceil(K/B) giant steps by B = ceil(sqrt(K)) baby
-    steps (see ``_m_grid``); when t_max is not on the step the grid
+    steps (see ``_m_raw_line``); when t_max is not on the step the grid
     appends it as one more point.  Consecutive panels share
     one ordinate, which takes the later panel's value; the two evaluations
     must agree or the scan raises BranchError.  A grid point where the value
@@ -627,7 +610,8 @@ def find_zeros(
     around it, within rounding of the zero at the default step (the cubic
     through 4 was 1e-8 off), so a panel's brackets close in one pair of
     evaluations, with a floor of 1e-12 times the grid's median |value|.
-    Each zero is returned as gamma = x, radius 0.5e-9.
+    Each zero is returned as gamma = x, radius 0.5e-9.  More than ``_MAX_GRID_STEPS``
+    steps raise DomainError, tested on the float ratio before any grid is built.
     """
     if not psi.primitive:
         raise DomainError("scan needs a primitive character")
@@ -635,6 +619,8 @@ def find_zeros(
         raise DomainError("need 0 < t_min < t_max")
     if not 0 < step <= 0.05:
         raise DomainError("step must be positive and at most 0.05")
+    if (t_max - t_min) / step > _MAX_GRID_STEPS:
+        raise DomainError(f"step {step:g} cuts the scan into more than {_MAX_GRID_STEPS:,} steps")
     n_pts = int(math.floor((t_max - t_min) / step)) + 1
     grid = t_min + step * np.arange(n_pts)
     if grid[-1] < t_max - 1e-12:

@@ -2,10 +2,12 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from datetime import datetime
 from pathlib import Path
 
@@ -313,6 +315,58 @@ def test_zeros_input_validation(tmp_path):
     )
 
 
+@pytest.mark.parametrize("step", ("1e-300", "5e-324", "1e-9"))
+def test_zeros_refuses_a_step_past_the_grid_cap(tmp_path, capsys, step):
+    # 1e-300 and 5e-324 ended in a traceback and exit 1; 1e-9 asks for 10^10
+    # grid points to T = 10; each is a scan refused before its grid, exit 2
+    from lfverify import lfunc  # noqa: F401  (its import is not the scan's memory)
+
+    argv = ["zeros", "--modulus", "5", "--t-max", "10", "--step", step]
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--csv", str(tmp_path / "z.csv")]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "error: scan failed: step" in capsys.readouterr().err
+    assert peak < 2**20, peak
+    assert not (tmp_path / "z.csv").exists()
+
+
+# the table of `zeros --modulus 720 --t-max 20 --char-index 47` (gamma, c*): its
+# CSV's sha256 begins 02032953 under OpenBLAS's SkylakeX, Prescott and
+# Sandybridge kernels; under Haswell and Zen the first c* ends in ...527
+_ZEROS_720 = (
+    (1.512720862018, 0.00154248038526), (1.955308971228, 6.23972345754),
+    (3.655775350650, 0.483178240092), (4.310995857246, -0.567171985406),
+    (5.524164256912, 0.372036715837), (6.311841034882, -0.854188219987),
+    (7.389430959523, -0.186374584848), (8.373096341822, 0.585652034366),
+    (9.046695200381, -0.995853998515), (10.083936733337, -0.293878822736),
+    (11.045657566555, -0.00447113507509), (11.947373787606, 0.449832843511),
+    (12.419610739941, 1.4304359767), (13.828481977080, 0.0350389955976),
+    (14.348419468693, 0.127897800268), (15.207703954875, 0.500035180486),
+    (16.033357045501, -0.321214988317), (17.162598239629, -0.141935186617),
+    (17.574642179977, -0.733820214868), (18.722629871413, 0.346647555364),
+    (19.208873047975, -1.13552965297),
+)
+
+
+def test_zeros_mod_720_scans_its_last_primitive_character(tmp_path, capsys):
+    # 720 = 2^4 3^2 5 has 48 primitive characters: index 47 scans 21 zeros to
+    # T = 20, and index 48 is refused with exit 2; gammas move by at most
+    # 5.7e-14 and c* by 4.4e-12 relative between BLAS kernels (README)
+    argv = ["zeros", "--modulus", "720", "--t-max", "20", "--csv", str(tmp_path / "z.csv")]
+    assert main(argv + ["--char-index", "47"]) == 0
+    assert capsys.readouterr().out.startswith("21 zeros ")
+    with open(tmp_path / "z.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(_ZEROS_720)
+    for row, (gamma, c_star) in zip(rows, _ZEROS_720):
+        assert abs(float(row["gamma"]) - gamma) <= 1e-12, row
+        assert abs(float(row["c_star"]) - c_star) <= 1e-10 * abs(c_star), row
+    assert main(argv + ["--char-index", "48"]) == 2
+
+
 def test_argparse_guards():
     with pytest.raises(SystemExit):
         main([])
@@ -438,6 +492,73 @@ def test_zeros_unaudited_eligible_zero_fails(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "error: 1 eligible zero(s) without a computable ratio" in captured.err
     assert captured.out.startswith("27 zeros")
+
+
+def test_zeros_audit_fails_when_m_prime_flips_sign(tmp_path, monkeypatch, capsys):
+    """A sign-flipped M' row negates every c*, so each eligible zero falls below the floor."""
+    from lfverify import lfunc
+
+    line = lfunc._m_line
+
+    def flipped(theta, t, cols=lfunc._ZERO_COL, ds=False):
+        out = line(theta, t, cols, ds)
+        # the row contract: M, and with ds M', over the points t by cols
+        assert out.shape == (1 + ds, len(t) * len(cols))
+        if ds:
+            out[1] = -out[1]
+        return out
+
+    csv_path = tmp_path / "z.csv"
+    argv = ["zeros", "--modulus", "5", "--t-max", "60", "--csv", str(csv_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("3 eligible, 0 below floor\n")
+    honest = csv_path.read_text().splitlines()
+    monkeypatch.setattr(lfunc, "_m_line", flipped)
+    assert main(argv) == 1
+    assert capsys.readouterr().out.endswith("3 eligible, 3 below floor\n")
+    # the scan reads no M', so the zeros stay; every c* changes sign exactly
+    for a, b in zip(honest[1:], csv_path.read_text().splitlines()[1:], strict=True):
+        (gamma, radius, c_star, gap), flip = a.split(","), b.split(",")
+        assert flip == [gamma, radius, c_star[1:] if c_star[0] == "-" else "-" + c_star, gap]
+
+
+@pytest.mark.parametrize("scale, passed", ((1 + 1e-9, False), (1 + 1e-13, True)))
+def test_local_factor_cases_under_a_scaled_exact_value(monkeypatch, scale, passed):
+    # A2's exact value scaled: the row's honest gap is 8.9e-16 against its
+    # 1e-12 gate, so a relative error of 1e-9 flips it and one of 1e-13 does not
+    from lfverify import cli, eulerprod
+
+    case = eulerprod._CASES["A2"]
+    monkeypatch.setitem(
+        eulerprod._CASES, "A2", case[:5] + (lambda u, v: case[5](u, v) * scale,)
+    )
+    rows = {name: (gap, ok) for name, gap, ok in cli._identity_rows(10, [5])}
+    gap, ok = rows["local_factor_cases"]
+    print(f"\nlocal_factor_cases at a scale of 1 + {scale - 1:.0e}: gap {gap:.3e}")
+    assert ok is passed
+    assert all(ok for name, (_, ok) in rows.items() if name != "local_factor_cases")
+
+
+@pytest.mark.parametrize("factor, passed", ((1.01, False), (0.99, True)))
+def test_local_factor_envelope_under_an_error_at_its_largest_prime(monkeypatch, factor, passed):
+    # an error of factor x the envelope bound (8.7e-5 at p = 9973) added to
+    # A1's exact value there alone; A1's honest gap there is 5e-11 and the
+    # row's worst, A6 at p = 1009, is 6.5e-5 against 6.5e-4
+    from lfverify import cli, eulerprod
+
+    p = 9973
+    bound = 10.0 * 3e-3 * math.pi * math.log(p) / p
+    case = eulerprod._CASES["A1"]
+
+    def value(u, v):
+        return case[5](u, v) + (factor * bound if round(1.0 / u) == p else 0.0)
+
+    monkeypatch.setitem(eulerprod._CASES, "A1", case[:5] + (value,))
+    rows = {name: (gap, ok) for name, gap, ok in cli._identity_rows(10, [5])}
+    gap, ok = rows["local_factor_envelope"]
+    print(f"\nlocal_factor_envelope with {factor} x {bound:.3e} at p = {p}: gap {gap:.3e}")
+    assert ok is passed
+    assert all(ok for name, (_, ok) in rows.items() if name != "local_factor_envelope")
 
 
 _INSTALL_TRACER = textwrap.dedent(

@@ -248,3 +248,56 @@ def test_notes_report_a_c3_that_clears_its_bound(monkeypatch):
         "the final negative constant computes to -7.01093, "
         "below the claimed bound -6.9951 by 1.6e-2"
     )
+
+
+def _claim_past(record):
+    """A claimed value two tolerances past the computed one, on the side that flips the verdict."""
+    c, tol = record.computed, record.tolerance
+    if record.claim_kind == "equals":
+        return c + 2.0 * tol if record.passed else c
+    at = abs(c) if record.claim_kind == "abs_less_than" else c.real
+    side = -1.0 if record.claim_kind == "greater_than" else 1.0
+    return at + (-side if record.passed else side) * 2.0 * tol
+
+
+def _margin(record):
+    """The least move of the claim that flips the verdict, signed: positive where the record passes."""
+    c, claimed, tol = record.computed, record.claimed, record.tolerance
+    if record.claim_kind == "equals":
+        return tol - max(abs(c.real - claimed.real), abs(c.imag - claimed.imag))
+    if record.claim_kind == "greater_than":
+        return c.real - (claimed.real + tol)
+    at = abs(c) if record.claim_kind == "abs_less_than" else c.real
+    return claimed.real - tol - at
+
+
+def _moved_claims(records, names):
+    """``_CLAIMS`` with the claims of ``names`` moved by ``_claim_past``."""
+    return tuple(
+        (stage, tuple(
+            (name, kind, _claim_past(records[name]) if name in names else claimed, tol)
+            for name, kind, claimed, tol in rows
+        ))
+        for stage, rows in contradiction._CLAIMS
+    )
+
+
+def test_every_claim_moved_past_its_computed_value_flips(monkeypatch, records):
+    # each row's claim goes 2 tolerances past its computed value: every pass
+    # becomes a fail and c3_real's fail a pass; the margin printed is the
+    # least move of the claim that flips its row, so a loose gate shows
+    monkeypatch.setattr(contradiction, "_CLAIMS", _moved_claims(records, records))
+    flipped = {r.name: r for r in run_verification().records}
+    assert flipped.keys() == records.keys()
+    print()
+    for name, rec in records.items():
+        assert flipped[name].passed is not rec.passed, name
+        assert (_margin(rec) > 0) is rec.passed and (_margin(flipped[name]) > 0) is not rec.passed
+        print(f"{name}: {rec.claim_kind}, flips at a move of {abs(_margin(rec)):.3g}")
+    assert flipped["c3_real"].passed
+
+
+def test_c3_claim_moved_past_its_computed_value_clears_the_report(monkeypatch, records):
+    # c3_real alone past its computed value: the one failing record passes, and so does the report
+    monkeypatch.setattr(contradiction, "_CLAIMS", _moved_claims(records, {"c3_real"}))
+    assert run_verification().passed

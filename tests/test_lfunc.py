@@ -24,7 +24,6 @@ from lfverify.lfunc import (
     CriticalZero,
     ScanResult,
     WeightParams,
-    _digamma,
     _log_gamma,
     c_star,
     delta_fn,
@@ -186,12 +185,12 @@ _SPECIAL_VALUES = {
     "weight_const(chi4)": lambda: frak_a(_oracle_chi("chi4")),
     "weight_const(chi5)": lambda: frak_a(_oracle_chi("chi5")),
     "weight_const(chi8)": lambda: frak_a(_oracle_chi("chi8")),
-    "loggamma((0.5 + 3.0j))": lambda: complex(_log_gamma(0.5 + 3j)),
-    "loggamma((10.0 - 5.0j))": lambda: complex(_log_gamma(10.0 - 5j)),
-    "loggamma(0.1)": lambda: complex(_log_gamma(0.1)),
-    "loggamma((-5.5 + 0.0j))": lambda: complex(_log_gamma(-5.5 + 0j)),
-    "loggamma((40.0 + 1000.0j))": lambda: complex(_log_gamma(40.0 + 1000j)),
-    "loggamma((2.5 - 700.0j))": lambda: complex(_log_gamma(2.5 - 700j)),
+    "loggamma((0.5 + 3.0j))": lambda: complex(_log_gamma(0.5 + 3j)[0]),
+    "loggamma((10.0 - 5.0j))": lambda: complex(_log_gamma(10.0 - 5j)[0]),
+    "loggamma(0.1)": lambda: complex(_log_gamma(0.1)[0]),
+    "loggamma((-5.5 + 0.0j))": lambda: complex(_log_gamma(-5.5 + 0j)[0]),
+    "loggamma((40.0 + 1000.0j))": lambda: complex(_log_gamma(40.0 + 1000j)[0]),
+    "loggamma((2.5 - 700.0j))": lambda: complex(_log_gamma(2.5 - 700j)[0]),
     "vartheta((0.3 + 2.0j))": lambda: vartheta(0.3 + 2j),
     "vartheta((0.5 + 3.0j))": lambda: vartheta(0.5 + 3j),
     "vartheta((-0.7 + 11.0j))": lambda: vartheta(-0.7 + 11j),
@@ -224,8 +223,8 @@ def test_log_gamma_phase_on_the_line(h):
     # being shifted, alone or in an array
     with mpmath.workdps(30):
         ref = [float(mpmath.loggamma(mpmath.mpc(h, t / 2)).imag) for t in _LINE_TS]
-    alone = [float(_log_gamma(h + 0.5j * t).imag) for t in _LINE_TS]
-    together = _log_gamma(h + 0.5j * np.array(_LINE_TS)).imag
+    alone = [float(_log_gamma(h + 0.5j * t)[0].imag) for t in _LINE_TS]
+    together = _log_gamma(h + 0.5j * np.array(_LINE_TS))[0].imag
     assert np.max(np.abs(np.array(alone) - ref)) <= 1e-12
     assert np.max(np.abs(together - ref)) <= 1e-12
 
@@ -237,10 +236,10 @@ def test_log_gamma_shifts_only_the_small_elements(h):
     z = h + 0.5j * np.linspace(0.0, 100.0, 4001)
     small = np.abs(z) < 10.0
     assert 0 < small.sum() < len(z)
-    got = _log_gamma(z)
-    assert np.array_equal(got[small], _log_gamma(z[small]))
-    assert np.array_equal(got[~small], _log_gamma(z[~small]))
-    assert _log_gamma(h + 3j).shape == ()
+    got = _log_gamma(z)[0]
+    assert np.array_equal(got[small], _log_gamma(z[small])[0])
+    assert np.array_equal(got[~small], _log_gamma(z[~small])[0])
+    assert _log_gamma(h + 3j).shape == (1,)
 
 
 # small |z| (shifted), the Stirling region just past |z| = 10 unshifted, and
@@ -251,15 +250,15 @@ _LOG_GAMMA_POINTS = (0.3 + 0.2j, 10.5, 0.25 + 10.1j, -10.5 + 3j, -0.3 - 12j, -30
 def test_log_gamma_matches_mpmath():
     with mpmath.workdps(30):
         ref = np.array([complex(mpmath.loggamma(z)) for z in _LOG_GAMMA_POINTS])
-    got = np.array([complex(_log_gamma(z)) for z in _LOG_GAMMA_POINTS])
+    got = np.array([complex(_log_gamma(z)[0]) for z in _LOG_GAMMA_POINTS])
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
 
 
 def test_digamma_matches_mpmath():
     with mpmath.workdps(30):
         ref = np.array([complex(mpmath.digamma(z)) for z in _LOG_GAMMA_POINTS])
-    alone = np.array([complex(_digamma(z)) for z in _LOG_GAMMA_POINTS])
-    together = _digamma(np.array(_LOG_GAMMA_POINTS))
+    alone = np.array([complex(_log_gamma(z, ds=True)[1]) for z in _LOG_GAMMA_POINTS])
+    together = _log_gamma(np.array(_LOG_GAMMA_POINTS), ds=True)[1]
     assert np.max(np.abs(alone - ref) / np.abs(ref)) <= 1e-14
     assert np.max(np.abs(together - ref) / np.abs(ref)) <= 1e-14
 
@@ -269,17 +268,18 @@ def test_digamma_shifts_only_the_small_elements(h):
     # as for log Gamma: each part of a mixed array comes out as if alone
     z = h + 0.5j * np.linspace(0.0, 100.0, 4001)
     small = np.abs(z) < 10.0
-    got = _digamma(z)
-    assert np.array_equal(got[small], _digamma(z[small]))
-    assert np.array_equal(got[~small], _digamma(z[~small]))
-    assert _digamma(h + 3j).shape == ()
+    got = _log_gamma(z, ds=True)[1]
+    assert np.array_equal(got[small], _log_gamma(z[small], ds=True)[1])
+    assert np.array_equal(got[~small], _log_gamma(z[~small], ds=True)[1])
+    assert _log_gamma(h + 3j, ds=True).shape == (2,)
 
 
 def _mp_m_prime(chi, t):
     """-i dM/dt of the rotated line value by mpmath's numerical derivative."""
     q = chi.modulus
     table = [chi(n) for n in range(q)]
-    eps, h = lfunc._root_number(chi)
+    eps, a = lfunc._root_number(chi)
+    h = (0.5 + a) / 2
     with mpmath.workdps(30):
 
         def m(x):
@@ -688,11 +688,18 @@ _GRID_PANELS = tuple(
 
 
 @pytest.mark.parametrize("q", (5, 11))
-def test_grid_line_values_match_pointwise(q):
+def test_grid_line_values_match_pointwise(monkeypatch, q):
     chi = primitive_characters(q)[-1]
+    # the complex M rows of the grid path's calls: the giant-by-baby call, cut
+    # to the grid, and the off-step point's call if there is one
+    line, rows = lfunc._m_line, []
+    monkeypatch.setattr(lfunc, "_m_line", lambda *args: rows.append(line(*args)) or rows[-1])
     for t in _GRID_PANELS:
-        grid = lfunc._m_grid(chi, t, 0.02)
-        pointwise = lfunc._m_line(chi, t)
+        rows.clear()
+        real = lfunc._m_raw_line(chi, t, 0.02)
+        grid = np.concatenate([rows[0][0, : len(t) + 1 - len(rows)]] + [r[0] for r in rows[1:]])
+        assert np.array_equal(grid.real, real)
+        pointwise = line(chi, t)[0]
         err = np.abs(grid - pointwise) / np.abs(pointwise).max()
         assert err.max() <= 1e-11, (t[0], len(t), float(err.max()))
 
@@ -752,8 +759,8 @@ def test_residue_block_budget_leaves_every_bit(monkeypatch):
     def values():
         out = [lfunc._l_values(chi, 0.5 + 1j * t), lfunc._l_values(chi, 0.5 + 1j * t[:1])]
         out += [lfunc._l_values(chi, 0.5 + 1j * giant, baby)]
-        out += lfunc._m_line(chi, t, ds=True) + lfunc._m_line(chi, t[-1:], ds=True)
-        out += lfunc._m_line(chi, t, 0.3 * np.arange(4), ds=True)
+        out += [lfunc._m_line(chi, t, ds=True), lfunc._m_line(chi, t[-1:], ds=True)]
+        out += [lfunc._m_line(chi, t, 0.3 * np.arange(4), ds=True)]
         out += [np.array([l_function(s, chi) for s in (1.0, 1.0005, 0.5 + 10j, 0.3 + 899j)])]
         return [np.asarray(v).tobytes() for v in out]
 
@@ -841,6 +848,33 @@ def test_find_zeros_validation():
         find_zeros(chi, 1.0, 10.0, step=0.2)
     with pytest.raises(DomainError):
         find_zeros(character_group(4)[0], 1.0, 10.0)
+
+
+def _no_line(psi, t, step=None):
+    raise AssertionError("a refused scan evaluated the line")
+
+
+@pytest.mark.parametrize("step", (1e-300, 5e-324, 1e-9, 9.99e-6))
+def test_find_zeros_refuses_a_grid_past_its_cap(monkeypatch, step):
+    # 1e-300 overflowed np.arange and 5e-324 int() of the step count; 1e-9
+    # asks for 10^10 points (80 GB) on [1, 11], and 9.99e-6 for 1,001,002:
+    # each is refused before a grid is built or a line value taken
+    monkeypatch.setattr(lfunc, "_m_raw_line", _no_line)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="more than 1,000,000 steps"):
+            find_zeros(real_primitive_character(4), 1.0, 11.0, step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_find_zeros_takes_a_grid_at_its_cap(monkeypatch):
+    # exactly 10^6 steps of 2^-7; line values of 1 leave no bracket to refine
+    monkeypatch.setattr(lfunc, "_m_raw_line", lambda psi, t, step=None: np.ones(len(t)))
+    scan = find_zeros(real_primitive_character(4), 1.0, 1.0 + 10**6 * 2**-7, 2**-7)
+    assert (len(scan), scan.panels) == (0, 251)
 
 
 def test_c_star_real_and_guarded(tmp_path):
