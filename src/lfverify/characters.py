@@ -31,7 +31,7 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from .numerics import DomainError
+from .numerics import DomainError, Validated
 
 # ---------------------------------------------------------------------------
 # elementary arithmetic helpers
@@ -113,7 +113,9 @@ def _snap(z: complex) -> complex:
     return complex(re, im)
 
 
-class DirichletCharacter(namedtuple("DirichletCharacter", "modulus values parity real conductor")):
+class DirichletCharacter(
+    Validated, namedtuple("DirichletCharacter", "modulus values parity real conductor")
+):
     """Value table of a character mod q; index n % q; parity chi(-1) = +1 even, -1 odd."""
 
     __slots__ = ()
@@ -313,7 +315,7 @@ def _chi_array(n_max: int, chi: DirichletCharacter) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _chi_free_tables(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """1, mu and tau_2 = 1 * 1 over 0..n_max, read-only; kept for the last n_max."""
-    one = np.ones(n_max + 1)
+    one = np.broadcast_to(1.0, n_max + 1)  # a view: the tables only multiply by it
     mu = np.ones(n_max + 1)
     for p in primes_up_to(n_max):
         mu[p::p] *= -1
@@ -341,13 +343,13 @@ def _coefficient_table(n_max: int, chi: DirichletCharacter) -> tuple[np.ndarray,
 
 
 def nu(n: int, chi: DirichletCharacter) -> complex:
-    """Divisor transform (1 * chi)(n)."""
-    return complex(_coefficient_table(n, chi)[0][n])
+    """Divisor transform (1 * chi)(n) = sum_{d|n} chi(d); factorize refuses n >= 10^7."""
+    return complex(sum(chi(d) for d in divisors(n)))
 
 
 def upsilon(n: int, chi: DirichletCharacter) -> complex:
-    """Dirichlet inverse of nu: upsilon(1)=1, sum_{d|n} nu(d) upsilon(n/d) = 0."""
-    return complex(_coefficient_table(n, chi)[1][n])
+    """Dirichlet inverse of nu: sum_{d|n} mu(d) mu(n/d) chi(n/d); factorize refuses n >= 10^7."""
+    return complex(sum(mobius(d) * mobius(n // d) * chi(n // d) for d in divisors(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Command-line front end and machine-readable reporting.
 
 Three subcommands, one stable exit-code contract (0 = all checks pass,
-1 = a verification failed, 2 = usage or environment error):
+1 = a verification failed, 2 = usage or environment error).  A command
+refuses bad input by raising DomainError, and an unwritable output path
+raises OSError; ``main`` alone turns either into one ``error:`` line on
+stderr and exit 2.
 
 * ``constants``   recomputes the full constant pipeline and compares every
   claimed value and inequality, writing a JSON or markdown report;
@@ -127,30 +130,27 @@ def _markdown(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(doc: dict, fmt: str, out_path: str) -> bool:
+def _emit(doc: dict, fmt: str, out_path: str) -> None:
     if fmt == "json":
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         text = _markdown(doc)
     if out_path in (None, "-"):
         sys.stdout.write(text)
-        return True
+        return
     try:
         with open(out_path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return False
-    return True
+        exc.filename = out_path  # an error at write or close names no file
+        raise
 
 
 def cmd_verify_constants(args) -> int:
     from . import contradiction
 
     report = contradiction.run_verification()
-    doc = _document(constants=report.records, notes=report.notes)
-    if not _emit(doc, args.format, args.out):
-        return 2
+    _emit(_document(constants=report.records, notes=report.notes), args.format, args.out)
     return 0 if report.passed else 1
 
 
@@ -209,34 +209,21 @@ def _identity_rows(max_n: int, moduli: list[int]) -> list[tuple[str, float, bool
 
 def cmd_identities(args) -> int:
     if not 1 <= args.max_n <= 10**6:
-        print("error: --max-n must be between 1 and 10^6", file=sys.stderr)
-        return 2
+        raise DomainError("--max-n must be between 1 and 10^6")
     try:
         moduli = [int(tok) for tok in args.moduli.split(",") if tok.strip()]
     except ValueError:
-        print(f"error: cannot parse --moduli {args.moduli!r}", file=sys.stderr)
-        return 2
+        raise DomainError(f"cannot parse --moduli {args.moduli!r}") from None
     if not moduli:
-        print("error: --moduli is empty", file=sys.stderr)
-        return 2
+        raise DomainError("--moduli is empty")
     repeated = sorted({q for q in moduli if moduli.count(q) > 1})
     if repeated:
-        print(f"error: --moduli repeats {', '.join(map(str, repeated))}", file=sys.stderr)
-        return 2
+        raise DomainError(f"--moduli repeats {', '.join(map(str, repeated))}")
     if max(moduli) > _MODULUS_LIMIT:
-        print(f"error: --moduli entries must be at most {_MODULUS_LIMIT}", file=sys.stderr)
-        return 2
-    try:
-        rows = _identity_rows(args.max_n, moduli)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    doc = _document(
-        identities=rows,
-        parameters={"max_n": args.max_n, "moduli": moduli},
-    )
-    if not _emit(doc, args.format, args.out):
-        return 2
+        raise DomainError(f"--moduli entries must be at most {_MODULUS_LIMIT}")
+    rows = _identity_rows(args.max_n, moduli)
+    doc = _document(identities=rows, parameters={"max_n": args.max_n, "moduli": moduli})
+    _emit(doc, args.format, args.out)
     return 0 if all(ok for _, _, ok in rows) else 1
 
 
@@ -250,39 +237,29 @@ def cmd_zeros(args) -> int:
     # mpmath only up to t = 999.9, and a scan's cost grows as T^2
     t_limit = lfunc._T_LIMIT
     if not 0 < args.modulus <= _MODULUS_LIMIT:
-        print(f"error: --modulus must be between 1 and {_MODULUS_LIMIT}", file=sys.stderr)
-        return 2
-    if not 0 < args.step <= 0.05:
-        print("error: --step must be positive and at most 0.05", file=sys.stderr)
-        return 2
+        raise DomainError(f"--modulus must be between 1 and {_MODULUS_LIMIT}")
+    if not 0 < args.step <= lfunc._STEP_LIMIT:
+        raise DomainError(f"--step must be positive and at most {lfunc._STEP_LIMIT:g}")
     if not 0 < args.t_max <= t_limit:
-        print(f"error: --t-max must be positive and at most {t_limit:g}", file=sys.stderr)
-        return 2
+        raise DomainError(f"--t-max must be positive and at most {t_limit:g}")
     if args.alpha_hat is not None and not 0 < args.alpha_hat <= t_limit:
-        print(f"error: --alpha-hat must be positive and at most {t_limit:g}", file=sys.stderr)
-        return 2
+        raise DomainError(f"--alpha-hat must be positive and at most {t_limit:g}")
     prims = characters.primitive_characters(args.modulus)
     if not prims:
-        print(f"error: no primitive characters mod {args.modulus}", file=sys.stderr)
-        return 2
+        raise DomainError(f"no primitive characters mod {args.modulus}")
     if not 0 <= args.char_index < len(prims):
-        print(
-            f"error: --char-index out of range (0..{len(prims) - 1} for modulus "
-            f"{args.modulus})",
-            file=sys.stderr,
+        raise DomainError(
+            f"--char-index out of range (0..{len(prims) - 1} for modulus {args.modulus})"
         )
-        return 2
     psi = prims[args.char_index]
     csv_path = args.csv or f"zeros_mod{args.modulus}_chi{args.char_index}.csv"
 
-    if args.t_max <= args.step:
-        scan = lfunc.ScanResult((), (), 0)
-    else:
+    scan = lfunc.ScanResult((), (), 0)
+    if args.t_max > args.step:
         try:
             scan = lfunc.find_zeros(psi, args.step, args.t_max, args.step)
         except (lfunc.BranchError, ConvergenceError, DomainError) as exc:
-            print(f"error: scan failed: {exc}", file=sys.stderr)
-            return 2
+            raise DomainError(f"scan failed: {exc}") from exc
 
     alpha = args.alpha_hat
     if alpha is None:
@@ -292,11 +269,7 @@ def cmd_zeros(args) -> int:
         else:
             alpha = 1.0
 
-    try:
-        n_rows = lfunc.export_zeros_csv(csv_path, scan, psi, alpha)
-    except OSError as exc:
-        print(f"error: cannot write {csv_path}: {exc}", file=sys.stderr)
-        return 2
+    n_rows = lfunc.export_zeros_csv(csv_path, scan, psi, alpha)
 
     # audit the emitted table rather than any in-memory copy
     eligible = violations = blank = 0
@@ -339,8 +312,7 @@ def cmd_zeros(args) -> int:
                 "alpha_hat": alpha,
             },
         )
-        if not _emit(doc, "json", args.out):
-            return 2
+        _emit(doc, "json", args.out)
     return 1 if violations or blank else 0
 
 
@@ -397,7 +369,13 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_zeros)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

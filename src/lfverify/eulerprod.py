@@ -36,7 +36,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .characters import DirichletCharacter, factorize
-from .numerics import DomainError
+from .numerics import DomainError, Validated
 
 # enough series terms for |weight| <= 0.72 to reach 1e-17 tails
 _SERIES_LEN = 260
@@ -87,7 +87,7 @@ _CASES = {
 IDENTITY_CASES = tuple(_CASES)
 
 
-class LocalFactorParams(namedtuple("LocalFactorParams", "u v betas")):
+class LocalFactorParams(Validated, namedtuple("LocalFactorParams", "u v betas")):
     __slots__ = ()
 
     def __new__(cls, u: float, v: int, betas: tuple[complex, complex, complex]):

@@ -25,7 +25,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from .characters import DirichletCharacter, gauss_sum
-from .numerics import _NODES15, _WEIGHTS15, ConvergenceError, DomainError, integrate
+from .numerics import _NODES15, _WEIGHTS15, ConvergenceError, DomainError, Validated, integrate
 
 _TWO_PI = 2.0 * math.pi
 
@@ -457,7 +457,7 @@ def m_function(t: float, psi: DirichletCharacter) -> float:
 # zero scanning
 
 
-class CriticalZero(namedtuple("CriticalZero", "gamma radius")):
+class CriticalZero(Validated, namedtuple("CriticalZero", "gamma radius")):
     """A bracketed simple sign change of the rotated line value."""
 
     __slots__ = ()
@@ -498,6 +498,8 @@ _PROBE_RADIUS = 1e-6
 _REFINE_STEPS = 40
 # a scan takes at most this many grid steps: 20 times the default grid to T = 1000
 _MAX_GRID_STEPS = 10**6
+# the largest grid step; above it the 10-point start stops closing every bracket in one call
+_STEP_LIMIT = 0.05
 
 
 def _sign_changes(vals: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -616,8 +618,8 @@ def find_zeros(
         raise DomainError("scan needs a primitive character")
     if not 0 < t_min < t_max:
         raise DomainError("need 0 < t_min < t_max")
-    if not 0 < step <= 0.05:
-        raise DomainError("step must be positive and at most 0.05")
+    if not 0 < step <= _STEP_LIMIT:
+        raise DomainError(f"step must be positive and at most {_STEP_LIMIT:g}")
     if (t_max - t_min) / step > _MAX_GRID_STEPS:
         raise DomainError(f"step {step:g} cuts the scan into more than {_MAX_GRID_STEPS:,} steps")
     n_pts = int(math.floor((t_max - t_min) / step)) + 1
@@ -713,7 +715,7 @@ def c_star(rho: CriticalZero, psi: DirichletCharacter, alpha_hat: float) -> floa
 # smoothing weights
 
 
-class WeightParams(namedtuple("WeightParams", "S L2 t0")):
+class WeightParams(Validated, namedtuple("WeightParams", "S L2 t0")):
     """Desk-scale stand-ins for the smoothing parameters.
 
     t0 of at least 10 * L2 keeps the window comfortably oscillatory; the
@@ -882,8 +884,12 @@ def export_zeros_csv(
         rows.append((f"{z.gamma:.12f}", f"{z.radius:.3e}", cs, f"{gap:.12f}" if gap else ""))
     import csv
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("gamma", "radius", "c_star", "forward_gap"))
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("gamma", "radius", "c_star", "forward_gap"))
+            writer.writerows(rows)
+    except OSError as exc:
+        exc.filename = path  # an error at write or close names no file
+        raise
     return len(rows)

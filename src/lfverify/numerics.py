@@ -1,4 +1,4 @@
-"""Fixed-panel Gauss-Legendre quadrature and the package's shared error types.
+"""Fixed-panel Gauss-Legendre quadrature, the shared error types and the record base.
 
 ``integrate`` splits [a, b] into equal panels, applies one 15-point
 Gauss-Legendre rule on each and adds the panel sums in order.  The caller
@@ -23,6 +23,16 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iteration failed to converge within its budget."""
+
+
+class Validated:
+    """First base of a validating namedtuple: ``_make``, and so ``_replace``, call the class."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 QuadratureResult = namedtuple("QuadratureResult", "value evaluations")

@@ -317,6 +317,22 @@ def test_shared_coefficient_tables_are_read_only():
             table[7] = 2.0
 
 
+def test_scalar_coefficients_build_no_table(monkeypatch):
+    # one n is a sum over its divisors, not a table up to n
+    def no_table(n_max, chi):
+        raise AssertionError(f"built a table to {n_max}")
+
+    monkeypatch.setattr(characters, "_coefficient_table", no_table)
+    chi = real_primitive_character(5)
+    # 9999 = 3^2 11 101 and chi(3) = -1, chi(11) = chi(101) = 1
+    assert (nu(9999, chi), upsilon(9999, chi)) == (4, -4)
+    for n in (0, 10**7):
+        with pytest.raises(DomainError):
+            nu(n, chi)
+        with pytest.raises(DomainError):
+            upsilon(n, chi)
+
+
 def test_identity_810_spot_values():
     chi = real_primitive_character(3)
     for n in (1, 2, 7, 12, 36, 97, 360, 1024, 9973):

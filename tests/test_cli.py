@@ -333,6 +333,87 @@ def test_zeros_refuses_a_step_past_the_grid_cap(tmp_path, capsys, step):
     assert not (tmp_path / "z.csv").exists()
 
 
+def _unwritable(path):
+    return f"cannot write {path}: [Errno 2] No such file or directory: '{path}'"
+
+
+_ZEROS4 = ["zeros", "--modulus", "4", "--t-max", "10"]
+_T_MAX = "--t-max must be positive and at most 1000"
+_ALPHA = "--alpha-hat must be positive and at most 1000"
+_MODULI = "--moduli entries must be at most 1000"
+# every refusal: its argv, its one stderr line after "error: ", and its stdout
+_REFUSALS = [
+    (["identities", "--max-n", "0"], "--max-n must be between 1 and 10^6", ""),
+    (["identities", "--max-n", "2000000"], "--max-n must be between 1 and 10^6", ""),
+    (["identities", "--moduli", "3,x"], "cannot parse --moduli '3,x'", ""),
+    (["identities", "--moduli", ","], "--moduli is empty", ""),
+    (["identities", "--max-n", "10", "--moduli", "6"], "no real primitive character mod 6", ""),
+    (["identities", "--max-n", "10", "--moduli=-4"], "no real primitive character mod -4", ""),
+    (["identities", "--max-n", "10", "--moduli", "3,1000000007"], _MODULI, ""),
+    (["identities", "--max-n", "10", "--moduli", "1001"], _MODULI, ""),
+    (["identities", "--max-n", "10", "--moduli", "3,3"], "--moduli repeats 3", ""),
+    (["identities", "--max-n", "10", "--moduli", "4,5,8,5,4"], "--moduli repeats 4, 5", ""),
+    (
+        ["identities", "--max-n", "10", "--moduli", "3", "--out", "missing/r.json"],
+        _unwritable("missing/r.json"),
+        "",
+    ),
+    (["zeros", "--modulus", "0", "--t-max", "10"], "--modulus must be between 1 and 1000", ""),
+    (["zeros", "--modulus", "6", "--t-max", "10"], "no primitive characters mod 6", ""),
+    (["zeros", "--modulus", "1009", "--t-max", "10"], "--modulus must be between 1 and 1000", ""),
+    (["zeros", "--modulus", "4", "--t-max", "-1"], _T_MAX, ""),
+    (["zeros", "--modulus", "4", "--t-max", "1000.5"], _T_MAX, ""),
+    (_ZEROS4 + ["--step", "0.5"], "--step must be positive and at most 0.05", ""),
+    (
+        ["zeros", "--modulus", "5", "--t-max", "10", "--step", "1e-9"],
+        "scan failed: step 1e-09 cuts the scan into more than 1,000,000 steps",
+        "",
+    ),
+    (_ZEROS4 + ["--char-index", "5"], "--char-index out of range (0..0 for modulus 4)", ""),
+    *[(_ZEROS4 + ["--alpha-hat", a], _ALPHA, "") for a in ("-1", "nan", "inf", "1e300", "1001")],
+    (_ZEROS4 + ["--csv", "missing/z.csv"], _unwritable("missing/z.csv"), ""),
+    (
+        _ZEROS4 + ["--csv", "z.csv", "--out", "missing/r.json"],
+        _unwritable("missing/r.json"),
+        "1 zeros -> z.csv; alpha_hat=1, 0 eligible, 0 below floor\n",
+    ),
+    (["constants", "--out", "missing/x.json"], _unwritable("missing/x.json"), ""),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message, stdout", _REFUSALS, ids=[" ".join(argv) for argv, _, _ in _REFUSALS]
+)
+def test_each_refusal_is_one_error_line_and_exit_2(
+    tmp_path, monkeypatch, capsys, argv, message, stdout
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == stdout
+    # no report anywhere; only the zero table written before the unwritable --out
+    assert sorted(os.listdir(tmp_path)) == (["z.csv"] if stdout else [])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--out", "/dev/full"],
+        ["identities", "--max-n", "10", "--moduli", "3", "--out", "/dev/full"],
+        _ZEROS4 + ["--csv", "/dev/full"],
+        _ZEROS4 + ["--csv", "z.csv", "--out", "/dev/full"],
+    ],
+)
+def test_a_failed_write_names_its_path(tmp_path, monkeypatch, capsys, argv):
+    # the open succeeds and the write or close fails with an OSError that names no file
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write /dev/full: [Errno 28] ") and err.count("\n") == 1
+
+
 # the table of `zeros --modulus 720 --t-max 20 --char-index 47` (gamma, c*): its
 # CSV's sha256 begins 02032953 under OpenBLAS's SkylakeX, Prescott and
 # Sandybridge kernels; under Haswell and Zen the first c* ends in ...527

@@ -124,3 +124,29 @@ def test_integrate_returns_a_quadrature_result():
     res = integrate(lambda x: 1.0, 0.0, 2.0, panels=3)
     assert isinstance(res, QuadratureResult)
     assert res.evaluations == 45 and abs(res.value - 2.0) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WeightParams()._replace(L2=-1.0),
+        lambda: CriticalZero._make((-5.0, 1.0)),
+        lambda: LocalFactorParams._make((0.3, 5, ())),
+        lambda: real_primitive_character(5)._replace(modulus=7),
+    ],
+)
+def test_make_and_replace_validate(build):
+    # the namedtuple helpers build through the validating constructor
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_valid_replace_keeps_type_and_value():
+    p = WeightParams()._replace(L2=6.0)
+    assert type(p) is WeightParams and p == WeightParams(10.0, 6.0, 2000.0)
+    z = CriticalZero._make((5.0, 1e-9))
+    assert type(z) is CriticalZero and z == CriticalZero(5.0, 1e-9)
+    params = LocalFactorParams(0.2, 1, ZERO)._replace(v=-1)
+    assert type(params) is LocalFactorParams and params == LocalFactorParams(0.2, -1, ZERO)
+    chi = real_primitive_character(5)
+    assert chi._replace() == chi and type(chi._replace()) is DirichletCharacter
