@@ -124,8 +124,6 @@ def _markdown(doc: dict) -> str:
         for r in doc["identities"]:
             gap = "nan" if r["max_gap"] is None else f"{r['max_gap']:.3e}"
             lines.append(f"| {r['name']} | {gap} | {'yes' if r['pass'] else 'NO'} |")
-    if doc["zeros"]:
-        lines += ["", f"Zero table: {doc['zeros']}"]
     lines += ["", f"_generated {doc['meta']['timestamp']}_", ""]
     return "\n".join(lines)
 

@@ -162,9 +162,9 @@ def _euler_maclaurin(
 
     ``a`` is one residue or a 1-d array of R of them, with one weight c_a
     each.  The result has shape (1, I J) over the points s row by row, or
-    (2, I J) with ``ds``, [1] holding d/ds.  A running sum
-    (np.add.accumulate) adds the weighted rows in the order of a, so no row
-    outlives its block.  A residue takes N (I + J) (1 + ds) elements in P,
+    (2, I J) with ``ds``, [1] holding d/ds.  A running sum adds the
+    weighted rows one at a time in the order of a, so no row outlives its
+    block.  A residue takes N (I + J) (1 + ds) elements in P,
     C and P log(n+a), and up to ``_BLOCK_ROWS`` rows of I J; the residues
     go in blocks of at most ``_BLOCK_ELEMENTS`` of these, and at least one,
     which keeps a block near 4 MB whatever q is.  Without the budget,
@@ -186,8 +186,8 @@ def _euler_maclaurin(
     s = (rows[:, None] + 1j * cols).ravel()
     if not pole_free and (s == 1.0).any():
         raise DomainError("pole at s = 1")
-    s_abs = max(1, math.ceil(float(np.max(np.abs(s)))))
-    n_shift, n_terms = _em_shift(s_abs, float(np.min(s.real)))
+    s_abs = max(1, math.ceil(float(np.abs(s).max())))
+    n_shift, n_terms = _em_shift(s_abs, float(s.real.min()))
     # row k - 1 is c_k (s)_(2k-1) / N^(2k-1): x = s / N times the running product
     # of (s + 2j - 1)(s + 2j) / N^2 = x (x + (4j - 1) / N) + 2j (2j - 1) / N^2,
     # built in place in ``tail``, since each fresh M x I J temporary page-faults
@@ -215,8 +215,8 @@ def _euler_maclaurin(
     total = np.zeros((1 + ds, len(s)), dtype=np.complex128)
     for i in range(0, len(a), per_block):
         block = _em_block(s, rows, cols, a[i : i + per_block], n_shift, tail, ds, pole_free)
-        terms = weights[i : i + per_block, None, None] * block.swapaxes(0, 1)
-        total = np.add.accumulate(np.concatenate((total[None], terms)), axis=0)[-1]
+        for term in weights[i : i + per_block, None, None] * block.swapaxes(0, 1):
+            total += term
     return total
 
 
@@ -228,8 +228,10 @@ def _em_block(s, rows, cols, a, n_shift, tail, ds, pole_free) -> np.ndarray:
     np.exp(p_mat, out=p_mat)
     # zero columns are a stride-0 broadcast of 1, which numpy's matmul sums in index
     # order, not by BLAS: values at rows alone, a point's too, are the same on every CPU
-    ones = np.broadcast_to(np.complex128(1.0), (len(a), n_shift, len(cols)))
-    c_mat = np.exp(ln[:, :, None] * (-1j * cols)) if cols.any() else ones
+    if cols.any():
+        c_mat = np.exp(ln[:, :, None] * (-1j * cols))
+    else:
+        c_mat = np.broadcast_to(np.complex128(1.0), (len(a), n_shift, len(cols)))
     head = (p_mat @ c_mat).reshape(len(a), -1)
     s = s[None]
     w = n_shift + a[:, None]
@@ -290,7 +292,7 @@ def _l_values(
     q = chi.modulus
     s = (rows[:, None] + 1j * cols).ravel()
     pole_free = not chi.is_principal and bool((np.abs(s - 1.0) < 1e-1).all())
-    c = np.array([chi(a) for a in range(1, q + 1)], dtype=np.complex128)
+    c = np.array(chi.values[1:] + chi.values[:1], dtype=np.complex128)
     a = np.flatnonzero(c) + 1
     total = np.exp(-s * math.log(q)) * _euler_maclaurin(rows, cols, a / q, c[a - 1], ds, pole_free)
     if ds:
@@ -330,9 +332,11 @@ def _log_gamma(z, ds: bool = False) -> np.ndarray:
     # 1-d, so the shifted elements can be assigned into
     flat = np.asarray(z, dtype=np.complex128).ravel()
     small = (np.abs(flat) < 10.0) | (flat.real < 0.0)
-    w = flat.copy()
     n = math.ceil(10.0 - float(flat.real[small].min())) if small.any() else 0
-    w[small] += n
+    w = flat
+    if n:
+        w = flat.copy()
+        w[small] += n
     log_w = np.log(w)
     r = 1.0 / w
     r2 = r * r
@@ -438,7 +442,7 @@ def _m_raw_line(
         vals = _m_line(theta, giant, step * np.arange(b))[0, :k_len]
         if off_step:
             vals = np.append(vals, _m_line(theta, t[k_len:])[0])
-    worst = float(np.max(np.abs(vals.imag))) if len(vals) else 0.0
+    worst = float(np.abs(vals.imag).max()) if len(vals) else 0.0
     if worst > 1e-8:
         raise BranchError(f"rotation left imaginary residue {worst:.3e}")
     return vals.real
@@ -494,6 +498,9 @@ _PANEL_POINTS = 4000
 _ZERO_RADIUS = 0.5e-9
 # a refinement pair's least radius after a miss
 _PROBE_RADIUS = 1e-6
+# ``_cubic_root`` takes Python floats up to this many rows and arrays above:
+# the two forms cost the same near 16 rows of 10 points
+_FLOAT_ROWS = 16
 # batched line evaluations a panel's brackets may take before the scan gives up
 _REFINE_STEPS = 40
 # a scan takes at most this many grid steps: 20 times the default grid to T = 1000
@@ -526,7 +533,15 @@ def _cubic_root(t, f, lo, hi, flo, fhi) -> np.ndarray:
 
     4 Newton steps from the regula falsi point of [lo, hi] (end values flo, fhi);
     a row whose iterate is not finite or leaves [lo, hi] takes that point instead.
+    Both forms do the same IEEE operations in the same order; up to
+    ``_FLOAT_ROWS`` rows, Python floats skip the arrays' 200-odd ufunc calls.
     """
+    form = _cubic_root_floats if len(lo) <= _FLOAT_ROWS else _cubic_root_array
+    return form(t, f, lo, hi, flo, fhi)
+
+
+def _cubic_root_array(t, f, lo, hi, flo, fhi) -> np.ndarray:
+    """``_cubic_root`` over arrays, all rows at once."""
     rf = (lo * fhi - hi * flo) / (fhi - flo)
     c = f.copy()
     x, kept = rf, np.ones(len(rf), dtype=bool)
@@ -534,13 +549,47 @@ def _cubic_root(t, f, lo, hi, flo, fhi) -> np.ndarray:
         for j in range(1, c.shape[1]):
             c[:, j:] = (c[:, j:] - c[:, j - 1 : -1]) / (t[:, j:] - t[:, :-j])
         for _ in range(4):
+            d = x[:, None] - t
             p, dp = c[:, -1], 0.0
             for j in range(c.shape[1] - 2, -1, -1):
-                d = x - t[:, j]
-                dp, p = dp * d + p, p * d + c[:, j]
+                dp, p = dp * d[:, j] + p, p * d[:, j] + c[:, j]
             x = x - p / dp
             kept &= (lo <= x) & (x <= hi)
     return np.where(kept, x, rf)
+
+
+def _cubic_root_floats(t, f, lo, hi, flo, fhi) -> np.ndarray:
+    """``_cubic_root`` row by row in Python floats.
+
+    A zero divisor raises ZeroDivisionError here, where the array form goes
+    on with inf or nan: a zero node spacing makes the top divided difference,
+    and so the iterate, inf or nan, as does a zero derivative.  Either
+    iterate leaves [lo, hi], so in both forms the row takes the regula falsi
+    point.
+    """
+    rf = ((lo * fhi - hi * flo) / (fhi - flo)).tolist()
+    out = []
+    for ts, c, a, b, x0 in zip(t.tolist(), f.tolist(), lo.tolist(), hi.tolist(), rf):
+        x = x0
+        try:
+            for j in range(1, len(c)):
+                # k falling, so c[k - 1] still holds order j - 1, as in the array form
+                for k in range(len(c) - 1, j - 1, -1):
+                    c[k] = (c[k] - c[k - 1]) / (ts[k] - ts[k - j])
+            horner = tuple(zip(ts[-2::-1], c[-2::-1]))
+            for _ in range(4):
+                p, dp = c[-1], 0.0
+                for tj, cj in horner:
+                    d = x - tj
+                    dp, p = dp * d + p, p * d + cj
+                x = x - p / dp
+                if not a <= x <= b:
+                    x = x0
+                    break
+        except ZeroDivisionError:
+            x = x0
+        out.append(x)
+    return np.array(out)
 
 
 def _refine(
@@ -571,7 +620,8 @@ def _refine(
         return x
     for _ in range(_REFINE_STEPS):
         a, b = x[idx] - r[idx], x[idx] + r[idx]
-        fa, fb = np.split(_m_raw_line(psi, np.concatenate((a, b))), 2)
+        f_pair = _m_raw_line(psi, np.concatenate((a, b)))
+        fa, fb = f_pair[: len(a)], f_pair[len(a) :]
         straddle = (np.sign(fa) == np.sign(flo[idx])) & (np.sign(fb) == -np.sign(flo[idx]))
         shut = straddle & (r[idx] == _ZERO_RADIUS) & (np.abs(fa) >= floor) & (np.abs(fb) >= floor)
         if shut.all():

@@ -596,6 +596,72 @@ def test_cubic_root_falls_back_to_regula_falsi_without_warnings():
     assert np.array_equal(got, (lo * fhi - hi * flo) / (fhi - flo))
 
 
+@pytest.fixture(scope="module")
+def scan_start_rows():
+    """The (t, f, lo, hi, flo, fhi) rows of the 130 brackets of the T = 200 scan's start."""
+    calls = []
+
+    def spy(*rows):
+        calls.append(rows)
+        return lfunc._cubic_root_array(*rows)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lfunc, "_cubic_root", spy)
+        find_zeros(primitive_characters(5)[0], 0.02, 200)
+    return calls[0]
+
+
+def _random_start_rows(points, n_rows):
+    # sorted nodes around a smooth sign change, each bracket between two
+    # middle nodes, so some rows converge and some take the regula falsi point
+    rng = np.random.default_rng(points)
+    t = np.sort(rng.uniform(0.0, 1.0, (n_rows, points)), axis=1)
+    k = points // 2 - 1
+    root = rng.uniform(t[:, k], t[:, k + 1])[:, None]
+    f = np.sin(rng.uniform(1.0, 20.0, (n_rows, 1)) * (t - root)) + rng.normal(0.0, 1e-3, t.shape)
+    return t, f, t[:, k], t[:, k + 1], f[:, k], f[:, k + 1]
+
+
+def _fallback_rows():
+    t = np.array([[0.0, 0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0]])
+    f = np.array([[-1.0, -1.0, 1.0, 3.0], [1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 4.0, 9.0]])
+    lo, hi = np.array([0.0, 0.0, 1.5]), np.array([1.0, 1.0, 2.0])
+    return t, f, lo, hi, np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 3.0])
+
+
+def _start_cases(kind, scan):
+    """Row sets for both root-start forms: the scan's, whole and sliced, random ones, fallbacks."""
+    if kind == "scan":
+        return [scan]
+    if kind == "scan slices":
+        size = lfunc._FLOAT_ROWS
+        cases = [tuple(v[i : i + size] for v in scan) for i in range(0, len(scan[0]), size)]
+        return cases + [tuple(v[i : i + 1] for v in scan) for i in range(0, len(scan[0]), 7)]
+    if kind == "fallbacks":
+        return [_fallback_rows()]
+    points = {"random 10-point": 10, "random 4-point": 4}[kind]
+    return [_random_start_rows(points, n) for n in (1, 9, 40)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "kind", ["scan", "scan slices", "random 10-point", "random 4-point", "fallbacks"]
+)
+def test_cubic_root_forms_agree_bit_for_bit(scan_start_rows, kind):
+    # the float form must repeat the array form's IEEE operations in order, so
+    # a scan's starts do not depend on how many brackets its window holds
+    cases = _start_cases(kind, scan_start_rows)
+    for case in cases:
+        want = lfunc._cubic_root_array(*case)
+        assert np.array_equal(lfunc._cubic_root_floats(*case), want)
+        assert np.array_equal(lfunc._cubic_root(*case), want)
+    if kind == "scan":
+        assert len(scan_start_rows[0]) == 130 > lfunc._FLOAT_ROWS
+    if kind == "fallbacks":
+        lo, hi, flo, fhi = cases[0][2:]
+        assert np.array_equal(want, (lo * fhi - hi * flo) / (fhi - flo))
+
+
 def test_find_zeros_gammas_match_a_fine_secant(full_scans):
     # the secant on [gamma -+ 2e-9] is exact to about 1e-17 for a simple
     # zero, so it measures how far the refined centre is from the zero
