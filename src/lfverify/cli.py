@@ -1,18 +1,21 @@
 """Command-line front end and machine-readable reporting.
 
 Three subcommands, one stable exit-code contract (0 = all checks pass,
-1 = a verification failed, 2 = usage or environment error).  A command
-refuses bad input by raising DomainError, and an unwritable output path
-raises OSError; ``main`` alone turns either into one ``error:`` line on
-stderr and exit 2.
+1 = a verification failed, 2 = usage or environment error).  Every check of
+every command is a ``numerics.VerificationRecord``, and every command
+returns through ``_finish``, which writes the report and returns 0 if all
+its records passed, else 1.  A command refuses bad input by raising
+DomainError, and an unwritable output path raises OSError; ``main`` alone
+turns either into one ``error:`` line on stderr and exit 2.
 
 * ``constants``   recomputes the full constant pipeline and compares every
   claimed value and inequality, writing a JSON or markdown report;
 * ``identities``  brute-forces the exact arithmetic identities, the
   coefficient bounds, and the per-prime local-factor identities;
 * ``zeros``       scans a critical-line segment, writes a CSV of zeros with
-  their triple-product ratios, and fails if an eligible zero has a
-  ratio below the floor or no computable ratio.
+  their triple-product ratios, and audits the rows it wrote: it fails if an
+  eligible zero has a ratio below the floor or no computable ratio, or if a
+  ratio's sign disagrees with the parity of the listed zeros above it.
 
 Reports follow the schema in report_schema.json (shipped in the package);
 complex numbers are serialized as {"re": ..., "im": ...} and two runs with
@@ -31,8 +34,8 @@ from datetime import datetime, timezone
 # each command imports the modules it runs, so that `constants` loads
 # neither numpy nor the L-function layer; the record types are namedtuples,
 # so no command loads inspect or generates class code at import, and `csv`
-# is imported only where a zero table is written or read
-from .numerics import ConvergenceError, DomainError
+# is imported only where a zero table is written
+from .numerics import ConvergenceError, DomainError, VerificationRecord, verdict
 
 SCHEMA_VERSION = "1"
 _ELIGIBILITY_FACTOR = 3.0
@@ -54,32 +57,35 @@ def _cnum(z: complex) -> dict:
     return {"re": _num(z.real), "im": _num(z.imag)}
 
 
-def _document(constants=(), notes=(), identities=(), zeros=None, parameters=None):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "constants": [
-            {
-                "name": r.name,
-                "computed": _cnum(r.computed),
-                "claim_kind": r.claim_kind,
-                "claimed": _cnum(r.claimed),
-                "tolerance": r.tolerance,
-                "pass": r.passed,
-            }
-            for r in constants
-        ],
-        "notes": list(notes),
-        "identities": [
-            {"name": name, "max_gap": _num(gap), "pass": bool(ok)}
-            for name, gap, ok in identities
-        ],
-        "zeros": zeros,
-        "meta": {
-            "quadrature_tol": None,
-            "parameters": parameters or {},
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        },
-    }
+# the keys a record maps onto in each command's section of the report
+_ROWS = {
+    "constants": lambda r: {
+        "name": r.name, "computed": _cnum(r.computed), "claim_kind": r.claim_kind,
+        "claimed": _cnum(r.claimed), "tolerance": r.tolerance, "pass": r.passed,
+    },
+    "identities": lambda r: {"name": r.name, "max_gap": _num(r.computed.real), "pass": r.passed},
+    "zeros": lambda r: {"name": r.name, "count": int(r.computed.real), "pass": r.passed},
+}
+
+
+def _finish(args, section, records, notes=(), parameters=None, zeros=None) -> int:
+    """Write the report where --out points and return the exit code: 0 if
+    every record passed, else 1.
+
+    The records fill the command's ``section``; a `zeros` run puts them in
+    its ``zeros`` object as ``checks``, and writes no report without --out.
+    """
+    if args.out is not None:
+        meta = {"quadrature_tol": None, "parameters": parameters or {}}
+        meta["timestamp"] = datetime.now(timezone.utc).isoformat()
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "constants": [], "notes": list(notes), "identities": [], "zeros": None, "meta": meta,
+        }
+        rows = [_ROWS[section](r) for r in records]
+        doc[section] = rows if zeros is None else {**zeros, "checks": rows}
+        _emit(doc, args.format, args.out)
+    return 0 if all(r.passed for r in records) else 1
 
 
 def _fmt_complex(d: dict) -> str:
@@ -94,33 +100,18 @@ def _fmt_complex(d: dict) -> str:
 def _markdown(doc: dict) -> str:
     lines = ["# lfverify report", ""]
     if doc["constants"]:
-        lines += [
-            "## Constants",
-            "",
-            "| name | computed | claim | claimed | tolerance | pass |",
-            "|---|---|---|---|---|---|",
-        ]
+        header = "| name | computed | claim | claimed | tolerance | pass |"
+        lines += ["## Constants", "", header, "|---|---|---|---|---|---|"]
         for r in doc["constants"]:
+            ok = "yes" if r["pass"] else "NO"
             lines.append(
-                "| {name} | {comp} | {kind} | {clm} | {tol:.3g} | {ok} |".format(
-                    name=r["name"],
-                    comp=_fmt_complex(r["computed"]),
-                    kind=r["claim_kind"],
-                    clm=_fmt_complex(r["claimed"]),
-                    tol=r["tolerance"],
-                    ok="yes" if r["pass"] else "NO",
-                )
+                f"| {r['name']} | {_fmt_complex(r['computed'])} | {r['claim_kind']} "
+                f"| {_fmt_complex(r['claimed'])} | {r['tolerance']:.3g} | {ok} |"
             )
         if doc["notes"]:
             lines += ["", "Notes:"] + [f"- {note}" for note in doc["notes"]]
     if doc["identities"]:
-        lines += [
-            "",
-            "## Identities",
-            "",
-            "| name | max gap | pass |",
-            "|---|---|---|",
-        ]
+        lines += ["", "## Identities", "", "| name | max gap | pass |", "|---|---|---|"]
         for r in doc["identities"]:
             gap = "nan" if r["max_gap"] is None else f"{r['max_gap']:.3e}"
             lines.append(f"| {r['name']} | {gap} | {'yes' if r['pass'] else 'NO'} |")
@@ -148,16 +139,15 @@ def cmd_verify_constants(args) -> int:
     from . import contradiction
 
     report = contradiction.run_verification()
-    _emit(_document(constants=report.records, notes=report.notes), args.format, args.out)
-    return 0 if report.passed else 1
+    return _finish(args, "constants", report.records, notes=report.notes)
 
 
-def _identity_rows(max_n: int, moduli: list[int]) -> list[tuple[str, float, bool]]:
+def _identity_rows(max_n: int, moduli: list[int]) -> list[VerificationRecord]:
     import numpy as np
 
     from . import characters, eulerprod
 
-    rows: list[tuple[str, float, bool]] = []
+    rows: list[VerificationRecord] = []
     chis = [characters.real_primitive_character(q) for q in moduli]
     # one pass for every modulus, sharing the character-free divisor pairs,
     # over chunks of n, keeping each modulus's running maximum
@@ -167,11 +157,12 @@ def _identity_rows(max_n: int, moduli: list[int]) -> list[tuple[str, float, bool
         ns = np.arange(lo, min(lo + step, max_n + 1))
         worst_gaps = np.maximum(worst_gaps, characters.identity_810_gaps(ns, chis).max(axis=1))
     for q, chi, worst in zip(moduli, chis, worst_gaps.tolist()):
-        rows.append((f"divisor_sum_mod{q}", worst, worst <= 1e-12))
+        rows.append(verdict(f"divisor_sum_mod{q}", worst, "at_most", 1e-12))
         _, _, gap = characters.check_lemma_171(chi)
-        rows.append((f"euler_product_mod{q}", gap, gap < 1e-4))
+        rows.append(verdict(f"euler_product_mod{q}", gap, "less_than", 1e-4))
+        # a negative margin shows as 0, which passes exactly where the margin does
         margin = characters.coefficient_bound_margin(max_n, chi)
-        rows.append((f"coefficient_bounds_mod{q}", max(margin, 0.0), margin <= 1e-9))
+        rows.append(verdict(f"coefficient_bounds_mod{q}", max(margin, 0.0), "at_most", 1e-9))
 
     zero_shifts = (0j, 0j, 0j)
     worst_exact = 0.0
@@ -186,12 +177,11 @@ def _identity_rows(max_n: int, moduli: list[int]) -> list[tuple[str, float, bool
                     case, eulerprod.LocalFactorParams(1.0 / p, v, zero_shifts)
                 )
                 worst_exact = max(worst_exact, gap)
-    rows.append(("local_factor_cases", worst_exact, worst_exact <= 1e-12))
+    rows.append(verdict("local_factor_cases", worst_exact, "at_most", 1e-12))
 
     shifts = tuple(1j * math.pi * k * 1e-3 for k in (1, 2, 3))
     shift_mag = abs(shifts[2])
-    worst_env = 0.0
-    env_ok = True
+    envelope = []
     for p in (1009, 2003, 4001, 7919, 9973):
         bound = 10.0 * shift_mag * math.log(p) / p
         for case in ("A1", "A3", "A6", "L152", "L161"):
@@ -199,9 +189,10 @@ def _identity_rows(max_n: int, moduli: list[int]) -> list[tuple[str, float, bool
                 _, _, gap = eulerprod.check_local_identity(
                     case, eulerprod.LocalFactorParams(1.0 / p, v, shifts)
                 )
-                worst_env = max(worst_env, gap)
-                env_ok = env_ok and gap <= bound
-    rows.append(("local_factor_envelope", worst_env, env_ok))
+                envelope.append(verdict("local_factor_envelope", gap, "at_most", bound))
+    # each gap meets its own prime's bound; the row shows the worst gap
+    worst = max(envelope, key=lambda r: r.computed.real)
+    rows.append(worst._replace(passed=all(r.passed for r in envelope)))
     return rows
 
 
@@ -220,13 +211,11 @@ def cmd_identities(args) -> int:
     if max(moduli) > _MODULUS_LIMIT:
         raise DomainError(f"--moduli entries must be at most {_MODULUS_LIMIT}")
     rows = _identity_rows(args.max_n, moduli)
-    doc = _document(identities=rows, parameters={"max_n": args.max_n, "moduli": moduli})
-    _emit(doc, args.format, args.out)
-    return 0 if all(ok for _, _, ok in rows) else 1
+    return _finish(args, "identities", rows, parameters={"max_n": args.max_n, "moduli": moduli})
 
 
 def cmd_zeros(args) -> int:
-    import csv
+    import bisect
 
     from . import characters, lfunc
 
@@ -261,27 +250,32 @@ def cmd_zeros(args) -> int:
 
     alpha = args.alpha_hat
     if alpha is None:
-        gammas = [z.gamma for z in scan]
-        if len(gammas) >= 2:
-            alpha = 0.5 * (gammas[-1] - gammas[0]) / (len(gammas) - 1)
-        else:
-            alpha = 1.0
+        gaps = len(scan) - 1
+        alpha = 0.5 * (scan[-1].gamma - scan[0].gamma) / gaps if gaps > 0 else 1.0
 
-    n_rows = lfunc.export_zeros_csv(csv_path, scan, psi, alpha)
+    rows = lfunc.export_zeros_csv(csv_path, scan, psi, alpha)
 
-    # audit the emitted table rather than any in-memory copy
-    eligible = violations = blank = 0
-    with open(csv_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if not row["forward_gap"]:
-                continue
-            if float(row["forward_gap"]) > _ELIGIBILITY_FACTOR * alpha:
-                if row["c_star"] == "":
-                    blank += 1
-                    continue
+    # audit the strings written to the table rather than any in-memory copy
+    gammas = [float(row[0]) for row in rows]
+    radius = max((float(row[1]) for row in rows), default=0.0)
+    eligible = violations = blank = compared = mismatches = 0
+    for gamma, (_, _, c_star, gap) in zip(gammas, rows):
+        if gap and float(gap) > _ELIGIBILITY_FACTOR * alpha:
+            if c_star:
                 eligible += 1
-                if float(row["c_star"]) < _C_STAR_FLOOR:
-                    violations += 1
+                violations += float(c_star) < _C_STAR_FLOOR
+            else:
+                blank += 1
+        # at a simple zero, sign c* = (-1)^(k1 + k2 + k3) with k_j the zeros
+        # in (gamma, gamma + j alpha); the list holds them only up to t_max,
+        # and a shift inside a zero's bracket leaves its k_j undecided
+        shifts = [gamma + j * alpha for j in (1, 2, 3)]
+        if c_star and shifts[-1] <= args.t_max:
+            below = [bisect.bisect_left(gammas, t - radius) for t in shifts]
+            if all(n == bisect.bisect_right(gammas, t + radius) for n, t in zip(below, shifts)):
+                compared += 1
+                k = sum(below) - 3 * bisect.bisect_right(gammas, gamma)
+                mismatches += float(c_star) * (-1) ** k <= 0
 
     if scan.flagged:
         print(
@@ -289,29 +283,28 @@ def cmd_zeros(args) -> int:
             "unresolved double zeros",
             file=sys.stderr,
         )
-    if blank:
-        # an eligible zero without a ratio is an unverified claim
-        print(
-            f"error: {blank} eligible zero(s) without a computable ratio",
-            file=sys.stderr,
-        )
+    # an eligible zero without a ratio is an unverified claim
+    for count, what in (
+        (blank, "eligible zero(s) without a computable ratio"),
+        (mismatches, "zero(s) whose c* sign disagrees with the parity of the zeros above"),
+    ):
+        if count:
+            print(f"error: {count} {what}", file=sys.stderr)
     print(
-        f"{n_rows} zeros -> {csv_path}; alpha_hat={alpha:.6g}, "
+        f"{len(rows)} zeros -> {csv_path}; alpha_hat={alpha:.6g}, "
         f"{eligible} eligible, {violations} below floor"
     )
-    if args.out:
-        doc = _document(
-            zeros=csv_path,
-            parameters={
-                "modulus": args.modulus,
-                "char_index": args.char_index,
-                "t_max": args.t_max,
-                "step": args.step,
-                "alpha_hat": alpha,
-            },
-        )
-        _emit(doc, "json", args.out)
-    return 1 if violations or blank else 0
+    counts = {"c_star_floor": violations, "c_star_computable": blank, "c_star_parity": mismatches}
+    records = [verdict(name, count, "at_most", 0) for name, count in counts.items()]
+    zeros = {
+        "table": csv_path, "found": len(rows), "flagged": len(scan.flagged),
+        "eligible": eligible, "compared": compared,
+    }
+    parameters = {
+        "modulus": args.modulus, "char_index": args.char_index, "t_max": args.t_max,
+        "step": args.step, "alpha_hat": alpha,
+    }
+    return _finish(args, "zeros", records, parameters=parameters, zeros=zeros)
 
 
 def main(argv=None) -> int:
@@ -364,7 +357,7 @@ def main(argv=None) -> int:
     )
     p.add_argument("--csv", default=None, help="zero table path")
     p.add_argument("--out", default=None, help="optional JSON report path")
-    p.set_defaults(func=cmd_zeros)
+    p.set_defaults(func=cmd_zeros, format="json")
 
     args = parser.parse_args(argv)
     try:

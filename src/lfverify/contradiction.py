@@ -31,16 +31,9 @@ from .kernels import (
     BETA, IOTA2, IOTA3, IOTA4, RESIDUE_WEIGHTS, SHIFT_A, SHIFT_B, TILDE_F_SLOPE, Z1, Z2, Z3,
     _wrap, eval_f, eval_g, eval_w, eval_y,
 )
-from .numerics import DomainError, integrate
+from .numerics import DomainError, VerificationRecord, integrate, verdict
 
 _PI = math.pi
-
-
-# one checked claim: a computed value against its stated comparison, whose
-# claim_kind is equals, less_than, greater_than or abs_less_than
-VerificationRecord = namedtuple(
-    "VerificationRecord", "name computed claim_kind claimed tolerance passed"
-)
 
 
 class VerificationReport(namedtuple("VerificationReport", "records notes")):
@@ -293,30 +286,6 @@ def compute_j1_bound() -> float:
     return (TILDE_F_SLOPE**2 / _PI) * complex(total).real
 
 
-def _record(
-    name: str,
-    computed: complex,
-    kind: str,
-    claimed: complex,
-    tolerance: float,
-) -> VerificationRecord:
-    computed = complex(computed)
-    if kind == "equals":
-        ok = (
-            abs(computed.real - complex(claimed).real) <= tolerance
-            and abs(computed.imag - complex(claimed).imag) <= tolerance
-        )
-    elif kind == "less_than":
-        ok = computed.real < complex(claimed).real - tolerance
-    elif kind == "greater_than":
-        ok = computed.real > complex(claimed).real + tolerance
-    elif kind == "abs_less_than":
-        ok = abs(computed) < complex(claimed).real - tolerance
-    else:
-        raise DomainError(f"unknown claim kind {kind!r}")
-    return VerificationRecord(name, computed, kind, complex(claimed), tolerance, ok)
-
-
 # guard band for strict inequality claims; tiny bounds get half themselves
 def _guard(bound: float) -> float:
     return min(1e-7, abs(bound) / 2.0) if bound else 1e-7
@@ -421,7 +390,7 @@ def _notes(c3: VerificationRecord) -> tuple[str, ...]:
     factors = (BETA[6] * Z1, BETA[7] * Z2, BETA[6] * Z3)
     gap = f"{abs(c3.computed.real - c3.claimed.real):.1e}".replace("e-0", "e-")
     bound = f"the claimed bound {c3.claimed.real:g} by {gap}"
-    verdict = (
+    outcome = (
         f"below {bound}"
         if c3.passed
         else f"short of {bound}; the shortfall is recorded as a failing record on purpose"
@@ -433,7 +402,7 @@ def _notes(c3: VerificationRecord) -> tuple[str, ...]:
         "cross entries of the second block are normalized by the product of "
         "the two distinct window lengths, and the fast-slow cross entry "
         f"carries the short-gap phase advance {_phase(BETA[7] * SHIFT_B)}",
-        f"the final negative constant computes to {c3.computed.real:.6g}, {verdict}",
+        f"the final negative constant computes to {c3.computed.real:.6g}, {outcome}",
     )
 
 
@@ -452,6 +421,6 @@ def run_verification() -> VerificationReport:
             computed.update(stage(computed))
         except (DomainError, KeyError):
             computed.update((row[0], complex("nan")) for row in rows)
-        records.extend(_record(name, computed[name], *claim) for name, *claim in rows)
+        records.extend(verdict(name, computed[name], *claim) for name, *claim in rows)
     c3 = next(r for r in records if r.name == "c3_real")
     return VerificationReport(tuple(records), _notes(c3))

@@ -920,8 +920,8 @@ def export_zeros_csv(
     scan: ScanResult,
     psi: DirichletCharacter,
     alpha_hat: float,
-) -> int:
-    """Write gamma, radius, c_star, forward_gap rows; returns the row count.
+) -> list[tuple[str, str, str, str]]:
+    """Write gamma, radius, c_star, forward_gap rows; returns the rows as written.
 
     c_star comes from ``_c_star_batch`` and is blank where that gives NaN.
     """
@@ -942,4 +942,4 @@ def export_zeros_csv(
     except OSError as exc:
         exc.filename = path  # an error at write or close names no file
         raise
-    return len(rows)
+    return rows

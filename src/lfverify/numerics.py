@@ -1,4 +1,4 @@
-"""Fixed-panel Gauss-Legendre quadrature, the shared error types and the record base.
+"""Fixed-panel Gauss-Legendre quadrature, the shared error and verdict types, and the record base.
 
 ``integrate`` splits [a, b] into equal panels, applies one 15-point
 Gauss-Legendre rule on each and adds the panel sums in order.  The caller
@@ -36,6 +36,35 @@ class Validated:
 
 
 QuadratureResult = namedtuple("QuadratureResult", "value evaluations")
+
+
+# one checked claim of any command: a computed value against its stated
+# comparison, whose claim_kind is equals, less_than, greater_than,
+# abs_less_than or at_most
+VerificationRecord = namedtuple(
+    "VerificationRecord", "name computed claim_kind claimed tolerance passed"
+)
+
+
+def verdict(
+    name: str, computed: complex, kind: str, claimed: complex, tolerance: float = 0.0
+) -> VerificationRecord:
+    """The record of one claim, with the one rule that decides whether it passed."""
+    computed, claimed = complex(computed), complex(claimed)
+    if kind == "equals":
+        gap = computed - claimed  # componentwise, so each part is one rounding
+        ok = abs(gap.real) <= tolerance and abs(gap.imag) <= tolerance
+    elif kind == "less_than":
+        ok = computed.real < claimed.real - tolerance
+    elif kind == "greater_than":
+        ok = computed.real > claimed.real + tolerance
+    elif kind == "abs_less_than":
+        ok = abs(computed) < claimed.real - tolerance
+    elif kind == "at_most":
+        ok = computed.real <= claimed.real + tolerance
+    else:
+        raise DomainError(f"unknown claim kind {kind!r}")
+    return VerificationRecord(name, computed, kind, claimed, tolerance, ok)
 
 
 # numpy.polynomial.legendre.leggauss(15), bit for bit

@@ -94,6 +94,10 @@ def test_report_validates_against_packaged_schema(tmp_path):
     assert code == 0
     jsonschema.validate(json.loads((tmp_path / "i.json").read_text()), schema)
 
+    argv = ["zeros", "--modulus", "5", "--t-max", "20", "--csv", str(tmp_path / "z.csv")]
+    assert main(argv + ["--out", str(tmp_path / "z.json")]) == 0
+    jsonschema.validate(json.loads((tmp_path / "z.json").read_text()), schema)
+
 
 def test_identities_small_run(tmp_path):
     out = tmp_path / "identities.json"
@@ -165,7 +169,7 @@ def test_identities_checks_coefficient_bounds_up_to_max_n(monkeypatch):
     monkeypatch.setattr(
         characters, "identity_810_gaps", lambda ns, chis: np.zeros((len(chis), len(ns)))
     )
-    rows = {name: ok for name, _, ok in cli._identity_rows(20_000, [3])}
+    rows = {r.name: r.passed for r in cli._identity_rows(20_000, [3])}
     assert checked == [20_000]
     assert rows["coefficient_bounds_mod3"]
 
@@ -187,7 +191,7 @@ def test_identity_rows_hold_the_gaps_in_chunks_of_n(monkeypatch):
     from lfverify import characters, cli
 
     def hexed(rows):
-        return [(name, value.hex(), ok) for name, value, ok in rows]
+        return [(r.name, r.computed.real.hex(), r.passed) for r in rows]
 
     whole = hexed(cli._identity_rows(20_000, [3, 4, 5]))
     sizes = []
@@ -240,7 +244,7 @@ def test_identity_rows_under_a_corrupted_character(monkeypatch, residue, value, 
         return characters.DirichletCharacter(q, tuple(values), chi.parity, chi.real, chi.conductor)
 
     monkeypatch.setattr(characters, "real_primitive_character", corrupted)
-    rows = {name: ok for name, _, ok in cli._identity_rows(10_000, [5])}
+    rows = {r.name: r.passed for r in cli._identity_rows(10_000, [5])}
     names = ("divisor_sum_mod5", "euler_product_mod5", "coefficient_bounds_mod5")
     assert tuple(rows[name] for name in names) == verdicts
     assert all(ok for name, ok in rows.items() if name not in names)
@@ -271,10 +275,76 @@ def test_zeros_json_report(tmp_path):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["zeros"] == str(csv_path)
+    assert doc["zeros"]["table"] == str(csv_path)
     params = doc["meta"]["parameters"]
     assert params["modulus"] == 4
     assert params["alpha_hat"] > 0
+
+
+def _zeros_checks(parity_count=0):
+    return [
+        {"name": "c_star_floor", "count": 0, "pass": True},
+        {"name": "c_star_computable", "count": 0, "pass": True},
+        {"name": "c_star_parity", "count": parity_count, "pass": parity_count == 0},
+    ]
+
+
+def test_zeros_report_holds_the_counts_and_the_checks(tmp_path):
+    # the 2 zeros within 3 alpha_hat of T = 60 have neighbours above T that
+    # the list cannot see, so the parity row compares 25 of the 27
+    csv_path, out = tmp_path / "z.csv", tmp_path / "z.json"
+    argv = ["zeros", "--modulus", "5", "--t-max", "60", "--csv", str(csv_path), "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["zeros"] == {
+        "table": str(csv_path),
+        "found": 27,
+        "flagged": 0,
+        "eligible": 3,
+        "compared": 25,
+        "checks": _zeros_checks(),
+    }
+
+
+def test_zeros_parity_row_fails_on_a_dropped_zero(tmp_path, monkeypatch, capsys):
+    """Zero 14 of L(s, chi) mod 5 below T = 60 dropped from the scan flips the
+    parity that the list predicts for c* at one earlier zero.  The fixed
+    alpha_hat keeps every c*, and the floor audit still passes."""
+    from lfverify import lfunc
+
+    find = lfunc.find_zeros
+
+    def without_zero_14(*args):
+        scan = find(*args)
+        return lfunc.ScanResult(scan.zeros[:14] + scan.zeros[15:], scan.flagged, scan.panels)
+
+    csv_path, out = tmp_path / "z.csv", tmp_path / "z.json"
+    argv = ["zeros", "--modulus", "5", "--t-max", "60", "--alpha-hat", "1"]
+    argv += ["--csv", str(csv_path), "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(lfunc, "find_zeros", without_zero_14)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"26 zeros -> {csv_path}; alpha_hat=1, 3 eligible, 0 below floor\n"
+    assert captured.err == (
+        "error: 1 zero(s) whose c* sign disagrees with the parity of the zeros above\n"
+    )
+    zeros = json.loads(out.read_text())["zeros"]
+    assert (zeros["found"], zeros["compared"]) == (26, 24)
+    assert zeros["checks"] == _zeros_checks(parity_count=1)
+
+
+def test_zeros_parity_row_skips_a_shift_inside_a_bracket(tmp_path, capsys):
+    # two zeros below T = 10 mod 5: the default alpha_hat is half their gap,
+    # so the first zero's second shift lands on the second zero, where M
+    # and so c* (-6.2e-15 here) are rounding noise; that zero is not compared
+    csv_path, out = tmp_path / "z.csv", tmp_path / "z.json"
+    argv = ["zeros", "--modulus", "5", "--t-max", "10", "--csv", str(csv_path), "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    zeros = json.loads(out.read_text())["zeros"]
+    assert (zeros["found"], zeros["compared"]) == (2, 0)
+    assert zeros["checks"] == _zeros_checks()
 
 
 def test_zeros_empty_segment(tmp_path, capsys):
@@ -657,7 +727,7 @@ def test_local_factor_cases_under_a_scaled_exact_value(monkeypatch, scale, passe
     monkeypatch.setitem(
         eulerprod._CASES, "A2", case[:5] + (lambda u, v: case[5](u, v) * scale,)
     )
-    rows = {name: (gap, ok) for name, gap, ok in cli._identity_rows(10, [5])}
+    rows = {r.name: (r.computed.real, r.passed) for r in cli._identity_rows(10, [5])}
     gap, ok = rows["local_factor_cases"]
     print(f"\nlocal_factor_cases at a scale of 1 + {scale - 1:.0e}: gap {gap:.3e}")
     assert ok is passed
@@ -679,7 +749,7 @@ def test_local_factor_envelope_under_an_error_at_its_largest_prime(monkeypatch, 
         return case[5](u, v) + (factor * bound if round(1.0 / u) == p else 0.0)
 
     monkeypatch.setitem(eulerprod._CASES, "A1", case[:5] + (value,))
-    rows = {name: (gap, ok) for name, gap, ok in cli._identity_rows(10, [5])}
+    rows = {r.name: (r.computed.real, r.passed) for r in cli._identity_rows(10, [5])}
     gap, ok = rows["local_factor_envelope"]
     print(f"\nlocal_factor_envelope with {factor} x {bound:.3e} at p = {p}: gap {gap:.3e}")
     assert ok is passed

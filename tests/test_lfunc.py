@@ -973,10 +973,12 @@ def test_export_zeros_csv(tmp_path):
     chi = real_primitive_character(4)
     scan = find_zeros(chi, 5.0, 14.0)
     path = tmp_path / "zeros.csv"
-    n = export_zeros_csv(str(path), scan, chi, scan_alpha_hat(scan))
-    assert n == 3
+    written = export_zeros_csv(str(path), scan, chi, scan_alpha_hat(scan))
+    assert len(written) == 3
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    # the returned rows are the strings of the table, field for field
+    assert [tuple(r.values()) for r in rows] == written
     assert [r["gamma"][:7] for r in rows] == ["6.02094", "10.2437", "12.9880"]
     assert rows[-1]["forward_gap"] == ""
     for row in rows[:-1]:

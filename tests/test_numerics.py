@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lfverify.numerics import _NODES15, _WEIGHTS15, DomainError, integrate
+from lfverify.numerics import _NODES15, _WEIGHTS15, DomainError, integrate, verdict
 
 
 def test_polynomial_exact():
@@ -90,3 +90,33 @@ def test_deterministic_repeatability():
     b = integrate(f, 0.0, 3.0, panels=12)
     assert a.value == b.value
     assert a.evaluations == b.evaluations
+
+
+@pytest.mark.parametrize(
+    "kind, computed, claimed, tolerance, passed",
+    [
+        ("equals", 1.5 + 0.5j, 1.0 + 1.0j, 0.5, True),
+        ("equals", 1.5 + 0.5j, 1.0 + 1.0j, 0.25, False),
+        ("less_than", 1.0, 2.0, 1.0, False),
+        ("less_than", 0.5, 2.0, 1.0, True),
+        ("greater_than", 3.0, 2.0, 1.0, False),
+        ("greater_than", 3.5, 2.0, 1.0, True),
+        ("abs_less_than", -3j, 4.0, 1.0, False),
+        ("abs_less_than", -2.5j, 4.0, 1.0, True),
+        ("at_most", 1e-12, 1e-12, 0.0, True),
+        ("at_most", 2.0, 1.0, 1.0, True),
+        ("at_most", 1.0, 0.0, 0.0, False),
+        ("at_most", math.nan, 1.0, 0.0, False),
+    ],
+)
+def test_verdict_decides_each_kind_at_its_bound(kind, computed, claimed, tolerance, passed):
+    # strict kinds fail at their bound, equals and at_most pass there
+    record = verdict("row", computed, kind, claimed, tolerance)
+    assert record.passed is passed
+    assert isinstance(record.computed, complex) and record.claimed == complex(claimed)
+    assert (record.name, record.claim_kind, record.tolerance) == ("row", kind, tolerance)
+
+
+def test_verdict_refuses_an_unknown_kind():
+    with pytest.raises(DomainError, match="unknown claim kind"):
+        verdict("row", 1.0, "roughly", 1.0)
