@@ -36,15 +36,7 @@ from .numerics import DomainError, VerificationRecord, integrate, verdict
 _PI = math.pi
 
 
-class VerificationReport(namedtuple("VerificationReport", "records notes")):
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.records)
-
-    def failed_records(self) -> tuple[VerificationRecord, ...]:
-        return tuple(r for r in self.records if not r.passed)
+VerificationReport = namedtuple("VerificationReport", "records notes")
 
 
 # Every integrand below is an exponential polynomial, a sum of p_c(z) e^(cz)
@@ -286,13 +278,9 @@ def compute_j1_bound() -> float:
     return (TILDE_F_SLOPE**2 / _PI) * complex(total).real
 
 
-# guard band for strict inequality claims; tiny bounds get half themselves
-def _guard(bound: float) -> float:
-    return min(1e-7, abs(bound) / 2.0) if bound else 1e-7
-
-
+# a strict inequality claim with its guard band; tiny bounds get half themselves
 def _bound(name: str, kind: str, claimed: float) -> tuple[str, str, complex, float]:
-    return (name, kind, claimed, _guard(claimed))
+    return (name, kind, claimed, min(1e-7, abs(claimed) / 2.0) if claimed else 1e-7)
 
 
 # Each stage returns its computed values by claim name; it is handed the

@@ -25,7 +25,9 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from .characters import DirichletCharacter, gauss_sum
-from .numerics import _NODES15, _WEIGHTS15, ConvergenceError, DomainError, Validated, integrate
+from .numerics import (
+    _NODES15, _WEIGHTS15, ConvergenceError, DomainError, Validated, integrate, write_text,
+)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -785,13 +787,11 @@ class WeightParams(Validated, namedtuple("WeightParams", "S L2 t0")):
         return 0.5 + _TWO_PI * 1j * self.t0
 
 
-def g_weight(x: float, s_param: float) -> float:
-    """Smooth step (1 + erf(S log x)) / 2; complements to 1 under x -> 1/x."""
+def g_weight(x: float, p: WeightParams) -> float:
+    """Smooth step (1 + erf(S log x)) / 2, S = p.S; complements to 1 under x -> 1/x."""
     if x <= 0:
         raise DomainError("x must be positive")
-    if s_param <= 0:
-        raise DomainError("smoothing must be positive")
-    return 0.5 * (1.0 + math.erf(s_param * math.log(x)))
+    return 0.5 * (1.0 + math.erf(p.S * math.log(x)))
 
 
 def omega_weight(s: complex, p: WeightParams) -> complex:
@@ -932,14 +932,8 @@ def export_zeros_csv(
         gap = zs[i + 1].gamma - z.gamma if i + 1 < len(zs) else None
         cs = "" if math.isnan(ratio) else f"{ratio:.12g}"
         rows.append((f"{z.gamma:.12f}", f"{z.radius:.3e}", cs, f"{gap:.12f}" if gap else ""))
-    import csv
-
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("gamma", "radius", "c_star", "forward_gap"))
-            writer.writerows(rows)
-    except OSError as exc:
-        exc.filename = path  # an error at write or close names no file
-        raise
+    # every field is a formatted number or empty, so no field needs quoting
+    # and these are the bytes a csv writer makes
+    lines = [("gamma", "radius", "c_star", "forward_gap"), *rows]
+    write_text(path, "".join(",".join(line) + "\r\n" for line in lines))
     return rows

@@ -1,4 +1,4 @@
-"""Fixed-panel Gauss-Legendre quadrature, the shared error and verdict types, and the record base.
+"""Fixed-panel quadrature, the shared error and verdict types, the record base and the file writer.
 
 ``integrate`` splits [a, b] into equal panels, applies one 15-point
 Gauss-Legendre rule on each and adds the panel sums in order.  The caller
@@ -65,6 +65,17 @@ def verdict(
     else:
         raise DomainError(f"unknown claim kind {kind!r}")
     return VerificationRecord(name, computed, kind, claimed, tolerance, ok)
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` with no newline translation; an OSError from
+    the write or close names no file, so each OSError here is given ``path``."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        exc.filename = path
+        raise
 
 
 # numpy.polynomial.legendre.leggauss(15), bit for bit

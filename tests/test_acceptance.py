@@ -270,10 +270,11 @@ def test_criterion_12_triple_product_floor(full_scans):
 
 def test_criterion_13_complement_identity():
     rng = random.Random(20260817)
+    p = WeightParams()
     worst = 0.0
     for _ in range(1000):
         x = math.exp(rng.uniform(-6.0, 6.0))
-        worst = max(worst, abs(g_weight(x, 10.0) + g_weight(1.0 / x, 10.0) - 1.0))
+        worst = max(worst, abs(g_weight(x, p) + g_weight(1.0 / x, p) - 1.0))
     assert worst <= 1e-12
     print(f"\nPASS criterion 13 (complement): worst defect {worst:.2e}")
 

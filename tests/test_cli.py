@@ -593,8 +593,8 @@ _STDLIB_LOADS = textwrap.dedent(
 
 def test_commands_load_no_dataclasses_and_constants_no_inspect_or_csv(tmp_path):
     """A fresh interpreter imports the CLI and runs `constants` without dataclasses,
-    inspect or csv, and `identities` and `zeros` without dataclasses (numpy itself
-    imports inspect, and `zeros` writes its table with csv)."""
+    inspect or csv, and `identities` and `zeros` without dataclasses or csv (numpy
+    itself imports inspect, and `zeros` joins its table's rows itself)."""
     commands = [
         ["constants", "--out", str(tmp_path / "c.json")],
         ["identities", "--max-n", "100", "--out", str(tmp_path / "i.json")],
@@ -613,8 +613,9 @@ def test_commands_load_no_dataclasses_and_constants_no_inspect_or_csv(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["import"] == []
     assert seen["constants"] == []
-    assert "dataclasses" not in seen["identities"]
-    assert "dataclasses" not in seen["zeros"]
+    for command in ("identities", "zeros"):
+        assert "dataclasses" not in seen[command]
+        assert "csv" not in seen[command]
 
 
 _ONE_COMMAND = textwrap.dedent(
@@ -715,6 +716,40 @@ def test_zeros_audit_fails_when_m_prime_flips_sign(tmp_path, monkeypatch, capsys
     for a, b in zip(honest[1:], csv_path.read_text().splitlines()[1:], strict=True):
         (gamma, radius, c_star, gap), flip = a.split(","), b.split(",")
         assert flip == [gamma, radius, c_star[1:] if c_star[0] == "-" else "-" + c_star, gap]
+
+
+def test_local_factor_cases_checks_every_case_eulerprod_gives_a_value(monkeypatch):
+    # eulerprod alone decides where a case has no value: of the 144 zero-shift
+    # (case, p, v) calls, A6 at v = 0 and L162 at v = 1, p = 2 refuse, and the
+    # other 137 feed the row, so a new refusal cannot quietly shrink it; the
+    # envelope row takes every case at its five primes and v = -1, 1
+    from lfverify import cli, eulerprod
+    from lfverify.numerics import DomainError
+
+    check = eulerprod.check_local_identity
+    calls, shifted, refused = [], [], []
+
+    def spy(case, params):
+        key = (case, round(1.0 / params.u), params.v)
+        (shifted if any(params.betas) else calls).append(key)
+        try:
+            return check(case, params)
+        except DomainError:
+            refused.append(key)
+            raise
+
+    monkeypatch.setattr(eulerprod, "check_local_identity", spy)
+    cli._identity_rows(10, [5])
+    primes = (2, 3, 5, 7, 11, 13)
+    assert sorted(calls) == sorted(
+        (case, p, v) for case in eulerprod.IDENTITY_CASES for p in primes for v in (-1, 0, 1)
+    )
+    assert sorted(refused) == sorted([("A6", p, 0) for p in primes] + [("L162", 2, 1)])
+    assert len(calls) - len(refused) == 137
+    large = (1009, 2003, 4001, 7919, 9973)
+    assert sorted(shifted) == sorted(
+        (case, p, v) for case in eulerprod.IDENTITY_CASES for p in large for v in (-1, 1)
+    )
 
 
 @pytest.mark.parametrize("scale, passed", ((1 + 1e-9, False), (1 + 1e-13, True)))

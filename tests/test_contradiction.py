@@ -205,9 +205,9 @@ def test_report_shape(report, records):
 
 
 def test_exactly_one_record_fails(report):
-    failed = report.failed_records()
+    failed = [r for r in report.records if not r.passed]
     assert [r.name for r in failed] == ["c3_real"]
-    assert not report.passed
+    assert not all(r.passed for r in report.records)
 
 
 def test_c3_shortfall_is_genuine(records, frozen_constants):
@@ -243,7 +243,7 @@ def test_notes_report_a_c3_that_clears_its_bound(monkeypatch):
     compute = contradiction.compute_c3
     monkeypatch.setattr(contradiction, "compute_c3", lambda e: compute(e) - 0.02)
     rep = run_verification()
-    assert "c3_real" not in [r.name for r in rep.failed_records()]
+    assert "c3_real" not in [r.name for r in rep.records if not r.passed]
     assert rep.notes[2] == (
         "the final negative constant computes to -7.01093, "
         "below the claimed bound -6.9951 by 1.6e-2"
@@ -300,4 +300,4 @@ def test_every_claim_moved_past_its_computed_value_flips(monkeypatch, records):
 def test_c3_claim_moved_past_its_computed_value_clears_the_report(monkeypatch, records):
     # c3_real alone past its computed value: the one failing record passes, and so does the report
     monkeypatch.setattr(contradiction, "_CLAIMS", _moved_claims(records, {"c3_real"}))
-    assert run_verification().passed
+    assert all(r.passed for r in run_verification().records)

@@ -1006,14 +1006,31 @@ def test_weight_params_refuse_non_finite(field, value):
 
 
 def test_g_weight_complement_and_guards():
+    p = WeightParams()
     for x in (0.1, 0.5, 1.0, 3.7, 42.0):
-        assert abs(g_weight(x, 10.0) + g_weight(1.0 / x, 10.0) - 1.0) < 1e-12
-    assert g_weight(1.0, 10.0) == 0.5
-    assert g_weight(2.0, 10.0) > 0.999
+        assert abs(g_weight(x, p) + g_weight(1.0 / x, p) - 1.0) < 1e-12
+    assert g_weight(1.0, p) == 0.5
+    assert g_weight(2.0, p) > 0.999
     with pytest.raises(DomainError):
-        g_weight(0.0, 10.0)
+        g_weight(0.0, p)
     with pytest.raises(DomainError):
-        g_weight(1.0, -2.0)
+        g_weight(1.0, WeightParams(S=-2.0))
+
+
+def test_g_weight_follows_the_smoothing_of_its_params():
+    # S has one home, WeightParams, which alone refuses S <= 0
+    for s in (0.5, 10.0, 20.0):
+        p = WeightParams(S=s)
+        for x in (0.3, 0.9, 1.1, 7.0):
+            assert g_weight(x, p) == 0.5 * (1.0 + math.erf(s * math.log(x)))
+            assert abs(g_weight(x, p) + g_weight(1.0 / x, p) - 1.0) < 1e-12
+    # a larger S steepens the step: g(1.1) moves further from 1/2
+    assert 0.5 < g_weight(1.1, WeightParams(S=10.0)) < g_weight(1.1, WeightParams(S=20.0)) < 1.0
+    for s in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            WeightParams(S=s)
+        with pytest.raises(DomainError):
+            WeightParams()._replace(S=s)
 
 
 def test_omega_weight_peak_and_decay():
