@@ -16,7 +16,7 @@ operations of the term-by-term composition in ascending prime order.
 
 Work free of the character is done once: each block's primes, phi(n) and
 divisor pairs serve every character passed to ``identity_810_gaps``
-together, and 1, mu and tau_2 are kept, read-only, for the last n_max of
+together, and mu and tau_2 are kept, read-only, for the last n_max of
 ``_coefficient_table``.  No value changes from its character's own run.
 """
 
@@ -287,23 +287,24 @@ def gauss_sum(theta: DirichletCharacter) -> complex:
 # ---------------------------------------------------------------------------
 # coefficient layer: arrays over 0..N whose index 0 is unused
 
-def _dirichlet(a: np.ndarray, b: np.ndarray, cap: int | None = None) -> np.ndarray:
-    """(a * b)(n) for 1 <= n < len(a); with ``cap``, only factors <= cap count.
+def _dirichlet(a: np.ndarray | None, b: np.ndarray, cap: int | None = None) -> np.ndarray:
+    """(a * b)(n) for 1 <= n < len(b); with ``cap``, only factors <= cap count.
 
     Hyperbola split: the pairs d m = n with d <= sqrt(N) take one slice-add
     per d, and the rest, which all have m <= sqrt(N), one slice-add per m.
-    With ``cap`` every slice ends at the cap.
+    With ``cap`` every slice ends at the cap.  ``a`` None is the sequence of
+    ones, whose products by an exact 1.0 the slice-adds skip.
     """
-    n_max = len(a) - 1
+    n_max = len(b) - 1
     cap = n_max if cap is None else cap
     root = math.isqrt(n_max)
-    out = np.zeros(n_max + 1, dtype=np.result_type(a, b))
+    out = np.zeros(n_max + 1, dtype=np.result_type(np.float64 if a is None else a, b))
     for d in range(1, min(root, cap) + 1):
         top = min(cap, n_max // d)
-        out[d : d * top + 1 : d] += a[d] * b[1 : top + 1]
+        out[d : d * top + 1 : d] += b[1 : top + 1] if a is None else a[d] * b[1 : top + 1]
     for m in range(1, min(root, cap) + 1):
         top = min(cap, n_max // m)
-        out[(root + 1) * m : m * top + 1 : m] += b[m] * a[root + 1 : top + 1]
+        out[(root + 1) * m : m * top + 1 : m] += b[m] if a is None else b[m] * a[root + 1 : top + 1]
     return out
 
 
@@ -313,14 +314,13 @@ def _chi_array(n_max: int, chi: DirichletCharacter) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _chi_free_tables(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """1, mu and tau_2 = 1 * 1 over 0..n_max, read-only; kept for the last n_max."""
-    one = np.broadcast_to(1.0, n_max + 1)  # a view: the tables only multiply by it
+def _chi_free_tables(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """mu and tau_2 = 1 * 1 over 0..n_max, read-only; kept for the last n_max."""
     mu = np.ones(n_max + 1)
     for p in primes_up_to(n_max):
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
-    tables = one, mu, _dirichlet(one, one)
+    tables = mu, _dirichlet(None, np.broadcast_to(1.0, n_max + 1))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -335,9 +335,9 @@ def _coefficient_table(n_max: int, chi: DirichletCharacter) -> tuple[np.ndarray,
     """
     if n_max < 1:
         raise DomainError(f"coefficients start at n = 1, not {n_max}")
-    one, mu, tau2 = _chi_free_tables(n_max)
+    mu, tau2 = _chi_free_tables(n_max)
     chi_arr = _chi_array(n_max, chi)
-    nu_arr = _dirichlet(one, chi_arr)
+    nu_arr = _dirichlet(None, chi_arr)
     ups = _dirichlet(mu, mu * chi_arr)
     return nu_arr, ups, _dirichlet(nu_arr, ups, cap=chi.modulus**4), tau2
 
@@ -482,7 +482,7 @@ def check_lemma_171(chi: DirichletCharacter) -> tuple[float, float, float]:
     from . import lfunc
 
     s, cutoff, q = LEMMA_171_S, LEMMA_171_SERIES_CUTOFF, chi.modulus
-    nu_arr = _dirichlet(np.ones(cutoff + 1), _chi_array(cutoff, chi)).real
+    nu_arr = _dirichlet(None, _chi_array(cutoff, chi)).real
     n_vals = np.arange(1, cutoff + 1, dtype=float)
     lhs = float(np.sum(nu_arr[1:] ** 2 / n_vals**s))
 

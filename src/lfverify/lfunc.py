@@ -98,6 +98,10 @@ _BLOCK_ROWS = 16
 # the one column of a kernel call at the points rows alone
 _ZERO_COL = np.zeros(1)
 
+# the read-only 1 that a zero column's stride-0 factor repeats
+_ONE = np.ones(1, dtype=np.complex128)
+_ONE.setflags(write=False)
+
 
 class BranchError(RuntimeError):
     """Continuity or realness of the rotated line values broke down."""
@@ -136,8 +140,45 @@ def _em_shift(s_abs: int, sigma: float) -> tuple[int, int]:
     return best
 
 
+# the line path's by-value tables: at most _CHARACTERS characters' residues
+# and root numbers, and _TABLES of the kernel's shift and block constants; a
+# block's only when its call is that one block and it holds at most
+# _TABLE_ELEMENTS floats (32 kB): a call cut into blocks, as at q = 997,
+# would cycle through more blocks than the cache holds
+_CHARACTERS = 64
+_TABLES = 256
+_TABLE_ELEMENTS = 1 << 12
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _tail_columns(n_shift: int, n_terms: int) -> tuple[np.ndarray, ...]:
+    """(4j - 1) / N, 2j (2j - 1) / N^2 and c_(j+1), j < M: the M x 1 columns of the tail rows."""
+    j = np.arange(n_terms)[:, None]
+    step, rise = (4 * j - 1) / n_shift, 2 * j * (2 * j - 1) / n_shift**2
+    return _read_only(step, rise, _EM_COEFFS[:n_terms, None])
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _block_table(a_bytes: bytes, n_shift: int, n_terms: int) -> tuple:
+    """log(n + a), n < N, w = N + a, log w as floats and as a column, and (N / w)^(2k-1),
+    k <= M, for the residues a whose float64 bytes are ``a_bytes``; arrays read-only."""
+    a = np.frombuffer(a_bytes)
+    ln = np.log(np.arange(n_shift, dtype=np.float64) + a[:, None])
+    w = n_shift + a[:, None]
+    lws = tuple(math.log(v) for v in w[:, 0])
+    ratios = (n_shift / w) ** np.arange(1, 2 * n_terms, 2)
+    ln, w, lw, ratios = _read_only(ln, w, np.array(lws)[:, None], ratios)
+    return ln, w, lws, lw, ratios
+
+
 def _euler_maclaurin(
-    rows: np.ndarray, cols, a, weights: np.ndarray, ds: bool = False, pole_free: bool = False
+    rows, cols, a, weights: np.ndarray, ds: bool = False, pole_free: bool = False, s=None
 ) -> np.ndarray:
     """sum_a c_a zeta(s, a) at s = rows[i] + i cols[j] and a 1-d array of a, common shift N.
 
@@ -158,6 +199,9 @@ def _euler_maclaurin(
     which stays finite where a row vanishes at s = 0, -1, -2, ...); each
     residue meets them in one (1 x M) @ (M x I J) product of its own ratios.
     Scaled by N, every factor stays finite at |s| = 1000 and M = 40.
+    The constants of a shift, and a small block's logs and ratios, are
+    kept by value in ``_tail_columns`` and ``_block_table``; ``s``, when
+    given, is the caller's own ravel of rows[i] + i cols[j].
     With ``pole_free`` the 1/(s-1) part of w^(1-s)/(s-1) is dropped and
     the rest summed as a series in s - 1; the dropped parts cancel across
     a nonprincipal character sum, which keeps s = 1 finite.
@@ -182,10 +226,11 @@ def _euler_maclaurin(
       (R x M) tail, was no faster at q = 5 or 101, and it rounds
       differently with the block's shape.
     """
-    a = np.array(a, dtype=np.float64, ndmin=1)
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
     if not ((0.0 < a) & (a <= 1.0)).all():
         raise DomainError("a must lie in (0, 1]")
-    s = (rows[:, None] + 1j * cols).ravel()
+    if s is None:
+        s = (rows[:, None] + 1j * cols).ravel()
     if not pole_free and (s == 1.0).any():
         raise DomainError("pole at s = 1")
     s_abs = max(1, math.ceil(float(np.abs(s).max())))
@@ -193,13 +238,13 @@ def _euler_maclaurin(
     # row k - 1 is c_k (s)_(2k-1) / N^(2k-1): x = s / N times the running product
     # of (s + 2j - 1)(s + 2j) / N^2 = x (x + (4j - 1) / N) + 2j (2j - 1) / N^2,
     # built in place in ``tail``, since each fresh M x I J temporary page-faults
-    j = np.arange(n_terms)[:, None]
+    step, rise, coeffs = _tail_columns(n_shift, n_terms)
     x = s / n_shift
     tail = np.empty((1 + ds, n_terms, len(s)), dtype=np.complex128)
     t_rows = tail[0]
-    np.add(x, (4 * j - 1) / n_shift, out=t_rows)
+    np.add(x, step, out=t_rows)
     t_rows *= x
-    t_rows += 2 * j * (2 * j - 1) / n_shift**2
+    t_rows += rise
     t_rows[0] = x
     if ds:
         # d/ds by the product rule as the product grows, factor k having derivative
@@ -211,20 +256,23 @@ def _euler_maclaurin(
             d_rows[k] = d_rows[k - 1] * t_rows[k] + prod * (2 * x + (4 * k - 1) / n_shift) / n_shift
             prod = prod * t_rows[k]
     np.cumprod(t_rows, axis=0, out=t_rows)
-    tail *= _EM_COEFFS[:n_terms, None]
+    tail *= coeffs
     per_residue = n_shift * (len(rows) + len(cols)) * (1 + ds) + _BLOCK_ROWS * len(s)
     per_block = max(1, _BLOCK_ELEMENTS // per_residue)
+    cached = per_block >= len(a) and len(a) * (n_shift + n_terms) <= _TABLE_ELEMENTS
     total = np.zeros((1 + ds, len(s)), dtype=np.complex128)
     for i in range(0, len(a), per_block):
-        block = _em_block(s, rows, cols, a[i : i + per_block], n_shift, tail, ds, pole_free)
+        block_a = a[i : i + per_block]
+        block = _em_block(s, rows, cols, block_a, n_shift, tail, ds, pole_free, cached)
         for term in weights[i : i + per_block, None, None] * block.swapaxes(0, 1):
             total += term
     return total
 
 
-def _em_block(s, rows, cols, a, n_shift, tail, ds, pole_free) -> np.ndarray:
+def _em_block(s, rows, cols, a, n_shift, tail, ds, pole_free, cached) -> np.ndarray:
     """``_euler_maclaurin``'s (1 or 2, R, I J) rows for one block of residues."""
-    ln = np.log(np.arange(n_shift, dtype=np.float64) + a[:, None])
+    table = _block_table if cached else _block_table.__wrapped__
+    ln, w, lws, lw, ratios = table(a.tobytes(), n_shift, tail.shape[1])
     # exponentiated in place: each fresh R x I x N temporary page-faults
     p_mat = rows[:, None] * -ln[:, None, :]
     np.exp(p_mat, out=p_mat)
@@ -233,12 +281,10 @@ def _em_block(s, rows, cols, a, n_shift, tail, ds, pole_free) -> np.ndarray:
     if cols.any():
         c_mat = np.exp(ln[:, :, None] * (-1j * cols))
     else:
-        c_mat = np.broadcast_to(np.complex128(1.0), (len(a), n_shift, len(cols)))
-    head = (p_mat @ c_mat).reshape(len(a), -1)
+        # built directly: np.broadcast_to's Python overhead costs more than a point does
+        c_mat = np.ndarray((len(a), n_shift, len(cols)), np.complex128, _ONE, strides=(0, 0, 0))
+    out = (p_mat @ c_mat).reshape(len(a), -1)
     s = s[None]
-    w = n_shift + a[:, None]
-    lws = [math.log(v) for v in w[:, 0]]
-    lw = np.array(lws)[:, None]
     w_pow = (np.exp(-rows * lw)[..., None] * np.exp(-1j * cols * lw)[:, None]).reshape(len(a), -1)
     x = s - 1.0
     if pole_free:
@@ -249,12 +295,15 @@ def _em_block(s, rows, cols, a, n_shift, tail, ds, pole_free) -> np.ndarray:
             pole = series[m] + pole * x
             pole_ds = m * series[m] + pole_ds * x if m else pole_ds
     else:
-        pole = w * w_pow / x
+        pole = w * w_pow
+        pole /= x
         pole_ds = -pole * (lw + 1.0 / x) if ds else None
     # (N / w)^(2k-1): a row of M per residue, each its own 1 x M product
-    ratios = (n_shift / w) ** np.arange(1, 2 * tail.shape[1], 2)
     bern = w_pow * (ratios[:, None, None, :] @ tail)[:, :, 0].swapaxes(0, 1)
-    out = head + pole + 0.5 * w_pow + bern[0]
+    # the head plus the pole, the half term and the tail, summed in place in that order
+    out += pole
+    out += 0.5 * w_pow
+    out += bern[0]
     if not ds:
         return out[None]
     p_mat *= ln[:, None, :]
@@ -285,21 +334,29 @@ def _l_values(
     """L(s, chi) = q^(-s) sum_a chi(a) zeta(s, a/q) at s = rows[i] + i cols[j], row by row.
 
     One kernel call over the residues a with chi(a) != 0 sums
-    chi(a) zeta(s, a/q) in the order of a.  The result is the kernel's
+    chi(a) zeta(s, a/q) in the order of a; ``_residue_weights`` keeps the
+    residues and weights by value per character.  The result is the kernel's
     (1 + ds) x I J array: row 0 holds L and, with ``ds``, row 1 dL/ds.
     A nonprincipal chi with every s within
     1e-1 of 1 takes the pole-free expansion, whose 15-term series in s - 1
     ends below 1e-19 there; a principal one keeps its genuine pole.
     """
-    q = chi.modulus
     s = (rows[:, None] + 1j * cols).ravel()
     pole_free = not chi.is_principal and bool((np.abs(s - 1.0) < 1e-1).all())
+    a, c, log_q = _residue_weights(chi)
+    total = np.exp(-s * log_q) * _euler_maclaurin(rows, cols, a, c, ds, pole_free, s)
+    if ds:
+        total[1] -= log_q * total[0]
+    return total
+
+
+@functools.lru_cache(maxsize=_CHARACTERS)
+def _residue_weights(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray, float]:
+    """a/q and chi(a) over the residues a with chi(a) != 0, in order, read-only, and log q."""
+    q = chi.modulus
     c = np.array(chi.values[1:] + chi.values[:1], dtype=np.complex128)
     a = np.flatnonzero(c) + 1
-    total = np.exp(-s * math.log(q)) * _euler_maclaurin(rows, cols, a / q, c[a - 1], ds, pole_free)
-    if ds:
-        total[1] -= math.log(q) * total[0]
-    return total
+    return *_read_only(a / q, c[a - 1]), math.log(q)
 
 
 def l_function(s: complex, chi: DirichletCharacter) -> complex:
@@ -333,8 +390,12 @@ def _log_gamma(z, ds: bool = False) -> np.ndarray:
     """
     # 1-d, so the shifted elements can be assigned into
     flat = np.asarray(z, dtype=np.complex128).ravel()
-    small = (np.abs(flat) < 10.0) | (flat.real < 0.0)
-    n = math.ceil(10.0 - float(flat.real[small].min())) if small.any() else 0
+    # re z >= 0 and |im z| >= 10 leave no element to shift, as |z| >= |im z|:
+    # a line call above t = 20 skips the mask
+    n = 0
+    if not (len(flat) and flat.real.min() >= 0.0 and np.abs(flat.imag).min() >= 10.0):
+        small = (np.abs(flat) < 10.0) | (flat.real < 0.0)
+        n = math.ceil(10.0 - float(flat.real[small].min())) if small.any() else 0
     w = flat
     if n:
         w = flat.copy()
@@ -374,8 +435,10 @@ def vartheta(s: complex) -> complex:
     )
 
 
+@functools.lru_cache(maxsize=_CHARACTERS)
 def _root_number(theta: DirichletCharacter) -> tuple[complex, float]:
-    """(epsilon, a): the root number and the parity, a = 0.0 for even theta and 1.0 for odd."""
+    """(epsilon, a): the root number and the parity, a = 0.0 for even theta and 1.0 for odd;
+    kept by value per character, since the Gauss sum is a loop over the residues."""
     q = theta.modulus
     tau = gauss_sum(theta)
     if theta.parity == 1:
@@ -624,21 +687,26 @@ def _refine(
         a, b = x[idx] - r[idx], x[idx] + r[idx]
         f_pair = _m_raw_line(psi, np.concatenate((a, b)))
         fa, fb = f_pair[: len(a)], f_pair[len(a) :]
-        straddle = (np.sign(fa) == np.sign(flo[idx])) & (np.sign(fb) == -np.sign(flo[idx]))
+        # a narrowed end keeps its sign, so one sign of lo per step serves every test
+        sign_lo = np.sign(flo[idx])
+        straddle = (np.sign(fa) == sign_lo) & (np.sign(fb) == -sign_lo)
         shut = straddle & (r[idx] == _ZERO_RADIUS) & (np.abs(fa) >= floor) & (np.abs(fb) >= floor)
         if shut.all():
             return x
-        idx, a, b, fa, fb, straddle = (v[~shut] for v in (idx, a, b, fa, fb, straddle))
+        idx, a, b, fa, fb, straddle, sign_lo = (
+            v[~shut] for v in (idx, a, b, fa, fb, straddle, sign_lo)
+        )
         t = np.stack((lo[idx], a, b, hi[idx]), axis=1)
         f = np.stack((flo[idx], fa, fb, fhi[idx]), axis=1)
         for pt, fp in ((a, fa), (b, fb)):
             inside = (lo[idx] < pt) & (pt < hi[idx])
-            to_lo = inside & (np.sign(fp) == np.sign(flo[idx]))
+            to_lo = inside & (np.sign(fp) == sign_lo)
             to_hi = inside & ~to_lo
             lo[idx[to_lo]], flo[idx[to_lo]] = pt[to_lo], fp[to_lo]
             hi[idx[to_hi]], fhi[idx[to_hi]] = pt[to_hi], fp[to_hi]
         x[idx] = _cubic_root(t, f, lo[idx], hi[idx], flo[idx], fhi[idx])
-        r[idx] = np.where(straddle, _ZERO_RADIUS, np.clip(2 * r, _PROBE_RADIUS, hi - lo)[idx])
+        probe = np.minimum(np.maximum(2 * r[idx], _PROBE_RADIUS), hi[idx] - lo[idx])
+        r[idx] = np.where(straddle, _ZERO_RADIUS, probe)
     raise ConvergenceError(f"{len(idx)} zero bracket(s) open after {_REFINE_STEPS} steps")
 
 
@@ -691,17 +759,23 @@ def find_zeros(
 
     # the median by partition: np.median would import numpy.ma
     middle = [(len(vals) - 1) // 2, len(vals) // 2]
-    scale = float(np.partition(np.abs(vals), middle)[middle].mean()) or 1.0
+    lower, upper = np.partition(np.abs(vals), middle)[middle]
+    scale = float((lower + upper) / 2) or 1.0
     starts, flo, dips = _sign_changes(vals, scale)
     flagged = tuple((float(grid[i - 1]), float(grid[i + 1])) for i in dips)
 
     # the 10 grid points around each bracket, kept inside the grid; 8 were 4.4e-12 off at q = 997
-    near = np.clip(starts - 4, 0, max(len(grid) - 10, 0))[:, None] + np.arange(min(len(grid), 10))
+    near = np.minimum(np.maximum(starts - 4, 0), max(len(grid) - 10, 0))[:, None]
+    near = near + np.arange(min(len(grid), 10))
     x0 = _cubic_root(grid[near], vals[near], grid[starts], grid[starts + 1], flo, vals[starts + 1])
     panel = starts // (_PANEL_POINTS - 1)
     floor = 1e-12 * scale
     gammas = []
-    for i in np.split(np.arange(len(panel)), np.flatnonzero(np.diff(panel)) + 1):
+    # a one-panel scan refines its brackets together without grouping them
+    groups = [slice(None)] if len(panel_starts) == 1 else np.split(
+        np.arange(len(panel)), np.flatnonzero(np.diff(panel)) + 1
+    )
+    for i in groups:
         ix = starts[i]
         gammas.extend(_refine(psi, grid[ix], grid[ix + 1], flo[i], vals[ix + 1], floor, x0[i]))
     zeros = tuple(CriticalZero(float(g), _ZERO_RADIUS) for g in gammas)

@@ -284,6 +284,18 @@ def test_capped_product_matches_brute_force(n_max):
         assert out.dtype == np.int64 and np.array_equal(out, ref), cap
 
 
+def test_ones_first_factor_is_the_array_of_ones_bit_for_bit():
+    # None stands for the first factor 1, whose products by 1.0 the sums skip
+    rng = np.random.default_rng(5)
+    n_max = 961
+    unit = np.exp(2j * np.pi * rng.random(n_max + 1))
+    for b in (rng.integers(-9, 10, n_max + 1), rng.standard_normal(n_max + 1), unit):
+        for cap in (1, 30, 31, None):
+            want = characters._dirichlet(np.ones(n_max + 1), b, cap)
+            got = characters._dirichlet(None, b, cap)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (b.dtype, cap)
+
+
 def test_coefficient_bounds_hold_with_exact_margin():
     for d in (3, 4, 5, 8):
         chi = real_primitive_character(d)

@@ -14,6 +14,7 @@ import pytest
 from conftest import ORACLE_DIR, scan_alpha_hat
 from lfverify import lfunc
 from lfverify.characters import (
+    DirichletCharacter,
     character_group,
     frak_a,
     primitive_characters,
@@ -240,6 +241,18 @@ def test_log_gamma_shifts_only_the_small_elements(h):
     assert np.array_equal(got[small], _log_gamma(z[small])[0])
     assert np.array_equal(got[~small], _log_gamma(z[~small])[0])
     assert _log_gamma(h + 3j).shape == (1,)
+
+
+@pytest.mark.parametrize("ds", (False, True))
+def test_log_gamma_skips_the_mask_only_where_nothing_shifts(ds):
+    # re z >= 0 and |im z| >= 10 skip the mask of shifted elements; the appended
+    # 0.75 + 1j sends the same elements through it, which must change no bit
+    t = np.linspace(20.0, 1000.0, 2001)
+    edges = np.array([10j, -10j, 50j, -50j, 7.0 + 10j, 7.0 - 10j, 0.25 + 10j, 0.75 - 10j])
+    for z in ((0.5 + 0.0) / 2 + 0.5j * t, (0.5 + 1.0) / 2 + 0.5j * t, edges):
+        assert z.real.min() >= 0.0 and np.abs(z.imag).min() >= 10.0
+        masked = _log_gamma(np.append(z, 0.75 + 1j), ds)[:, :-1]
+        assert _log_gamma(z, ds).tobytes() == masked.tobytes()
 
 
 # small |z| (shifted), the Stirling region just past |z| = 10 unshifted, and
@@ -967,6 +980,51 @@ def test_m_line_computes_the_root_number_once(monkeypatch):
     lfunc._m_line(chi, t)
     lfunc._m_line(chi, t, ds=True)
     assert len(calls) == 2
+
+
+# every by-value table of the line path
+_LINE_CACHES = (
+    lfunc._residue_weights, lfunc._root_number, lfunc._tail_columns, lfunc._block_table
+)
+
+
+def _line_bytes(chi, t):
+    # an L row, M with its derivative, and the scan's grid values, which cross t = 20
+    # where _log_gamma stops masking
+    out = (lfunc._l_values(chi, 0.5 + 1j * t), lfunc._m_line(chi, t, ds=True))
+    return [v.tobytes() for v in out + (lfunc._m_raw_line(chi, t, 0.02),)]
+
+
+@pytest.mark.parametrize("q", (5, 7, 11))
+def test_line_caches_key_by_value_and_change_no_bit(q):
+    t = 18.5 + 0.02 * np.arange(151)
+    chis = []
+    for chi in primitive_characters(q):
+        chis += [chi, chi.conjugate(), DirichletCharacter(**chi._asdict())]
+    cold = []
+    for chi in chis:
+        for cache in _LINE_CACHES:
+            cache.cache_clear()
+        cold.append(_line_bytes(chi, t))
+    # warm: each character, then a copy rebuilt in the loop, so that a freed
+    # copy's id comes back for the next, which a cache keyed by identity misses
+    for cache in _LINE_CACHES:
+        cache.cache_clear()
+    for chi, want in zip(chis, cold):
+        assert _line_bytes(chi, t) == want
+        assert _line_bytes(DirichletCharacter(**chi._asdict()), t) == want
+    n_shift, n_terms = lfunc._em_shift(30, 0.5)
+    a, _, _ = lfunc._residue_weights(chis[0])
+    cached = [
+        *lfunc._residue_weights(chis[0])[:2],
+        *lfunc._tail_columns(n_shift, n_terms),
+        *(v for v in lfunc._block_table(a.tobytes(), n_shift, n_terms) if isinstance(v, np.ndarray)),
+    ]
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+    for cache in _LINE_CACHES:
+        assert 0 < cache.cache_info().maxsize <= lfunc._TABLES
 
 
 def test_export_zeros_csv(tmp_path):
