@@ -31,7 +31,7 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from .numerics import DomainError, Validated
+from .numerics import DomainError, Validated, read_only
 
 # ---------------------------------------------------------------------------
 # elementary arithmetic helpers
@@ -320,10 +320,7 @@ def _chi_free_tables(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     for p in primes_up_to(n_max):
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
-    tables = mu, _dirichlet(None, np.broadcast_to(1.0, n_max + 1))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    return read_only(mu, _dirichlet(None, np.broadcast_to(1.0, n_max + 1)))
 
 
 def _coefficient_table(n_max: int, chi: DirichletCharacter) -> tuple[np.ndarray, ...]:

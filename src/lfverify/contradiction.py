@@ -28,7 +28,7 @@ from collections import namedtuple
 from collections.abc import Callable, Mapping
 
 from .kernels import (
-    BETA, IOTA2, IOTA3, IOTA4, RESIDUE_WEIGHTS, SHIFT_A, SHIFT_B, TILDE_F_SLOPE, Z1, Z2, Z3,
+    BETA, IOTA2, IOTA3, IOTA4, RESIDUE_WEIGHTS, SHIFT_A, SHIFT_B, TILDE_F_SLOPE, W0, Z1, Z2, Z3,
     _wrap, eval_f, eval_g, eval_w, eval_y,
 )
 from .numerics import DomainError, VerificationRecord, integrate, verdict
@@ -121,7 +121,7 @@ def compute_c1_c2(c: dict[str, complex]) -> tuple[complex, complex]:
 def compute_d_constants() -> dict[str, complex]:
     """Drift constants from the short-gap windows, plus their two combinations."""
     z1, z2, z3, sa, sb = Z1, Z2, Z3, SHIFT_A, SHIFT_B
-    w0, slope = z2 - sa, TILDE_F_SLOPE
+    slope = TILDE_F_SLOPE
     i2, i3, i4 = IOTA2, IOTA3, IOTA4
     out: dict[str, complex] = {}
 
@@ -162,7 +162,7 @@ def compute_d_constants() -> dict[str, complex]:
         mmain = _quad(
             lambda z: i3.conjugate() * f6(sb + z) / z3 + i4.conjugate() * f7(sa + z) / z2,
             0.0,
-            w0,
+            W0,
         )
         f7diff = _quad(lambda z: f7(z) - f7(sb + z), 0.0, sb)
         mix1 = _quad(
@@ -193,7 +193,6 @@ def compute_d_constants() -> dict[str, complex]:
 def compute_e_constants() -> dict[str, complex]:
     """Residue constants: window means of the f kernels and short-window integrals."""
     z1, z2, z3, sa, sb = Z1, Z2, Z3, SHIFT_A, SHIFT_B
-    w0 = z2 - sa
     i2, i3, i4 = IOTA2, IOTA3, IOTA4
     out: dict[str, complex] = {}
 
@@ -224,7 +223,7 @@ def compute_e_constants() -> dict[str, complex]:
             lambda z: i3.conjugate() * eval_f((j, 6), z3 - z) / z3
             + i4.conjugate() * eval_f((j, 7), z2 - z) / z2,
             0.0,
-            w0,
+            W0,
         )
 
     combo = 3.0 * out["e_star_11"] + 6.0 * out["e_star_12"] + 3.0 * out["e_star_13"]
@@ -253,11 +252,10 @@ def compute_cancellation(e: dict[str, complex]) -> complex:
 def short_window_checks() -> dict[str, complex]:
     """Window integrals with exactly known values; they pin the sign and
     index conventions of the linear window factors."""
-    w0 = Z2 - SHIFT_A
     out: dict[str, complex] = {}
     for j in (1, 2, 3):
-        out[f"window6_{j}"] = _quad(lambda z: eval_f((j, 6), Z3 - z) * eval_w(j, z), w0, Z3)
-        out[f"window7_{j}"] = _quad(lambda z: eval_f((j, 7), Z2 - z) * eval_w(j, z), w0, Z2)
+        out[f"window6_{j}"] = _quad(lambda z: eval_f((j, 6), Z3 - z) * eval_w(j, z), W0, Z3)
+        out[f"window7_{j}"] = _quad(lambda z: eval_f((j, 7), Z2 - z) * eval_w(j, z), W0, Z2)
     return out
 
 

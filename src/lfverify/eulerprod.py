@@ -36,7 +36,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .characters import DirichletCharacter, factorize
-from .numerics import DomainError, Validated
+from .numerics import DomainError, Validated, read_only
 
 # enough series terms for |weight| <= 0.72 to reach 1e-17 tails
 _SERIES_LEN = 260
@@ -118,8 +118,7 @@ def _series(*ratios: complex) -> np.ndarray:
     c = np.array([1.0, -1.0], dtype=complex)
     if ratios:
         c = np.convolve(_series(*ratios[:-1]), ratios[-1] ** np.arange(_SERIES_LEN))[:_SERIES_LEN]
-    c.setflags(write=False)
-    return c
+    return read_only(c)[0]
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -129,8 +128,7 @@ def _weights(w: complex, wt: complex) -> tuple[np.ndarray, np.ndarray]:
     w_pow = w**powers
     w_pow[0] = 0.0  # both sums start at w^1
     g = np.convolve(w_pow[:-1], wt ** powers[:-1])[:_SERIES_LEN]
-    for arr in (w_pow, g):
-        arr.setflags(write=False)
+    read_only(w_pow, g)
     return w_pow[1:], g
 
 

@@ -28,6 +28,8 @@ BETA = {1: _PI * 1j, 2: _PI * 1j * 2, 3: _PI * 1j * 3, 6: 1.5j * _PI, 7: 2.5j * 
 # 1-3, the mixing weights iota_2..4 and the slope of the ramp tilde f
 Z1, Z2, Z3 = 0.504, 0.5, 0.498
 SHIFT_A, SHIFT_B = 0.004, 0.002
+# the short window [W0, Z2] of the linear factor w
+W0 = Z2 - SHIFT_A
 RESIDUE_WEIGHTS = (0.5, 2.0, 1.5)
 IOTA2 = 0.94977 - 1.38995j
 IOTA3 = -1.00635 - 0.22789j
@@ -82,9 +84,8 @@ def eval_y(variant: int, j: int, z):
 
 
 def eval_w(j: int, z):
-    """Short-window linear factor -1 + (b_{j+1} + b_{j+2} - 2 b_6)(z - w0)
-    on the window [w0, z2], w0 = z2 - shift_a."""
+    """Short-window linear factor -1 + (b_{j+1} + b_{j+2} - 2 b_6)(z - W0) on [W0, Z2]."""
     if j not in (1, 2, 3):
         raise DomainError(f"invalid window channel {j}")
     slope = BETA[_wrap(j + 1)] + BETA[_wrap(j + 2)] - 2 * BETA[6]
-    return -1.0 + slope * (z - (Z2 - SHIFT_A))
+    return -1.0 + slope * (z - W0)

@@ -9,7 +9,7 @@ in blocks under a fixed memory budget.  Every value, zeta(s, a) or L(s, chi)
 = q^(-s) sum_a chi(a) zeta(s, a/q) and its derivative, is one kernel call.
 Around it sit the reflection and functional-equation factors, a
 real-valued rotation of the L-function on the critical line, sign-change
-zero scanning, the signed triple-product ratio at a zero, and the
+zero scanning, the signed triple-product ratio at a scan's zeros, and the
 desk-scale smoothing weights (error-function step, Gaussian window, its
 oscillatory transform and Mellin integral).
 """
@@ -26,7 +26,7 @@ import numpy as np
 
 from .characters import DirichletCharacter, gauss_sum
 from .numerics import (
-    _NODES15, _WEIGHTS15, ConvergenceError, DomainError, Validated, integrate, write_text,
+    _NODES15, _WEIGHTS15, ConvergenceError, DomainError, Validated, integrate, read_only, write_text,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -99,8 +99,7 @@ _BLOCK_ROWS = 16
 _ZERO_COL = np.zeros(1)
 
 # the read-only 1 that a zero column's stride-0 factor repeats
-_ONE = np.ones(1, dtype=np.complex128)
-_ONE.setflags(write=False)
+(_ONE,) = read_only(np.ones(1, dtype=np.complex128))
 
 
 class BranchError(RuntimeError):
@@ -150,18 +149,12 @@ _TABLES = 256
 _TABLE_ELEMENTS = 1 << 12
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
 @functools.lru_cache(maxsize=_TABLES)
 def _tail_columns(n_shift: int, n_terms: int) -> tuple[np.ndarray, ...]:
     """(4j - 1) / N, 2j (2j - 1) / N^2 and c_(j+1), j < M: the M x 1 columns of the tail rows."""
     j = np.arange(n_terms)[:, None]
     step, rise = (4 * j - 1) / n_shift, 2 * j * (2 * j - 1) / n_shift**2
-    return _read_only(step, rise, _EM_COEFFS[:n_terms, None])
+    return read_only(step, rise, _EM_COEFFS[:n_terms, None])
 
 
 @functools.lru_cache(maxsize=_TABLES)
@@ -173,7 +166,7 @@ def _block_table(a_bytes: bytes, n_shift: int, n_terms: int) -> tuple:
     w = n_shift + a[:, None]
     lws = tuple(math.log(v) for v in w[:, 0])
     ratios = (n_shift / w) ** np.arange(1, 2 * n_terms, 2)
-    ln, w, lw, ratios = _read_only(ln, w, np.array(lws)[:, None], ratios)
+    ln, w, lw, ratios = read_only(ln, w, np.array(lws)[:, None], ratios)
     return ln, w, lws, lw, ratios
 
 
@@ -206,9 +199,9 @@ def _euler_maclaurin(
     the rest summed as a series in s - 1; the dropped parts cancel across
     a nonprincipal character sum, which keeps s = 1 finite.
 
-    ``a`` is one residue or a 1-d array of R of them, with one weight c_a
-    each.  The result has shape (1, I J) over the points s row by row, or
-    (2, I J) with ``ds``, [1] holding d/ds.  A running sum adds the
+    ``a`` is one residue in (0, 1] or a 1-d array of R of them, with one
+    weight c_a each.  The result has shape (1, I J) over the points s row
+    by row, or (2, I J) with ``ds``, [1] holding d/ds.  A running sum adds the
     weighted rows one at a time in the order of a, so no row outlives its
     block.  A residue takes N (I + J) (1 + ds) elements in P,
     C and P log(n+a), and up to ``_BLOCK_ROWS`` rows of I J; the residues
@@ -227,8 +220,6 @@ def _euler_maclaurin(
       differently with the block's shape.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1)
-    if not ((0.0 < a) & (a <= 1.0)).all():
-        raise DomainError("a must lie in (0, 1]")
     if s is None:
         s = (rows[:, None] + 1j * cols).ravel()
     if not pole_free and (s == 1.0).any():
@@ -321,6 +312,8 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
     the zeros of zeta(s, a) on the negative real axis (9e-9 at s = -2.997,
     a = 0.235).
     """
+    if not 0.0 < a <= 1.0:
+        raise DomainError("a must lie in (0, 1]")
     return _euler_maclaurin(np.array([s], dtype=complex), _ZERO_COL, a, np.ones(1)).item()
 
 
@@ -356,7 +349,7 @@ def _residue_weights(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray, f
     q = chi.modulus
     c = np.array(chi.values[1:] + chi.values[:1], dtype=np.complex128)
     a = np.flatnonzero(c) + 1
-    return *_read_only(a / q, c[a - 1]), math.log(q)
+    return *read_only(a / q, c[a - 1]), math.log(q)
 
 
 def l_function(s: complex, chi: DirichletCharacter) -> complex:
@@ -593,6 +586,12 @@ def _sign_changes(vals: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarra
     return np.flatnonzero(change), fa[change], np.flatnonzero(dip)
 
 
+def _runs(keys: np.ndarray) -> list[slice]:
+    """The runs of equal values in sorted ``keys``, as slices in order; none for no keys."""
+    starts = np.flatnonzero(np.diff(keys, prepend=-np.inf)).tolist()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(keys)])]
+
+
 def _cubic_root(t, f, lo, hi, flo, fhi) -> np.ndarray:
     """Per row, a root in [lo, hi] of the polynomial (a cubic for 4) through its points (t, f).
 
@@ -668,7 +667,7 @@ def _refine(
 ) -> np.ndarray:
     """Centres of certified zero brackets, each refined from its ``start`` x0.
 
-    Each bracket [lo, hi] has end values of opposite sign (fhi may be 0).
+    Each of one or more brackets [lo, hi] has end values of opposite sign (fhi may be 0).
     Every step evaluates the pair x -+ r of each open bracket in one line
     call, from x = x0 and r = ``_ZERO_RADIUS``.  A bracket closes as
     [x - r, x + r] when r is ``_ZERO_RADIUS``, the pair has the signs of lo
@@ -681,8 +680,6 @@ def _refine(
     """
     lo, hi, flo, fhi, x = lo.copy(), hi.copy(), flo.copy(), fhi.copy(), start.copy()
     r, idx = np.full(len(x), _ZERO_RADIUS), np.arange(len(x))
-    if not len(idx):
-        return x
     for _ in range(_REFINE_STEPS):
         a, b = x[idx] - r[idx], x[idx] + r[idx]
         f_pair = _m_raw_line(psi, np.concatenate((a, b)))
@@ -771,11 +768,7 @@ def find_zeros(
     panel = starts // (_PANEL_POINTS - 1)
     floor = 1e-12 * scale
     gammas = []
-    # a one-panel scan refines its brackets together without grouping them
-    groups = [slice(None)] if len(panel_starts) == 1 else np.split(
-        np.arange(len(panel)), np.flatnonzero(np.diff(panel)) + 1
-    )
-    for i in groups:
+    for i in _runs(panel):
         ix = starts[i]
         gammas.extend(_refine(psi, grid[ix], grid[ix + 1], flo[i], vals[ix + 1], floor, x0[i]))
     zeros = tuple(CriticalZero(float(g), _ZERO_RADIUS) for g in gammas)
@@ -790,11 +783,15 @@ _T_LIMIT = 1000.0
 _AUDIT_CHUNK_T = (_PANEL_POINTS - 1) * 0.02
 
 
-def _c_star_batch(
+def c_star(
     psi: DirichletCharacter, gammas: np.ndarray, alpha_hat: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(c*, |M'|, |imaginary residue|) at every ordinate of ``gammas``.
 
+    c* is the signed triple-product ratio at a zero rho with shifts
+    b_j = i j alpha_hat: -i M(rho+b1) M(rho+b2) M(rho+b3) / M'(rho), where
+    M' = -i dM/dt is analytic (see ``_m_line``).  The value is
+    branch-independent: flipping the rotation sign flips all four factors.
     The ordinates, sorted as a scan gives them, go in runs that share a
     chunk of t no wider than ``_AUDIT_CHUNK_T``.  Per run, one ``_m_line`` call,
     zeros by shifts j alpha_hat, j < 4, gives M' at the zeros and M at the shifts.
@@ -806,35 +803,16 @@ def _c_star_batch(
     g = np.asarray(gammas, dtype=np.float64)
     m_prime = np.empty(len(g), dtype=np.complex128)
     triple = np.empty(len(g), dtype=np.complex128)
-    chunk = np.floor(g / _AUDIT_CHUNK_T)
-    runs = np.split(np.arange(len(g)), np.flatnonzero(np.diff(chunk)) + 1) if len(g) else []
-    for idx in runs:
-        m, m_ds = _m_line(psi, g[idx], alpha_hat * np.arange(4), ds=True)
-        m_prime[idx] = m_ds[::4]
-        triple[idx] = m.reshape(-1, 4)[:, 1:].prod(axis=1)
+    for run in _runs(np.floor(g / _AUDIT_CHUNK_T)):
+        m, m_ds = _m_line(psi, g[run], alpha_hat * np.arange(4), ds=True)
+        m_prime[run] = m_ds[::4]
+        triple[run] = m.reshape(-1, 4)[:, 1:].prod(axis=1)
     m_abs = np.abs(m_prime)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = -1j * triple / m_prime
     residue = np.abs(val.imag)
     ratio = np.where((m_abs >= 1e-10) & (residue <= 1e-6), val.real, np.nan)
     return ratio, m_abs, residue
-
-
-def c_star(rho: CriticalZero, psi: DirichletCharacter, alpha_hat: float) -> float:
-    """Signed triple-product ratio at a zero with shifts i j alpha_hat.
-
-    -i M(rho+b1) M(rho+b2) M(rho+b3) / M'(rho), where b_j = i j alpha_hat and
-    M' = -i dM/dt is analytic (see ``_m_line``).  The value is
-    branch-independent: flipping the rotation sign flips all four factors.
-    This is ``_c_star_batch`` at one zero; it raises DomainError where
-    |M'| < 1e-10 and BranchError where the imaginary residue exceeds 1e-6.
-    """
-    ratio, m_abs, residue = _c_star_batch(psi, np.array([rho.gamma]), alpha_hat)
-    if m_abs[0] < 1e-10:
-        raise DomainError("degenerate zero: derivative vanishes")
-    if not residue[0] <= 1e-6:
-        raise BranchError(f"triple product not real: residue {residue[0]:.3e}")
-    return float(ratio[0])
 
 
 # ---------------------------------------------------------------------------
@@ -937,9 +915,7 @@ def _panel_layout(n_panels: int, p: WeightParams) -> tuple[np.ndarray, np.ndarra
     weights = (half * np.broadcast_to(np.asarray(_WEIGHTS15), (n_panels, 15))).ravel()
     base = np.exp(p.s0 * nodes - (p.L2 * nodes) ** 2) * weights
     growth = np.exp(nodes) - 1.0
-    for arr in (growth, base):
-        arr.setflags(write=False)
-    return growth, base
+    return read_only(growth, base)
 
 
 def delta_mellin(s: complex, p: WeightParams) -> complex:
@@ -997,10 +973,10 @@ def export_zeros_csv(
 ) -> list[tuple[str, str, str, str]]:
     """Write gamma, radius, c_star, forward_gap rows; returns the rows as written.
 
-    c_star comes from ``_c_star_batch`` and is blank where that gives NaN.
+    The c_star column is ``c_star``'s ratio, blank where that is NaN.
     """
     zs = list(scan)
-    ratios = _c_star_batch(psi, np.array([z.gamma for z in zs]), alpha_hat)[0]
+    ratios = c_star(psi, np.array([z.gamma for z in zs]), alpha_hat)[0]
     rows = []
     for i, (z, ratio) in enumerate(zip(zs, ratios)):
         gap = zs[i + 1].gamma - z.gamma if i + 1 < len(zs) else None

@@ -1,4 +1,4 @@
-"""Fixed-panel quadrature, the shared error and verdict types, the record base and the file writer.
+"""Fixed-panel quadrature, the error and verdict types, the record base, the file writer, read_only.
 
 ``integrate`` splits [a, b] into equal panels, applies one 15-point
 Gauss-Legendre rule on each and adds the panel sums in order.  The caller
@@ -76,6 +76,13 @@ def write_text(path: str, text: str) -> None:
     except OSError as exc:
         exc.filename = path
         raise
+
+
+def read_only(*arrays):
+    """Mark each numpy array of ``arrays`` read-only and return them as a tuple."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 # numpy.polynomial.legendre.leggauss(15), bit for bit

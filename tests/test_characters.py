@@ -64,6 +64,16 @@ def test_real_primitive_character_hand_values():
     assert chi8(7) == 1
 
 
+def test_primitive_root_lifts_to_p_squared():
+    # 5 is the least primitive root mod 40487, but 5^40486 = 1 mod 40487^2, so
+    # it generates no group mod p^e, e >= 2, and the lift takes 5 + p
+    p = 40487
+    assert pow(5, p - 1, p * p) == 1
+    assert characters._primitive_root(p, 1) == 5
+    assert characters._primitive_root(p, 2) == p + 5
+    assert pow(p + 5, p - 1, p * p) != 1
+
+
 def test_group_sizes():
     for q in (3, 4, 5, 7, 8, 9, 12):
         assert len(character_group(q)) == euler_phi(q)

@@ -117,6 +117,20 @@ def test_identities_small_run(tmp_path):
     assert doc["meta"]["parameters"] == {"max_n": 300, "moduli": [3]}
 
 
+def test_identities_markdown_has_one_row_per_record(tmp_path, capsys):
+    argv = ["identities", "--max-n", "300", "--moduli", "3"]
+    assert main(argv + ["--out", str(tmp_path / "i.json")]) == 0
+    records = json.loads((tmp_path / "i.json").read_text())["identities"]
+    assert main(argv + ["--format", "markdown", "--out", "-"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("# lfverify report")
+    table = text.split("## Identities\n\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert table[:2] == ["| name | max gap | pass |", "|---|---|---|"]
+    assert table[2:] == [
+        f"| {r['name']} | {r['max_gap']:.3e} | {'yes' if r['pass'] else 'NO'} |" for r in records
+    ]
+
+
 def test_identities_input_validation(tmp_path):
     assert main(["identities", "--max-n", "0"]) == 2
     assert main(["identities", "--max-n", "2000000"]) == 2
@@ -332,6 +346,28 @@ def test_zeros_parity_row_fails_on_a_dropped_zero(tmp_path, monkeypatch, capsys)
     zeros = json.loads(out.read_text())["zeros"]
     assert (zeros["found"], zeros["compared"]) == (26, 24)
     assert zeros["checks"] == _zeros_checks(parity_count=1)
+
+
+def test_zeros_warns_of_a_flagged_interval_and_still_passes(tmp_path, monkeypatch, capsys):
+    """A flagged interval is a warning on stderr and a count in the report, not a failure."""
+    from lfverify import lfunc
+
+    find = lfunc.find_zeros
+
+    def one_flagged(*args):
+        scan = find(*args)
+        return lfunc.ScanResult(scan.zeros, ((30.0, 30.04),), scan.panels)
+
+    monkeypatch.setattr(lfunc, "find_zeros", one_flagged)
+    csv_path, out = tmp_path / "z.csv", tmp_path / "z.json"
+    argv = ["zeros", "--modulus", "5", "--t-max", "60", "--csv", str(csv_path), "--out", str(out)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: 1 flagged interval(s), possible unresolved double zeros\n"
+    )
+    assert captured.out.startswith("27 zeros")
+    assert json.loads(out.read_text())["zeros"]["flagged"] == 1
 
 
 def test_zeros_parity_row_skips_a_shift_inside_a_bracket(tmp_path, capsys):
@@ -671,7 +707,7 @@ def test_zeros_unaudited_eligible_zero_fails(tmp_path, monkeypatch, capsys):
     """An eligible zero without a triple-product ratio is a failed audit."""
     from lfverify import cli, lfunc
 
-    batch = lfunc._c_star_batch
+    batch = lfunc.c_star
 
     def one_blank(psi, gammas, alpha_hat):
         ratio, m_abs, residue = batch(psi, gammas, alpha_hat)
@@ -683,7 +719,7 @@ def test_zeros_unaudited_eligible_zero_fails(tmp_path, monkeypatch, capsys):
     argv = ["zeros", "--modulus", "5", "--t-max", "60", "--csv", str(tmp_path / "z.csv")]
     assert main(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(lfunc, "_c_star_batch", one_blank)
+    monkeypatch.setattr(lfunc, "c_star", one_blank)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert "error: 1 eligible zero(s) without a computable ratio" in captured.err

@@ -9,8 +9,8 @@ import pytest
 from lfverify.kernels import (
     BETA,
     RESIDUE_WEIGHTS,
-    SHIFT_A,
     SHIFT_B,
+    W0,
     Z1,
     Z2,
     eval_f,
@@ -104,16 +104,14 @@ def test_drift_validation():
 
 
 def test_window_values_at_anchor():
-    w0 = Z2 - SHIFT_A
     for j in (1, 2, 3):
-        assert abs(eval_w(j, w0) + 1.0) < 1e-15
+        assert abs(eval_w(j, W0) + 1.0) < 1e-15
 
 
 def test_window_slopes():
     b = BETA
-    w0 = Z2 - SHIFT_A
     dz = 1e-3
-    plain = (eval_w(2, w0 + dz) - eval_w(2, w0)) / dz
+    plain = (eval_w(2, W0 + dz) - eval_w(2, W0)) / dz
     assert abs(plain - (b[3] + b[1] - 2 * b[6])) < 1e-12
 
 

@@ -322,7 +322,7 @@ def test_m_prime_matches_mpmath_derivative(q, index, gamma):
 def test_c_star_at_a_high_zero():
     # alpha_hat is the reference gap of `zeros --modulus 5 --t-max 1000`
     chi = primitive_characters(5)[0]
-    val = c_star(CriticalZero(454.66907476856, 5e-10), chi, 0.5502503708976213)
+    val = c_star(chi, np.array([454.66907476856]), 0.5502503708976213)[0][0]
     assert abs(val - 53.5582) < 1e-4
 
 
@@ -960,15 +960,106 @@ def test_c_star_real_and_guarded(tmp_path):
     chi = real_primitive_character(4)
     scan = find_zeros(chi, 5.0, 14.0)
     alpha = scan_alpha_hat(scan)
-    val = c_star(scan[0], chi, alpha)
-    assert isinstance(val, float)
+    first = np.array([scan[0].gamma])
+    val = c_star(chi, first, alpha)[0]
+    assert val.dtype == np.float64 and np.isfinite(val).all()
     # nan passed a bare positivity test; inf and 1e300 overflowed the
     # kernel's shift after a RuntimeWarning
     for alpha_hat in (0.0, math.nan, math.inf, 1e300, 1001.0):
         with pytest.raises(DomainError, match="alpha_hat"):
-            c_star(scan[0], chi, alpha_hat)
+            c_star(chi, first, alpha_hat)
         with pytest.raises(DomainError, match="alpha_hat"):
             export_zeros_csv(str(tmp_path / "zeros.csv"), scan, chi, alpha_hat)
+
+
+def test_c_star_is_nan_exactly_where_its_one_rule_says(monkeypatch):
+    # c* is NaN where |M'| < 1e-10 or where the triple product over M' keeps
+    # an imaginary residue above 1e-6, and only there
+    chi = primitive_characters(5)[0]
+    gammas = np.array([z.gamma for z in find_zeros(chi, 0.02, 60)])
+    alpha = 0.5
+    honest = c_star(chi, gammas, alpha)[0]
+    assert np.isfinite(honest).all()
+    line = lfunc._m_line
+
+    def spied(spoil):
+        def m_line(theta, t, cols=lfunc._ZERO_COL, ds=False):
+            out = line(theta, t, cols, ds)
+            spoil(out)
+            return out
+
+        return m_line
+
+    # the audit's points are zeros by the 4 shifts: point 4 k is zero k itself;
+    # M' and one factor shrunk alike to |M'| = 1e-11 leave the quotient real
+    def flat_derivative(out):
+        shrink = 1e-11 / abs(out[1, 4 * 5])
+        out[1, 4 * 5] *= shrink
+        out[0, 4 * 5 + 1] *= shrink
+
+    def turned_factor(out):
+        out[0, 4 * 7 + 2] *= cmath.exp(1e-3j)
+
+    for spoil, k in ((flat_derivative, 5), (turned_factor, 7)):
+        monkeypatch.setattr(lfunc, "_m_line", spied(spoil))
+        ratio, m_abs, residue = c_star(chi, gammas, alpha)
+        assert np.isnan(ratio[k])
+        assert (np.delete(ratio, k) == np.delete(honest, k)).all()
+        flat = spoil is flat_derivative
+        assert (m_abs[k] < 1e-10, residue[k] > 1e-6) == (flat, not flat)
+
+
+def test_find_zeros_rotation_gate_fires():
+    # chi(2) scaled by 1 + 1e-6 is no longer a character, so the rotated line
+    # value keeps an imaginary part above the gate's 1e-8; at 1 + 1e-9 the
+    # residue stays under the gate and the scan finds all 27 zeros: a
+    # relative error of 1e-9 in one value passes the gate unseen, so the gate
+    # is no error bound on the line values
+    chi = primitive_characters(5)[0]
+
+    def scaled(factor):
+        values = list(chi.values)
+        values[2] *= factor
+        return chi._replace(values=tuple(values))
+
+    with pytest.raises(BranchError, match="rotation left imaginary residue 1.8"):
+        find_zeros(scaled(1 + 1e-6), 0.02, 60)
+    assert len(find_zeros(scaled(1 + 1e-9), 0.02, 60)) == 27
+
+
+def test_find_zeros_panel_stitch_gate_fires(monkeypatch):
+    # 0.02..100 at step 0.02 is two panels sharing one ordinate; moving the
+    # second panel's values by 1e-3 must break the stitch
+    chi = primitive_characters(5)[0]
+    raw = lfunc._m_raw_line
+    panels = []
+
+    def second_moved(psi, t, step=None):
+        vals = raw(psi, t, step)
+        if step is not None:
+            panels.append(t[0])
+            if len(panels) == 2:
+                vals = vals + 1e-3
+        return vals
+
+    assert find_zeros(chi, 0.02, 100).panels == 2
+    monkeypatch.setattr(lfunc, "_m_raw_line", second_moved)
+    with pytest.raises(BranchError, match="panel stitch mismatch"):
+        find_zeros(chi, 0.02, 100)
+    assert len(panels) == 2
+
+
+def test_z_factor_refuses_the_gamma_poles():
+    # L(s) / L(1 - s) has Gamma((1 - s + a) / 2) / Gamma((s + a) / 2): for the
+    # even character mod 5 (a = 0) poles at s = 0 and s = 1, 3, and for the odd
+    # one mod 3 (a = 1) at s = 2, 4; s = 2.5 is no pole
+    even, odd = real_primitive_character(5), real_primitive_character(3)
+    assert (even.parity, odd.parity) == (1, -1)
+    for chi, poles in ((even, (0, 1, 3)), (odd, (2, 4))):
+        for s in poles:
+            with pytest.raises(DomainError, match="Gamma pole"):
+                z_factor(s, chi)
+    assert cmath.isfinite(z_factor(2.5, even))
 
 
 def test_m_line_computes_the_root_number_once(monkeypatch):
