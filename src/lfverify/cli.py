@@ -340,6 +340,7 @@ def main(argv=None) -> int:
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--char-index", dest="char_index", type=int, default=0)
     p.add_argument("--t-max", dest="t_max", type=float, required=True)
+    # lfunc._STEP, stated apart since parsing loads no numpy; a test pins the two equal
     p.add_argument("--step", type=float, default=0.02)
     p.add_argument(
         "--alpha-hat",

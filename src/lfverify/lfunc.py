@@ -383,12 +383,8 @@ def _log_gamma(z, ds: bool = False) -> np.ndarray:
     """
     # 1-d, so the shifted elements can be assigned into
     flat = np.asarray(z, dtype=np.complex128).ravel()
-    # re z >= 0 and |im z| >= 10 leave no element to shift, as |z| >= |im z|:
-    # a line call above t = 20 skips the mask
-    n = 0
-    if not (len(flat) and flat.real.min() >= 0.0 and np.abs(flat.imag).min() >= 10.0):
-        small = (np.abs(flat) < 10.0) | (flat.real < 0.0)
-        n = math.ceil(10.0 - float(flat.real[small].min())) if small.any() else 0
+    small = (np.abs(flat) < 10.0) | (flat.real < 0.0)
+    n = math.ceil(10.0 - float(flat.real[small].min())) if small.any() else 0
     w = flat
     if n:
         w = flat.copy()
@@ -500,7 +496,7 @@ def _m_raw_line(
         vals = _m_line(theta, giant, step * np.arange(b))[0, :k_len]
         if off_step:
             vals = np.append(vals, _m_line(theta, t[k_len:])[0])
-    worst = float(np.abs(vals.imag).max()) if len(vals) else 0.0
+    worst = float(np.abs(vals.imag).max())
     if worst > 1e-8:
         raise BranchError(f"rotation left imaginary residue {worst:.3e}")
     return vals.real
@@ -556,11 +552,10 @@ _PANEL_POINTS = 4000
 _ZERO_RADIUS = 0.5e-9
 # a refinement pair's least radius after a miss
 _PROBE_RADIUS = 1e-6
-# ``_cubic_root`` takes Python floats up to this many rows and arrays above:
-# the two forms cost the same near 16 rows of 10 points
-_FLOAT_ROWS = 16
 # batched line evaluations a panel's brackets may take before the scan gives up
 _REFINE_STEPS = 40
+# the default grid step, also `lfverify zeros --step`'s default
+_STEP = 0.02
 # a scan takes at most this many grid steps: 20 times the default grid to T = 1000
 _MAX_GRID_STEPS = 10**6
 # the largest grid step; above it the 10-point start stops closing every bracket in one call
@@ -595,41 +590,11 @@ def _runs(keys: np.ndarray) -> list[slice]:
 def _cubic_root(t, f, lo, hi, flo, fhi) -> np.ndarray:
     """Per row, a root in [lo, hi] of the polynomial (a cubic for 4) through its points (t, f).
 
-    4 Newton steps from the regula falsi point of [lo, hi] (end values flo, fhi);
-    a row whose iterate is not finite or leaves [lo, hi] takes that point instead.
-    Both forms do the same IEEE operations in the same order; up to
-    ``_FLOAT_ROWS`` rows, Python floats skip the arrays' 200-odd ufunc calls.
-    """
-    form = _cubic_root_floats if len(lo) <= _FLOAT_ROWS else _cubic_root_array
-    return form(t, f, lo, hi, flo, fhi)
-
-
-def _cubic_root_array(t, f, lo, hi, flo, fhi) -> np.ndarray:
-    """``_cubic_root`` over arrays, all rows at once."""
-    rf = (lo * fhi - hi * flo) / (fhi - flo)
-    c = f.copy()
-    x, kept = rf, np.ones(len(rf), dtype=bool)
-    with np.errstate(all="ignore"):
-        for j in range(1, c.shape[1]):
-            c[:, j:] = (c[:, j:] - c[:, j - 1 : -1]) / (t[:, j:] - t[:, :-j])
-        for _ in range(4):
-            d = x[:, None] - t
-            p, dp = c[:, -1], 0.0
-            for j in range(c.shape[1] - 2, -1, -1):
-                dp, p = dp * d[:, j] + p, p * d[:, j] + c[:, j]
-            x = x - p / dp
-            kept &= (lo <= x) & (x <= hi)
-    return np.where(kept, x, rf)
-
-
-def _cubic_root_floats(t, f, lo, hi, flo, fhi) -> np.ndarray:
-    """``_cubic_root`` row by row in Python floats.
-
-    A zero divisor raises ZeroDivisionError here, where the array form goes
-    on with inf or nan: a zero node spacing makes the top divided difference,
-    and so the iterate, inf or nan, as does a zero derivative.  Either
-    iterate leaves [lo, hi], so in both forms the row takes the regula falsi
-    point.
+    4 Newton steps from the regula falsi point of [lo, hi] (end values flo, fhi),
+    row by row in Python floats, so a row's bits do not depend on the rows
+    beside it.  A row whose iterate is not finite or leaves [lo, hi], or
+    that meets a zero divisor (a zero node spacing or a zero derivative),
+    takes the regula falsi point instead.
     """
     rf = ((lo * fhi - hi * flo) / (fhi - flo)).tolist()
     out = []
@@ -637,7 +602,7 @@ def _cubic_root_floats(t, f, lo, hi, flo, fhi) -> np.ndarray:
         x = x0
         try:
             for j in range(1, len(c)):
-                # k falling, so c[k - 1] still holds order j - 1, as in the array form
+                # k falling, so c[k - 1] still holds order j - 1
                 for k in range(len(c) - 1, j - 1, -1):
                     c[k] = (c[k] - c[k - 1]) / (ts[k] - ts[k - j])
             horner = tuple(zip(ts[-2::-1], c[-2::-1]))
@@ -708,7 +673,7 @@ def _refine(
 
 
 def find_zeros(
-    psi: DirichletCharacter, t_min: float, t_max: float, step: float = 0.02
+    psi: DirichletCharacter, t_min: float, t_max: float, step: float = _STEP
 ) -> ScanResult:
     """Sign-change scan of the rotated line value, refined to certified brackets.
 
@@ -780,7 +745,7 @@ def find_zeros(
 _T_LIMIT = 1000.0
 # a chunk of the c* audit spans at most one scan panel at the default step,
 # so each chunk's kernel passes run at a shift fit for its own ordinates
-_AUDIT_CHUNK_T = (_PANEL_POINTS - 1) * 0.02
+_AUDIT_CHUNK_T = (_PANEL_POINTS - 1) * _STEP
 
 
 def c_star(

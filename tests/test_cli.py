@@ -439,6 +439,16 @@ def test_zeros_refuses_a_step_past_the_grid_cap(tmp_path, capsys, step):
     assert not (tmp_path / "z.csv").exists()
 
 
+def test_zeros_step_default_is_the_scan_default(monkeypatch):
+    # the parser states the default apart, since parsing loads no numpy
+    from lfverify import cli, lfunc
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_zeros", lambda args: seen.append(args.step) or 0)
+    assert main(["zeros", "--modulus", "5", "--t-max", "10"]) == 0
+    assert seen == [lfunc._STEP]
+
+
 def _unwritable(path):
     return f"cannot write {path}: [Errno 2] No such file or directory: '{path}'"
 

@@ -245,8 +245,8 @@ def test_log_gamma_shifts_only_the_small_elements(h):
 
 @pytest.mark.parametrize("ds", (False, True))
 def test_log_gamma_skips_the_mask_only_where_nothing_shifts(ds):
-    # re z >= 0 and |im z| >= 10 skip the mask of shifted elements; the appended
-    # 0.75 + 1j sends the same elements through it, which must change no bit
+    # re z >= 0 and |im z| >= 10 leave the mask of shifted elements empty; the
+    # appended 0.75 + 1j shifts the batch, which must change none of their bits
     t = np.linspace(20.0, 1000.0, 2001)
     edges = np.array([10j, -10j, 50j, -50j, 7.0 + 10j, 7.0 - 10j, 0.25 + 10j, 0.75 - 10j])
     for z in ((0.5 + 0.0) / 2 + 0.5j * t, (0.5 + 1.0) / 2 + 0.5j * t, edges):
@@ -256,15 +256,23 @@ def test_log_gamma_skips_the_mask_only_where_nothing_shifts(ds):
 
 
 # small |z| (shifted), the Stirling region just past |z| = 10 unshifted, and
-# re z < 0 with |z| >= 10, which must be shifted off the cut
-_LOG_GAMMA_POINTS = (0.3 + 0.2j, 10.5, 0.25 + 10.1j, -10.5 + 3j, -0.3 - 12j, -30.2 - 0.5j)
+# re z < 0 with |z| >= 10, which must be shifted off the cut; then |im z| >= 10:
+# re z >= 0 on the edge |z| = |im z| = 10 and beyond (unshifted), and re z < 0
+# (shifted, by as much as 50 at -40 - 15j)
+_LOG_GAMMA_POINTS = (
+    (0.3 + 0.2j, 10.5, 0.25 + 10.1j, -10.5 + 3j, -0.3 - 12j, -30.2 - 0.5j)
+    + (10j, -10j, 50j, -50j, 7 + 10j, 7 - 10j, 0.25 + 10j, 0.75 - 10j)
+    + (-0.3 + 12j, -5 + 20j, -40 - 15j, -0.5 + 1000j, -2.5 - 700j)
+)
 
 
 def test_log_gamma_matches_mpmath():
     with mpmath.workdps(30):
         ref = np.array([complex(mpmath.loggamma(z)) for z in _LOG_GAMMA_POINTS])
-    got = np.array([complex(_log_gamma(z)[0]) for z in _LOG_GAMMA_POINTS])
-    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+    alone = np.array([complex(_log_gamma(z)[0]) for z in _LOG_GAMMA_POINTS])
+    together = _log_gamma(np.array(_LOG_GAMMA_POINTS))[0]
+    assert np.max(np.abs(alone - ref) / np.abs(ref)) <= 1e-14
+    assert np.max(np.abs(together - ref) / np.abs(ref)) <= 1e-14
 
 
 def test_digamma_matches_mpmath():
@@ -598,25 +606,30 @@ def test_refinement_closes_steep_steps(monkeypatch, shape, k, c):
     assert abs(zero.gamma - c) <= 5e-10
 
 
-def test_cubic_root_falls_back_to_regula_falsi_without_warnings():
-    # coincident nodes, a constant interpolant and a root outside the bracket:
-    # each row takes the regula falsi point, and nothing warns
+def _fallback_rows():
+    # coincident nodes, a constant interpolant and a root outside the bracket
     t = np.array([[0.0, 0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0]])
     f = np.array([[-1.0, -1.0, 1.0, 3.0], [1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 4.0, 9.0]])
     lo, hi = np.array([0.0, 0.0, 1.5]), np.array([1.0, 1.0, 2.0])
-    flo, fhi = np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 3.0])
-    got = lfunc._cubic_root(t, f, lo, hi, flo, fhi)
-    assert np.array_equal(got, (lo * fhi - hi * flo) / (fhi - flo))
+    return t, f, lo, hi, np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 3.0])
+
+
+def test_cubic_root_falls_back_to_regula_falsi_without_warnings():
+    # each fallback row takes the regula falsi point, and nothing warns
+    rows = _fallback_rows()
+    lo, hi, flo, fhi = rows[2:]
+    assert np.array_equal(lfunc._cubic_root(*rows), (lo * fhi - hi * flo) / (fhi - flo))
 
 
 @pytest.fixture(scope="module")
 def scan_start_rows():
     """The (t, f, lo, hi, flo, fhi) rows of the 130 brackets of the T = 200 scan's start."""
     calls = []
+    cubic_root = lfunc._cubic_root
 
     def spy(*rows):
         calls.append(rows)
-        return lfunc._cubic_root_array(*rows)
+        return cubic_root(*rows)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(lfunc, "_cubic_root", spy)
@@ -635,20 +648,13 @@ def _random_start_rows(points, n_rows):
     return t, f, t[:, k], t[:, k + 1], f[:, k], f[:, k + 1]
 
 
-def _fallback_rows():
-    t = np.array([[0.0, 0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0]])
-    f = np.array([[-1.0, -1.0, 1.0, 3.0], [1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 4.0, 9.0]])
-    lo, hi = np.array([0.0, 0.0, 1.5]), np.array([1.0, 1.0, 2.0])
-    return t, f, lo, hi, np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 3.0])
-
-
 def _start_cases(kind, scan):
-    """Row sets for both root-start forms: the scan's, whole and sliced, random ones, fallbacks."""
+    """Row sets for the root start: the scan's, whole and sliced, random ones, fallbacks."""
     if kind == "scan":
         return [scan]
     if kind == "scan slices":
-        size = lfunc._FLOAT_ROWS
-        cases = [tuple(v[i : i + size] for v in scan) for i in range(0, len(scan[0]), size)]
+        # 16-row windows off the 16-row grid, then every 7th row alone
+        cases = [tuple(v[i : i + 16] for v in scan) for i in range(3, len(scan[0]), 16)]
         return cases + [tuple(v[i : i + 1] for v in scan) for i in range(0, len(scan[0]), 7)]
     if kind == "fallbacks":
         return [_fallback_rows()]
@@ -661,18 +667,32 @@ def _start_cases(kind, scan):
     "kind", ["scan", "scan slices", "random 10-point", "random 4-point", "fallbacks"]
 )
 def test_cubic_root_forms_agree_bit_for_bit(scan_start_rows, kind):
-    # the float form must repeat the array form's IEEE operations in order, so
-    # a scan's starts do not depend on how many brackets its window holds
+    # a scan's starts do not depend on how many brackets its window holds, or
+    # in what order: the rows give the same bits whole, in slices of 16, one at
+    # a time and reversed
     cases = _start_cases(kind, scan_start_rows)
     for case in cases:
-        want = lfunc._cubic_root_array(*case)
-        assert np.array_equal(lfunc._cubic_root_floats(*case), want)
-        assert np.array_equal(lfunc._cubic_root(*case), want)
+        whole = lfunc._cubic_root(*case)
+        for size in (16, 1):
+            parts = [
+                lfunc._cubic_root(*(v[i : i + size] for v in case))
+                for i in range(0, len(whole), size)
+            ]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+        reverse = lfunc._cubic_root(*(v[::-1] for v in case))
+        assert reverse[::-1].tobytes() == whole.tobytes()
     if kind == "scan":
-        assert len(scan_start_rows[0]) == 130 > lfunc._FLOAT_ROWS
+        assert len(scan_start_rows[0]) == 130
+    if kind == "scan slices":
+        # each window gives its rows the bits of the scan's 130-row start
+        full = lfunc._cubic_root(*scan_start_rows)
+        got = [lfunc._cubic_root(*c) for c in cases]
+        n = len(cases) - len(full[::7])
+        assert np.concatenate(got[:n]).tobytes() == full[3:].tobytes()
+        assert np.concatenate(got[n:]).tobytes() == full[::7].tobytes()
     if kind == "fallbacks":
         lo, hi, flo, fhi = cases[0][2:]
-        assert np.array_equal(want, (lo * fhi - hi * flo) / (fhi - flo))
+        assert np.array_equal(whole, (lo * fhi - hi * flo) / (fhi - flo))
 
 
 def test_find_zeros_gammas_match_a_fine_secant(full_scans):
@@ -1080,8 +1100,8 @@ _LINE_CACHES = (
 
 
 def _line_bytes(chi, t):
-    # an L row, M with its derivative, and the scan's grid values, which cross t = 20
-    # where _log_gamma stops masking
+    # an L row, M with its derivative, and the scan's grid values, which cross t = 20,
+    # where |z| passes 10 in _log_gamma and it stops shifting
     out = (lfunc._l_values(chi, 0.5 + 1j * t), lfunc._m_line(chi, t, ds=True))
     return [v.tobytes() for v in out + (lfunc._m_raw_line(chi, t, 0.02),)]
 
