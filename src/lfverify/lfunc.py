@@ -110,9 +110,20 @@ class BranchError(RuntimeError):
 # Hurwitz zeta
 
 
-@functools.lru_cache(maxsize=4096)
-def _em_shift(s_abs: int, sigma: float) -> tuple[int, int]:
-    """(N, M): the Euler-Maclaurin shift and number of Bernoulli terms.
+# the line path's by-value tables: at most _CHARACTERS characters' residues
+# and root numbers, and _TABLES of the kernel's shift constants and of its
+# block tables; a block's only when its call is that one block and it holds
+# at most _TABLE_ELEMENTS floats (32 kB): a call cut into blocks, as at
+# q = 997, would cycle through more blocks than the cache holds
+_CHARACTERS = 64
+_TABLES = 256
+_TABLE_ELEMENTS = 1 << 12
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _em_shift(s_abs: int, sigma: float) -> tuple:
+    """(N, M, step, rise, coeffs): the Euler-Maclaurin shift, the number of Bernoulli terms
+    and the tail rows' read-only M x 1 columns (4j - 1) / N, 2j (2j - 1) / N^2 and c_(j+1).
 
     For re s >= sigma and sigma + 2M - 1 > 0 the remainder after M tail
     terms at w = N + a is at most
@@ -124,7 +135,7 @@ def _em_shift(s_abs: int, sigma: float) -> tuple[int, int]:
     kernel passes the largest |s| of a call rounded up to an integer, at
     least 1, so that the calls along a line share cached answers.
     """
-    best = (math.inf, 0)
+    n_shift, n_terms = math.inf, 0
     log_poch = 0.0
     for m in range(1, len(_BERNOULLI) + 1):
         log_poch += math.log((s_abs + 2 * m - 2) * (s_abs + 2 * m - 1))
@@ -134,27 +145,11 @@ def _em_shift(s_abs: int, sigma: float) -> tuple[int, int]:
         log_bound_at_1 = math.log(4.0 / (e * _EM_TARGET)) + log_poch - 2 * m * math.log(_TWO_PI)
         # the least N with bound <= target; the cap keeps exp finite near e = 0
         n = max(10, math.ceil(math.exp(min(log_bound_at_1 / e, 700.0))))
-        if n < best[0]:
-            best = (n, m)
-    return best
-
-
-# the line path's by-value tables: at most _CHARACTERS characters' residues
-# and root numbers, and _TABLES of the kernel's shift and block constants; a
-# block's only when its call is that one block and it holds at most
-# _TABLE_ELEMENTS floats (32 kB): a call cut into blocks, as at q = 997,
-# would cycle through more blocks than the cache holds
-_CHARACTERS = 64
-_TABLES = 256
-_TABLE_ELEMENTS = 1 << 12
-
-
-@functools.lru_cache(maxsize=_TABLES)
-def _tail_columns(n_shift: int, n_terms: int) -> tuple[np.ndarray, ...]:
-    """(4j - 1) / N, 2j (2j - 1) / N^2 and c_(j+1), j < M: the M x 1 columns of the tail rows."""
+        if n < n_shift:
+            n_shift, n_terms = n, m
     j = np.arange(n_terms)[:, None]
     step, rise = (4 * j - 1) / n_shift, 2 * j * (2 * j - 1) / n_shift**2
-    return read_only(step, rise, _EM_COEFFS[:n_terms, None])
+    return n_shift, n_terms, *read_only(step, rise, _EM_COEFFS[:n_terms, None])
 
 
 @functools.lru_cache(maxsize=_TABLES)
@@ -175,10 +170,10 @@ def _euler_maclaurin(
 ) -> np.ndarray:
     """sum_a c_a zeta(s, a) at s = rows[i] + i cols[j] and a 1-d array of a, common shift N.
 
-    N and the number M of Bernoulli terms come from ``_em_shift`` at the
-    largest |s| and the least re s of the call, so the remainder is at most
-    ``_EM_TARGET`` at every s.  On the critical line N is 36 at t = 100
-    and 270 at t = 1000.
+    N, the number M of Bernoulli terms and the tail's columns come from one
+    ``_em_shift`` lookup at the largest |s| and the least re s of the call,
+    so the remainder is at most ``_EM_TARGET`` at every finite s.  On the
+    critical line N is 36 at t = 100 and 270 at t = 1000.
 
     zeta(s, a) = sum_{n<N} (n+a)^-s + w^(1-s)/(s-1) + w^-s/2 + tail,
     w = N + a, with the tail
@@ -192,9 +187,8 @@ def _euler_maclaurin(
     which stays finite where a row vanishes at s = 0, -1, -2, ...); each
     residue meets them in one (1 x M) @ (M x I J) product of its own ratios.
     Scaled by N, every factor stays finite at |s| = 1000 and M = 40.
-    The constants of a shift, and a small block's logs and ratios, are
-    kept by value in ``_tail_columns`` and ``_block_table``; ``s``, when
-    given, is the caller's own ravel of rows[i] + i cols[j].
+    A small block's logs and ratios are kept by value in ``_block_table``;
+    ``s``, when given, is the caller's own ravel of rows[i] + i cols[j].
     With ``pole_free`` the 1/(s-1) part of w^(1-s)/(s-1) is dropped and
     the rest summed as a series in s - 1; the dropped parts cancel across
     a nonprincipal character sum, which keeps s = 1 finite.
@@ -222,14 +216,15 @@ def _euler_maclaurin(
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     if s is None:
         s = (rows[:, None] + 1j * cols).ravel()
+    if not np.isfinite(s).all():
+        raise DomainError("s must be finite")
     if not pole_free and (s == 1.0).any():
         raise DomainError("pole at s = 1")
     s_abs = max(1, math.ceil(float(np.abs(s).max())))
-    n_shift, n_terms = _em_shift(s_abs, float(s.real.min()))
+    n_shift, n_terms, step, rise, coeffs = _em_shift(s_abs, float(s.real.min()))
     # row k - 1 is c_k (s)_(2k-1) / N^(2k-1): x = s / N times the running product
     # of (s + 2j - 1)(s + 2j) / N^2 = x (x + (4j - 1) / N) + 2j (2j - 1) / N^2,
     # built in place in ``tail``, since each fresh M x I J temporary page-faults
-    step, rise, coeffs = _tail_columns(n_shift, n_terms)
     x = s / n_shift
     tail = np.empty((1 + ds, n_terms, len(s)), dtype=np.complex128)
     t_rows = tail[0]
@@ -327,7 +322,7 @@ def _l_values(
     """L(s, chi) = q^(-s) sum_a chi(a) zeta(s, a/q) at s = rows[i] + i cols[j], row by row.
 
     One kernel call over the residues a with chi(a) != 0 sums
-    chi(a) zeta(s, a/q) in the order of a; ``_residue_weights`` keeps the
+    chi(a) zeta(s, a/q) in the order of a; ``_character_table`` keeps the
     residues and weights by value per character.  The result is the kernel's
     (1 + ds) x I J array: row 0 holds L and, with ``ds``, row 1 dL/ds.
     A nonprincipal chi with every s within
@@ -336,20 +331,26 @@ def _l_values(
     """
     s = (rows[:, None] + 1j * cols).ravel()
     pole_free = not chi.is_principal and bool((np.abs(s - 1.0) < 1e-1).all())
-    a, c, log_q = _residue_weights(chi)
-    total = np.exp(-s * log_q) * _euler_maclaurin(rows, cols, a, c, ds, pole_free, s)
+    a, c, log_q, _ = _character_table(chi)
+    total = _euler_maclaurin(rows, cols, a, c, ds, pole_free, s)
+    total = np.exp(-s * log_q) * total  # after the kernel has refused a non-finite s
     if ds:
         total[1] -= log_q * total[0]
     return total
 
 
 @functools.lru_cache(maxsize=_CHARACTERS)
-def _residue_weights(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray, float]:
-    """a/q and chi(a) over the residues a with chi(a) != 0, in order, read-only, and log q."""
+def _character_table(chi: DirichletCharacter) -> tuple:
+    """a/q and chi(a) over the residues a with chi(a) != 0, in order, read-only, log q, and
+    for a primitive chi (epsilon, a), its root number and parity 0.0 even or 1.0 odd, else None."""
     q = chi.modulus
     c = np.array(chi.values[1:] + chi.values[:1], dtype=np.complex128)
     a = np.flatnonzero(c) + 1
-    return *read_only(a / q, c[a - 1]), math.log(q)
+    root = None
+    if chi.primitive:
+        tau = gauss_sum(chi)
+        root = (tau / math.sqrt(q), 0.0) if chi.parity == 1 else (-1j * tau / math.sqrt(q), 1.0)
+    return *read_only(a / q, c[a - 1]), math.log(q), root
 
 
 def l_function(s: complex, chi: DirichletCharacter) -> complex:
@@ -424,21 +425,17 @@ def vartheta(s: complex) -> complex:
     )
 
 
-@functools.lru_cache(maxsize=_CHARACTERS)
 def _root_number(theta: DirichletCharacter) -> tuple[complex, float]:
-    """(epsilon, a): the root number and the parity, a = 0.0 for even theta and 1.0 for odd;
-    kept by value per character, since the Gauss sum is a loop over the residues."""
-    q = theta.modulus
-    tau = gauss_sum(theta)
-    if theta.parity == 1:
-        return tau / math.sqrt(q), 0.0
-    return -1j * tau / math.sqrt(q), 1.0
+    """(epsilon, a) from ``_character_table``: only a primitive theta has the functional
+    equation that defines them, and every rotated-line path refuses any other here."""
+    root = _character_table(theta)[3]
+    if root is None:
+        raise DomainError("the functional equation needs a primitive character")
+    return root
 
 
 def z_factor(s: complex, theta: DirichletCharacter) -> complex:
     """Ratio L(s, theta) / L(1-s, conj theta) for primitive theta."""
-    if not theta.primitive:
-        raise DomainError("z_factor needs a primitive character")
     s = complex(s)
     eps, a = _root_number(theta)
     num, den = (1.0 - s + a) / 2.0, (s + a) / 2.0
@@ -462,6 +459,8 @@ def _m_line(
     (arg Z)'(t) = log(pi / q) - re psi(h + it/2); so
     M' = exp(-i arg Z / 2) (dL/ds - (arg Z)' L / 2).
     """
+    if not np.isfinite(t).all():
+        raise DomainError("t must be finite")
     eps, a = _root_number(theta)
     pts = (t[:, None] + cols).ravel()
     lg = _log_gamma((0.5 + a) / 2 + 0.5j * pts, ds)
@@ -506,8 +505,6 @@ def m_function(t: float, psi: DirichletCharacter) -> float:
     """Real-valued rotation of L(1/2+it) under the continuous branch."""
     if t <= 0:
         raise DomainError("t must be positive")
-    if not psi.primitive:
-        raise DomainError("m_function needs a primitive character")
     return float(_m_raw_line(psi, np.array([float(t)]))[0])
 
 
@@ -582,8 +579,8 @@ def _sign_changes(vals: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _runs(keys: np.ndarray) -> list[slice]:
-    """The runs of equal values in sorted ``keys``, as slices in order; none for no keys."""
-    starts = np.flatnonzero(np.diff(keys, prepend=-np.inf)).tolist()
+    """Slices of the runs of equal values in sorted ``keys``; compared, as -inf - -inf warns."""
+    starts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()] if len(keys) else []
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(keys)])]
 
 
@@ -696,8 +693,6 @@ def find_zeros(
     Each zero is returned as gamma = x, radius 0.5e-9.  More than ``_MAX_GRID_STEPS``
     steps raise DomainError, tested on the float ratio before any grid is built.
     """
-    if not psi.primitive:
-        raise DomainError("scan needs a primitive character")
     if not 0 < t_min < t_max:
         raise DomainError("need 0 < t_min < t_max")
     if not 0 < step <= _STEP_LIMIT:
@@ -740,8 +735,8 @@ def find_zeros(
     return ScanResult(zeros, flagged, len(panel_starts))
 
 
-# the line values' accuracy is checked up to this height, and the c* audit
-# evaluates L up to 3 alpha_hat above a zero, so it caps alpha_hat too
+# the line values are checked up to this height, which caps alpha_hat too; the c* audit
+# evaluates L up to 3 alpha_hat above a zero, so at both caps up to t = 3999 (N = 1056)
 _T_LIMIT = 1000.0
 # a chunk of the c* audit spans at most one scan panel at the default step,
 # so each chunk's kernel passes run at a shift fit for its own ordinates

@@ -100,7 +100,7 @@ def test_em_shift_is_the_least_that_meets_the_target(sigma):
         for t in np.append(np.linspace(0.0, 1000.0, 41), (0.02, 999.9)):
             # the kernel passes the largest |s| rounded up, at least 1
             s_abs = max(1, math.ceil(abs(complex(sigma, t))))
-            n, m = lfunc._em_shift(s_abs, sigma)
+            n, m, *_ = lfunc._em_shift(s_abs, sigma)
             orders = [k for k in range(1, 41) if sigma + 2 * k - 1 > 0]
             assert n >= 10 and m in orders
             assert _em_bound(s_abs, sigma, n, m) <= lfunc._EM_TARGET, (t, n, m)
@@ -1094,9 +1094,7 @@ def test_m_line_computes_the_root_number_once(monkeypatch):
 
 
 # every by-value table of the line path
-_LINE_CACHES = (
-    lfunc._residue_weights, lfunc._root_number, lfunc._tail_columns, lfunc._block_table
-)
+_LINE_CACHES = (lfunc._character_table, lfunc._em_shift, lfunc._block_table)
 
 
 def _line_bytes(chi, t):
@@ -1124,11 +1122,12 @@ def test_line_caches_key_by_value_and_change_no_bit(q):
     for chi, want in zip(chis, cold):
         assert _line_bytes(chi, t) == want
         assert _line_bytes(DirichletCharacter(**chi._asdict()), t) == want
-    n_shift, n_terms = lfunc._em_shift(30, 0.5)
-    a, _, _ = lfunc._residue_weights(chis[0])
+    n_shift, n_terms, *columns = lfunc._em_shift(30, 0.5)
+    a, c, _, _ = lfunc._character_table(chis[0])
     cached = [
-        *lfunc._residue_weights(chis[0])[:2],
-        *lfunc._tail_columns(n_shift, n_terms),
+        a,
+        c,
+        *columns,
         *(v for v in lfunc._block_table(a.tobytes(), n_shift, n_terms) if isinstance(v, np.ndarray)),
     ]
     for arr in cached:
@@ -1136,6 +1135,74 @@ def test_line_caches_key_by_value_and_change_no_bit(q):
             arr.flat[0] = 1.0
     for cache in _LINE_CACHES:
         assert 0 < cache.cache_info().maxsize <= lfunc._TABLES
+
+
+@pytest.mark.parametrize(
+    "q, t, step, tables",
+    (
+        (5, 30.0 + 1e-6 * np.array([-1.0, 1.0]), None, 1),
+        (5, 30.0 + 0.02 * np.arange(500), 0.02, 1),
+        # one block of 996 residues, over _TABLE_ELEMENTS floats, and then many blocks
+        (997, 30.0 + 1e-6 * np.array([-1.0, 1.0]), None, 0),
+        (997, 30.0 + 0.02 * np.arange(500), 0.02, 0),
+    ),
+)
+def test_block_tables_are_kept_only_for_a_small_single_block_call(q, t, step, tables):
+    chi = real_primitive_character(q)
+    lfunc._block_table.cache_clear()
+    lfunc._m_raw_line(chi, t, step)
+    assert lfunc._block_table.cache_info().currsize == tables
+
+
+def test_the_rotated_line_refuses_an_imprimitive_character_in_one_place(tmp_path, monkeypatch):
+    # the conductor-5 character mod 15 has no root number: c_star rotated its
+    # line by one anyway, into c* = NaN, and the table got a blank c*
+    chi = next(c for c in character_group(15) if c.conductor == 5)
+    assert lfunc._character_table(chi)[3] is None
+    gammas = (5.0, 10.0)
+    scan = ScanResult(tuple(CriticalZero(g, 1e-9) for g in gammas))
+    calls = []
+    root_number = lfunc._root_number
+    monkeypatch.setattr(lfunc, "_root_number", lambda theta: calls.append(1) or root_number(theta))
+    for run in (
+        lambda: c_star(chi, np.array(gammas), 0.3),
+        lambda: export_zeros_csv(str(tmp_path / "z.csv"), scan, chi, 0.3),
+        lambda: m_function(3.0, chi),
+        lambda: find_zeros(chi, 1.0, 10.0),
+        lambda: z_factor(0.3, chi),
+    ):
+        with pytest.raises(DomainError, match="primitive"):
+            run()
+    assert len(calls) == 5 and not (tmp_path / "z.csv").exists()
+    # L alone needs no functional equation
+    assert cmath.isfinite(l_function(2.0, chi))
+
+
+def test_a_non_finite_argument_is_refused_before_any_arithmetic():
+    # the kernel's shift raised ValueError at nan and OverflowError at inf, and
+    # m_function(nan) warned first; every RuntimeWarning is an error here
+    chi = primitive_characters(5)[0]
+    real = (math.nan, math.inf, -math.inf)
+    points = (
+        *real,
+        complex(math.inf, 0.0),
+        complex(0.5, math.inf),
+        complex(-math.inf, math.inf),
+        complex(math.nan, 1.0),
+        complex(0.5, math.nan),
+    )
+    for s in points:
+        for fn in (l_function, l_function_ds):
+            with pytest.raises(DomainError, match="s must be finite"):
+                fn(s, chi)
+        with pytest.raises(DomainError, match="s must be finite"):
+            hurwitz_zeta(s, 0.5)
+    for t in real:
+        with pytest.raises(DomainError, match="t must be (finite|positive)"):
+            m_function(t, chi)
+        for gammas in ([t], [5.0, t]):
+            with pytest.raises(DomainError, match="t must be finite"):
+                c_star(chi, np.array(gammas), 0.3)
 
 
 def test_export_zeros_csv(tmp_path):
