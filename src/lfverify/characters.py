@@ -265,7 +265,7 @@ def real_primitive_character(big_d: int) -> DirichletCharacter:
     """The real primitive character mod D, when one exists.
 
     Only the 2^g real characters are built, g the number of generators.
-    Prefers the even character when two are primitive (only at D=8).
+    Prefers the even character when two are primitive: at D = 8m, m odd and squarefree.
     """
     if big_d >= 3:
         found = [c for c in _characters(big_d, real_only=True) if c.primitive]

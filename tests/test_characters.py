@@ -194,7 +194,7 @@ def test_real_primitive_character_is_the_group_member():
             continue
         chi = real_primitive_character(big_d)
         assert chi.real and chi.primitive and chi.conductor == big_d
-        # the even character when both signs are fundamental (D = 8)
+        # the even character when both signs are fundamental (D = 8m, m odd, squarefree)
         assert chi.parity == signs[0]
         (member,) = [
             c for c in primitive_characters(big_d) if c.real and c.parity == chi.parity

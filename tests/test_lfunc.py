@@ -1082,6 +1082,36 @@ def test_z_factor_refuses_the_gamma_poles():
     assert cmath.isfinite(z_factor(2.5, even))
 
 
+def test_log_gamma_refuses_the_poles_and_keeps_its_bits_between_them():
+    # Gamma's poles at 0, -1, -2, ... are refused where the shift meets them,
+    # alone or in an array; -7.5 between two of them keeps its values bit for bit
+    for z in (0.0, -1.0, -7.0, np.array([0.5 + 3j, -7.0]), np.array([[-2.5, -3.0]])):
+        for ds in (False, True):
+            with pytest.raises(DomainError, match="Gamma pole"):
+                _log_gamma(z, ds)
+    lg, psi = _log_gamma(-7.5, ds=True)
+    assert (lg.real.hex(), lg.imag.hex()) == ("-0x1.0cf1f85b8c9f1p+3", "-0x1.921fb54442d18p+4")
+    assert (psi.real.hex(), psi.imag.hex()) == ("0x1.0a406a791b546p+1", "0x0.0p+0")
+
+
+def test_the_kernel_refuses_an_s_it_cannot_sum():
+    # at -60 the largest term (N + 1)^(1 - sigma), N = 721,797, overflowed with
+    # a RuntimeWarning; at -78 N passed any array size (ValueError), and at -80
+    # no order M <= 40 exists (IndexError); on the real axis the last accepted
+    # shift is N = 170,897 at -57.88
+    chi = real_primitive_character(5)
+    for sigma in (-60.0, -78.0, -80.0):
+        for s in (sigma, complex(sigma, 3.0)):
+            with pytest.raises(DomainError, match="reach"):
+                hurwitz_zeta(s, 0.235)
+            with pytest.raises(DomainError, match="reach"):
+                l_function(s, chi)
+    assert lfunc._em_shift(58, -57.88)[:2] == (170897, 40)
+    with pytest.raises(DomainError, match="reach"):
+        lfunc._em_shift(58, -57.89)
+    assert cmath.isfinite(hurwitz_zeta(-57.0, 0.235))
+
+
 def test_m_line_computes_the_root_number_once(monkeypatch):
     chi = primitive_characters(7)[1]
     calls = []
@@ -1180,7 +1210,9 @@ def test_the_rotated_line_refuses_an_imprimitive_character_in_one_place(tmp_path
 
 def test_a_non_finite_argument_is_refused_before_any_arithmetic():
     # the kernel's shift raised ValueError at nan and OverflowError at inf, and
-    # m_function(nan) warned first; every RuntimeWarning is an error here
+    # m_function(nan) warned first; vartheta's and z_factor's pole guards raised
+    # OverflowError in int() at inf, and elsewhere both returned nan after a
+    # RuntimeWarning, where _log_gamma refuses; every RuntimeWarning is an error here
     chi = primitive_characters(5)[0]
     real = (math.nan, math.inf, -math.inf)
     points = (
@@ -1197,6 +1229,9 @@ def test_a_non_finite_argument_is_refused_before_any_arithmetic():
                 fn(s, chi)
         with pytest.raises(DomainError, match="s must be finite"):
             hurwitz_zeta(s, 0.5)
+        for fn in (vartheta, lambda s: z_factor(s, chi), _log_gamma):
+            with pytest.raises(DomainError, match="finite z"):
+                fn(s)
     for t in real:
         with pytest.raises(DomainError, match="t must be (finite|positive)"):
             m_function(t, chi)
