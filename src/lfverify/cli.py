@@ -84,7 +84,14 @@ def _finish(args, section, records, notes=(), parameters=None, zeros=None) -> in
         }
         rows = [_ROWS[section](r) for r in records]
         doc[section] = rows if zeros is None else {**zeros, "checks": rows}
-        _emit(doc, args.format, args.out)
+        if args.format == "json":
+            text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        else:
+            text = _markdown(doc)
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            write_text(args.out, text)
     return 0 if all(r.passed for r in records) else 1
 
 
@@ -117,17 +124,6 @@ def _markdown(doc: dict) -> str:
             lines.append(f"| {r['name']} | {gap} | {'yes' if r['pass'] else 'NO'} |")
     lines += ["", f"_generated {doc['meta']['timestamp']}_", ""]
     return "\n".join(lines)
-
-
-def _emit(doc: dict, fmt: str, out_path: str) -> None:
-    if fmt == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    else:
-        text = _markdown(doc)
-    if out_path == "-":
-        sys.stdout.write(text)
-    else:
-        write_text(out_path, text)
 
 
 def cmd_verify_constants(args) -> int:
@@ -204,18 +200,14 @@ def cmd_zeros(args) -> int:
 
     from . import characters, lfunc
 
-    # the Euler-Maclaurin kernel bounds its truncation at any height, but the
-    # rounding of its direct sum (relative 1e-12 on the line) is checked against
-    # mpmath only up to t = 999.9, and a scan's cost grows as T^2
-    t_limit = lfunc._T_LIMIT
     if not 0 < args.modulus <= _MODULUS_LIMIT:
         raise DomainError(f"--modulus must be between 1 and {_MODULUS_LIMIT}")
     if not 0 < args.step <= lfunc._STEP_LIMIT:
         raise DomainError(f"--step must be positive and at most {lfunc._STEP_LIMIT:g}")
-    if not 0 < args.t_max <= t_limit:
-        raise DomainError(f"--t-max must be positive and at most {t_limit:g}")
-    if args.alpha_hat is not None and not 0 < args.alpha_hat <= t_limit:
-        raise DomainError(f"--alpha-hat must be positive and at most {t_limit:g}")
+    if not 0 < args.t_max <= lfunc._T_LIMIT:
+        raise DomainError(f"--t-max must be positive and at most {lfunc._T_LIMIT:g}")
+    if args.alpha_hat is not None and not 0 < args.alpha_hat <= lfunc._T_LIMIT:
+        raise DomainError(f"--alpha-hat must be positive and at most {lfunc._T_LIMIT:g}")
     prims = characters.primitive_characters(args.modulus)
     if not prims:
         raise DomainError(f"no primitive characters mod {args.modulus}")

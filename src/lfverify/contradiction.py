@@ -23,18 +23,14 @@ and by the frozen Simpson oracle used in the tests):
 from __future__ import annotations
 
 import cmath
-import math
 from collections import namedtuple
 from collections.abc import Callable, Mapping
 
 from .kernels import (
     BETA, IOTA2, IOTA3, IOTA4, RESIDUE_WEIGHTS, SHIFT_A, SHIFT_B, TILDE_F_SLOPE, W0, Z1, Z2, Z3,
-    _wrap, eval_f, eval_g, eval_w, eval_y,
+    _PI, _wrap, eval_f, eval_g, eval_w, eval_y,
 )
 from .numerics import DomainError, VerificationRecord, integrate, verdict
-
-_PI = math.pi
-
 
 VerificationReport = namedtuple("VerificationReport", "records notes")
 

@@ -17,7 +17,7 @@ import cmath
 
 from .numerics import DomainError
 
-_PI = 3.141592653589793
+_PI = cmath.pi
 
 
 # the scaled rates beta_k by index; indices 4 and 5 wrap to 1 and 2 (``_wrap``)

@@ -53,6 +53,10 @@ _STIRLING = tuple((n / d) / ((2 * k + 2) * (2 * k + 1)) for k, (n, d) in enumera
 # B_2k / 2k for k = 1..8: the asymptotic series of the digamma function
 _DIGAMMA = tuple((n / d) / (2 * k + 2) for k, (n, d) in enumerate(_BERNOULLI[:8]))
 
+# the most steps _log_gamma shifts by: a Gamma argument paired with a kernel value needs
+# N <= 68, as the kernel refuses re s <= -57.89, and vartheta(1000.5) already underflows to 0
+_GAMMA_SHIFT_LIMIT = 1000
+
 # every kernel call bounds its Euler-Maclaurin remainder by this, and its terms by e^_LOG_MAX
 _EM_TARGET = 1e-17
 _LOG_MAX = math.log(np.finfo(np.float64).max)
@@ -358,7 +362,8 @@ def _log_gamma(z, ds: bool = False) -> np.ndarray:
     about 1e-17.  The shifted elements then lose sum_{k<N} log(z + k), in
     principal logs, since each z + k stays in the half-plane of z, and
     sum_{k<N} 1/(z + k).  The result has shape (1 + ds,) + shape(z).  DomainError
-    refuses a non-finite z before any arithmetic, and a pole 0, -1, ... where z + k == 0.
+    refuses a non-finite z before any arithmetic, an N above ``_GAMMA_SHIFT_LIMIT``
+    before any array of N columns, and a pole 0, -1, ... where z + k == 0.
     """
     # 1-d, so the shifted elements can be assigned into
     flat = np.asarray(z, dtype=np.complex128).ravel()
@@ -366,6 +371,8 @@ def _log_gamma(z, ds: bool = False) -> np.ndarray:
         raise DomainError("log Gamma takes only a finite z")
     small = (np.abs(flat) < 10.0) | (flat.real < 0.0)
     n = math.ceil(10.0 - float(flat.real[small].min())) if small.any() else 0
+    if n > _GAMMA_SHIFT_LIMIT:
+        raise DomainError(f"log Gamma shifts at most {_GAMMA_SHIFT_LIMIT} steps, not {n}")
     w = flat
     if n:
         w = flat.copy()
@@ -712,8 +719,9 @@ def find_zeros(
     return ScanResult(zeros, flagged, len(panel_starts))
 
 
-# the line values are checked up to this height, which caps alpha_hat too; the c* audit
-# evaluates L up to 3 alpha_hat above a zero, so at both caps up to t = 3999 (N = 1056)
+# the kernel bounds its truncation at any height, but its rounding (relative 1e-12 on the line)
+# is checked against mpmath only up to t = 999.9, and a scan's cost grows as T^2; the cap bounds
+# alpha_hat too: the c* audit evaluates L up to 3 alpha_hat above a zero, so to t = 3999 (N = 1056)
 _T_LIMIT = 1000.0
 # a chunk of the c* audit spans at most one scan panel at the default step,
 # so each chunk's kernel passes run at a shift fit for its own ordinates

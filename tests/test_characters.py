@@ -151,6 +151,28 @@ def test_value_table_guard():
         DirichletCharacter(3, (1 + 0j,), 1, True, 1)
 
 
+def test_validate_refuses_a_table_that_is_no_character():
+    # chi mod 5 with chi(4) negated is no longer multiplicative at (2, 2); the
+    # all-ones table is multiplicative but takes a value at 0, which is no unit
+    chi = real_primitive_character(5)
+    facts = (chi.parity, chi.real, chi.conductor)
+    for values, message in (
+        ((0j, 1 + 0j, -1 + 0j, -1 + 0j, -1 + 0j), r"not multiplicative at \(2,2\) mod 5"),
+        ((1 + 0j,) * 5, "support wrong at 0 mod 5"),
+    ):
+        with pytest.raises(AssertionError, match=message):
+            DirichletCharacter(5, values, *facts).validate()
+    chi.validate()
+
+
+def test_character_group_and_coefficient_table_refuse_an_empty_range():
+    for q in (0, -3):
+        with pytest.raises(DomainError, match="modulus must be positive"):
+            character_group(q)
+    with pytest.raises(DomainError, match="coefficients start at n = 1, not 0"):
+        coefficient_bound_margin(0, real_primitive_character(5))
+
+
 def _brute_force_facts(chi):
     """Parity, primitivity, realness and conductor re-derived from the float
     table: chi(q - 1), |imag| < 1e-13, and a scan of the divisors f of q for

@@ -73,6 +73,20 @@ def test_constants_markdown(tmp_path):
     assert "tol" not in footer
 
 
+def test_constants_markdown_shows_a_non_finite_imaginary_part_as_nan(tmp_path, monkeypatch):
+    from lfverify import contradiction
+
+    windows = contradiction.short_window_checks()
+    windows["window6_1"] = complex(windows["window6_1"].real, math.nan)
+    monkeypatch.setattr(contradiction, "short_window_checks", lambda: windows)
+    out = tmp_path / "report.md"
+    assert main(["constants", "--format", "markdown", "--out", str(out)]) == 1
+    rows = [line for line in out.read_text().splitlines() if line.startswith("| window6_1 |")]
+    assert len(rows) == 1
+    assert rows[0].split(" | ")[1] == f"{windows['window6_1'].real:.10g}+nan*i"
+    assert rows[0].endswith("| NO |")
+
+
 def test_constants_bad_out_path():
     assert main(["constants", "--out", "/nonexistent-dir/x.json"]) == 2
 

@@ -4,6 +4,7 @@ import cmath
 import csv
 import math
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -1092,6 +1093,27 @@ def test_log_gamma_refuses_the_poles_and_keeps_its_bits_between_them():
     lg, psi = _log_gamma(-7.5, ds=True)
     assert (lg.real.hex(), lg.imag.hex()) == ("-0x1.0cf1f85b8c9f1p+3", "-0x1.921fb54442d18p+4")
     assert (psi.real.hex(), psi.imag.hex()) == ("0x1.0a406a791b546p+1", "0x0.0p+0")
+
+
+def test_log_gamma_refuses_a_shift_past_its_limit_before_building_it():
+    # at 1e6 + 0.5 the shift N ~ 1e6 took 38 ms and 32 MB in a (points x N) array;
+    # every RuntimeWarning is an error here; the largest accepted shift, at
+    # -989.5 + i, still matches mpmath, and a pole is still refused as a pole
+    chi = primitive_characters(5)[0]
+    for fn in (vartheta, lambda s: z_factor(s, chi)):
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match="log Gamma shifts at most 1000 steps"):
+                fn(1e6 + 0.5)
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 1e-3
+    z = -989.5 + 1j
+    with mpmath.workdps(30):
+        ref = complex(mpmath.loggamma(z))
+    assert abs(complex(_log_gamma(z)[0]) - ref) <= 1e-14 * abs(ref)
+    with pytest.raises(DomainError, match="Gamma pole"):
+        vartheta(2.0)
 
 
 def test_the_kernel_refuses_an_s_it_cannot_sum():
