@@ -1,10 +1,9 @@
-"""Fixed-panel quadrature, the error and verdict types, the record base, the file writer, read_only.
+"""One-panel quadrature, the error and verdict types, the record base, the file writer, read_only.
 
-``integrate`` splits [a, b] into equal panels, applies one 15-point
-Gauss-Legendre rule on each and adds the panel sums in order.  The caller
-chooses the number of panels; there is no tolerance and no adaptivity.  For
-an integrand analytic on a Bernstein ellipse about each panel the rule's
-error has an explicit bound (Trefethen, Approximation Theory and
+``integrate`` applies one 15-point Gauss-Legendre rule to [a, b]; a caller
+that needs panels splits the interval itself.  There is no tolerance and no
+adaptivity.  For an integrand analytic on a Bernstein ellipse about [a, b]
+the rule's error has an explicit bound (Trefethen, Approximation Theory and
 Approximation Practice, Thm 19.3).  The module is plain Python, without
 numpy: the integrand sees one float abscissa per call, and every sum runs in
 a fixed order, so identical inputs give identical outputs on any CPU.
@@ -100,32 +99,23 @@ _WEIGHTS15 = (
 )
 
 
-def integrate(f: Callable, a: float, b: float, panels: int = 1) -> QuadratureResult:
-    """Integrate ``f`` over [a, b] by ``panels`` equal 15-point Gauss-Legendre panels.
+def integrate(f: Callable, a: float, b: float) -> QuadratureResult:
+    """Integrate ``f`` over [a, b] by one 15-point Gauss-Legendre panel.
 
     ``f`` takes one Python float and may return a real or complex number;
-    it is called once per abscissa, panel by panel and in node order.
-    Raises DomainError unless a and b are finite, a <= b and panels >= 1.
+    it is called once per abscissa, in node order.
+    Raises DomainError unless a and b are finite and a <= b.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise DomainError(f"invalid interval [{a}, {b}]")
-    if panels < 1:
-        raise DomainError("at least one panel is needed")
     if a == b:
         return QuadratureResult(0j, 0)
-    # Python scalars throughout, so that the panel sums and the value are
-    # Python complex whatever numeric types the caller passes
+    # Python scalars throughout, so that the sum and the value are Python
+    # complex whatever numeric types the caller passes
     a, b = float(a), float(b)
-    width = (b - a) / panels
-    # the exact additive identity, signed zeros included: one panel's sum
-    # comes back bit for bit
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    # the exact additive identity, signed zeros included
     value = complex(-0.0, -0.0)
-    for k in range(panels):
-        lo = a + k * width
-        hi = b if k == panels - 1 else a + (k + 1) * width
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        panel = complex(-0.0, -0.0)
-        for x, w in zip(_NODES15, _WEIGHTS15):
-            panel += w * complex(f(mid + half * x))
-        value += half * panel
-    return QuadratureResult(value, 15 * panels)
+    for x, w in zip(_NODES15, _WEIGHTS15):
+        value += w * complex(f(mid + half * x))
+    return QuadratureResult(half * value, 15)

@@ -29,16 +29,8 @@ from lfverify.characters import (
 from lfverify.cli import main
 from lfverify.contradiction import compute_b_matrix, compute_c_matrix, run_verification
 from lfverify.eulerprod import IDENTITY_CASES, LocalFactorParams, check_local_identity
-from lfverify.lfunc import (
-    WeightParams,
-    c_star,
-    delta_fn,
-    delta_mellin,
-    g_weight,
-    l_function,
-    omega_weight,
-    z_factor,
-)
+from lfverify.lfunc import c_star, l_function, z_factor
+from smoothing import WeightParams, delta_fn, delta_mellin, g_weight, omega_weight
 
 
 def _components_close(computed, claimed, tol):

@@ -585,7 +585,25 @@ def test_argparse_guards():
         main(["constants", "--format", "yaml"])
 
 
-_COLD_START = textwrap.dedent(
+def test_the_module_runs_as_a_script():
+    # `python -m lfverify.cli` reaches main through the __main__ guard, and
+    # its exit status is main's return value
+    src = str(Path(lfverify.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lfverify.cli", "identities", "--max-n", "100", "--moduli", "3",
+         "--out", "-"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = {row["name"]: row for row in json.loads(proc.stdout)["identities"]}
+    assert rows["divisor_sum_mod3"]["pass"] is True
+
+
+_COLD_START =textwrap.dedent(
     """
     import json, sys
 

@@ -110,8 +110,8 @@ def test_every_panel_goes_through_integrate(monkeypatch):
     # the pipeline must look it up at call time
     results = []
 
-    def recording_integrate(f, a, b, panels=1):
-        res = integrate(f, a, b, panels)
+    def recording_integrate(f, a, b):
+        res = integrate(f, a, b)
         results.append(res)
         return res
 

@@ -6,12 +6,14 @@ import math
 import re
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+import smoothing
 from conftest import ORACLE_DIR, scan_alpha_hat
 from lfverify import lfunc
 from lfverify.characters import (
@@ -25,24 +27,20 @@ from lfverify.lfunc import (
     BranchError,
     CriticalZero,
     ScanResult,
-    WeightParams,
     _log_gamma,
     c_star,
-    delta_fn,
-    delta_mellin,
     export_zeros_csv,
     find_zeros,
-    g_weight,
     gauss_sum,
     hurwitz_zeta,
     l_function,
     l_function_ds,
     m_function,
-    omega_weight,
     vartheta,
     z_factor,
 )
 from lfverify.numerics import ConvergenceError, DomainError
+from smoothing import WeightParams, delta_fn, delta_mellin, g_weight, omega_weight
 
 CATALAN = 0.915965594177219015054603514932384110774
 
@@ -1397,9 +1395,16 @@ def test_delta_mellin_panels_resolve_a_wide_fast_window():
 
 def test_delta_fn_panel_layout_is_read_only():
     # the layout is kept between calls with the same panel count
-    for arr in lfunc._panel_layout(8, WeightParams(10.0, 6.0, 60.0)):
+    for arr in smoothing._panel_layout(8, WeightParams(10.0, 6.0, 60.0)):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("category", [DeprecationWarning, FutureWarning])
+def test_a_deprecation_in_the_weights_module_is_an_error(category):
+    # pyproject.toml gives the test-side weights lfverify's warning policy
+    with pytest.raises(category):
+        warnings.warn_explicit("old", category, smoothing.__file__, 1, module="smoothing")
 
 
 def test_delta_fn_refuses_too_many_panels():

@@ -1,11 +1,13 @@
-"""Fixed-panel Gauss-Legendre quadrature: accuracy, panel layout, refusals."""
+"""One-panel Gauss-Legendre quadrature and its test-side panel loop: accuracy, order, refusals."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from lfverify.numerics import _NODES15, _WEIGHTS15, DomainError, integrate, verdict
+from smoothing import integrate_panels
 
 
 def test_polynomial_exact():
@@ -25,7 +27,7 @@ def test_oscillatory_complex_closed_form():
 def test_high_frequency_needs_panels():
     true = math.sin(200.0) / 200.0
     assert abs(integrate(lambda x: np.cos(200.0 * x), 0.0, 1.0).value - true) > 1e-3
-    res = integrate(lambda x: np.cos(200.0 * x), 0.0, 1.0, panels=40)
+    res = integrate_panels(lambda x: np.cos(200.0 * x), 0.0, 1.0, 40)
     assert abs(res.value - true) < 1e-13
     assert res.evaluations == 600
 
@@ -37,7 +39,7 @@ def test_panels_are_evaluated_one_at_a_time_and_summed_in_order():
         calls.append(x)
         return math.sin(3.0 * x)
 
-    res = integrate(f, 0.0, 3.0, panels=3)
+    res = integrate_panels(f, 0.0, 3.0, 3)
     assert len(calls) == 45
     assert all(type(x) is float for x in calls)
     # panel by panel, and within a panel in node order
@@ -45,6 +47,22 @@ def test_panels_are_evaluated_one_at_a_time_and_summed_in_order():
     assert calls == expected
     pieces = [integrate(f, lo, lo + 1.0).value for lo in (0.0, 1.0, 2.0)]
     assert res.value == (pieces[0] + pieces[1]) + pieces[2]
+
+
+def test_one_panel_takes_the_nodes_in_order():
+    # integrate has no panel count: one 15-point rule on [a, b], its
+    # abscissae mid + half * node in node order, and 15 evaluations
+    assert list(inspect.signature(integrate).parameters) == ["f", "a", "b"]
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x * x
+
+    res = integrate(f, 1.0, 4.0)
+    assert calls == [2.5 + 1.5 * t for t in _NODES15]
+    assert res.evaluations == 15
+    assert abs(res.value - 21.0) < 1e-13
 
 
 def test_nodes_and_weights_are_leggauss_15_bit_for_bit():
@@ -78,16 +96,10 @@ def test_non_finite_bounds_rejected(a, b):
         integrate(lambda x: x, a, b)
 
 
-@pytest.mark.parametrize("panels", [0, -1])
-def test_fewer_than_one_panel_rejected(panels):
-    with pytest.raises(DomainError):
-        integrate(lambda x: x, 0.0, 1.0, panels=panels)
-
-
 def test_deterministic_repeatability():
     f = lambda x: np.sin(37.0 * x) * np.exp(-x)
-    a = integrate(f, 0.0, 3.0, panels=12)
-    b = integrate(f, 0.0, 3.0, panels=12)
+    a = integrate_panels(f, 0.0, 3.0, 12)
+    b = integrate_panels(f, 0.0, 3.0, 12)
     assert a.value == b.value
     assert a.evaluations == b.evaluations
 

@@ -5,12 +5,13 @@ import pickle
 
 import pytest
 
-from lfverify import lfunc
+import smoothing
 from lfverify.characters import DirichletCharacter, real_primitive_character
 from lfverify.contradiction import VerificationRecord, VerificationReport
 from lfverify.eulerprod import LocalFactorParams
-from lfverify.lfunc import CriticalZero, ScanResult, WeightParams
+from lfverify.lfunc import CriticalZero, ScanResult
 from lfverify.numerics import DomainError, QuadratureResult, integrate
+from smoothing import WeightParams, integrate_panels
 
 ZERO = (0j, 0j, 0j)
 _ZEROS = (CriticalZero(1.0, 1e-9), CriticalZero(2.0, 1e-9))
@@ -99,12 +100,12 @@ def test_invalid_values_raise_domain_error(build):
 
 
 def test_weight_params_key_the_panel_layout_cache():
-    lfunc._panel_layout.cache_clear()
-    first = lfunc._panel_layout(8, WeightParams(10.0, 6.0, 60.0))
-    again = lfunc._panel_layout(8, WeightParams(10.0, 6.0, 60.0))
+    smoothing._panel_layout.cache_clear()
+    first = smoothing._panel_layout(8, WeightParams(10.0, 6.0, 60.0))
+    again = smoothing._panel_layout(8, WeightParams(10.0, 6.0, 60.0))
     assert again is first
-    assert lfunc._panel_layout.cache_info().hits == 1
-    assert lfunc._panel_layout(8, WeightParams(10.0, 6.0, 61.0)) is not first
+    assert smoothing._panel_layout.cache_info().hits == 1
+    assert smoothing._panel_layout(8, WeightParams(10.0, 6.0, 61.0)) is not first
 
 
 def test_scan_result_is_a_sequence_of_its_zeros():
@@ -121,7 +122,10 @@ def test_scan_result_is_a_sequence_of_its_zeros():
 
 
 def test_integrate_returns_a_quadrature_result():
-    res = integrate(lambda x: 1.0, 0.0, 2.0, panels=3)
+    res = integrate(lambda x: 1.0, 0.0, 2.0)
+    assert isinstance(res, QuadratureResult)
+    assert res.evaluations == 15 and abs(res.value - 2.0) < 1e-15
+    res = integrate_panels(lambda x: 1.0, 0.0, 2.0, 3)
     assert isinstance(res, QuadratureResult)
     assert res.evaluations == 45 and abs(res.value - 2.0) < 1e-15
 
